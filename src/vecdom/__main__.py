@@ -1,0 +1,6 @@
+"""``python -m vecdom``: the command-line driver."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

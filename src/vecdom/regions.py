@@ -126,52 +126,145 @@ def classify_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> set[in
     return set()
 
 
-def _typed_paths(
-    instance: AnnotatedInstance, a1: int, a2: int, max_paths: int | None
-) -> tuple[list[TypedPath], bool]:
-    """All typed simple paths between the anchors, and whether a cap truncated them."""
-    if a1 == a2:
-        raise MalformedPathError("anchors must be distinct")
+_NO_PATHS = ((), (), ())
+
+# The type of the two-, three- and four-edge paths, in the order they are listed.
+_TYPE_BY_LENGTH = (1, 3, 2)
+
+
+def _typed_interiors(instance: AnnotatedInstance, nbrs, a1: int, min_far: int) -> dict:
+    """Interiors of the typed paths from ``a1`` to every vertex ``>= min_far``.
+
+    One depth-first search over the sorted neighbor lists ``nbrs`` walks the
+    simple paths of two to four edges from ``a1`` and types each one while
+    it grows, read from both ends as :func:`classify_path` would: type 3
+    needs a vertex of demand at most one next to an anchor; type 2 needs a
+    zero-demand middle, inner ends off the far anchors and a demand-1
+    inner end.  A path that cannot become typed is not extended.  The
+    result maps each far anchor to three lists (two-, three- and four-edge
+    interiors), each in lexicographic order, so concatenated they follow
+    ``(len, path)``.
+    """
+    d = instance.demand
     adj = instance._adj
-    found: list[tuple[int, ...]] = []
+    around_a1 = adj[a1]
+    found: dict[int, tuple[list, list, list]] = {}
 
-    def extend(path: list[int], seen: set[int]) -> None:
-        last = path[-1]
-        if last == a2:
-            if len(path) >= 3:
-                found.append(tuple(path))
-            return
-        if len(path) == 5:
-            return
-        for u in sorted(adj[last]):
-            if u not in seen:
-                path.append(u)
-                seen.add(u)
-                extend(path, seen)
-                path.pop()
-                seen.discard(u)
+    def bucket(v):
+        lists = found.get(v)
+        if lists is None:
+            lists = found[v] = ([], [], [])
+        return lists
 
-    extend([a1], {a1})
-    found.sort(key=lambda p: (len(p), p))
-    typed: list[TypedPath] = []
-    for p in found:
-        types = classify_path(instance, p, a1, a2)
-        types |= classify_path(instance, tuple(reversed(p)), a2, a1)
-        if types:
-            typed.append(TypedPath(a1, a2, p[1:-1], min(types)))
-    truncated = False
-    if max_paths is not None and len(typed) > max_paths:
-        typed = typed[:max_paths]
-        truncated = True
-    return typed, truncated
+    for x in nbrs[a1]:
+        around_x = adj[x]
+        for y in nbrs[x]:
+            if y == a1:
+                continue
+            if y >= min_far:
+                bucket(y)[0].append((x,))
+            type3 = d[x] <= 1 or d[y] <= 1
+            deep = d[y] == 0
+            if not (type3 or deep):
+                continue
+            for z in nbrs[y]:
+                if z == a1 or z == x:
+                    continue
+                if type3 and z >= min_far:
+                    bucket(z)[1].append((x, y))
+                if not deep or z in around_a1 or (d[x] != 1 and d[z] != 1):
+                    continue
+                # Excluding the neighbors of x also excludes a1 and y.
+                for w in nbrs[z]:
+                    if w >= min_far and w != x and w not in around_x:
+                        bucket(w)[2].append((x, y, z))
+    return found
+
+
+def _sorted_neighbors(instance: AnnotatedInstance) -> dict[int, list[int]]:
+    return {v: sorted(nbrs) for v, nbrs in instance._adj.items()}
+
+
+def _as_typed(a1: int, a2: int, by_length, max_paths: int | None) -> list[TypedPath]:
+    typed = [
+        TypedPath(a1, a2, inner, path_type)
+        for path_type, group in zip(_TYPE_BY_LENGTH, by_length)
+        for inner in group
+    ]
+    return typed if max_paths is None else typed[:max_paths]
 
 
 def enumerate_boundary_paths(
     instance: AnnotatedInstance, a1: int, a2: int, max_paths: int | None = None
 ) -> list[TypedPath]:
     """Typed paths between two anchors, in a deterministic order."""
-    paths, _ = _typed_paths(instance, a1, a2, max_paths)
-    return paths
+    if a1 == a2:
+        raise MalformedPathError("anchors must be distinct")
+    by_length = _typed_interiors(instance, _sorted_neighbors(instance), a1, a2).get(a2, _NO_PATHS)
+    return _as_typed(a1, a2, by_length, max_paths)
+
+
+class RegionIndex:
+    """Typed paths and candidate regions of every anchor pair of one embedding.
+
+    Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each
+    ``a1`` come from one search, run when the first of its pairs is asked
+    for; a pair's regions are built when first asked for.  Both are kept,
+    so the region phase and the kernel statistics that follow it on the
+    same graph share one enumeration.  Regions do not depend on the
+    forbidden set, except for ``core_dominators``, which is taken when the
+    region is built; the coloring rules recompute it through
+    :func:`region_partition`.
+    """
+
+    def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int | None):
+        if not rs.describes(instance):
+            raise StaleEmbeddingError("embedding no longer matches the instance")
+        self.instance = instance
+        self.rs = rs
+        self.max_paths = max_paths
+        self._demand = dict(instance.demand)
+        self._nbrs = _sorted_neighbors(instance)
+        self._found: dict[int, dict] = {}
+        self._regions: dict[tuple[int, int], list[CandidateRegion]] = {}
+
+    def describes(self, instance: AnnotatedInstance) -> bool:
+        """Whether this index still holds for ``instance``: the same object,
+        with the graph and demands it had when the index was built."""
+        return (
+            instance is self.instance
+            and instance.demand == self._demand
+            and self.rs.describes(instance)
+        )
+
+    def _from(self, a1: int) -> dict:
+        found = self._found.get(a1)
+        if found is None:
+            found = self._found[a1] = _typed_interiors(self.instance, self._nbrs, a1, a1 + 1)
+        return found
+
+    def far_ends(self, a1: int) -> list[int]:
+        """The vertices above ``a1`` that at least one typed path joins to it."""
+        return sorted(self._from(a1))
+
+    def paths(self, a1: int, a2: int) -> list[TypedPath]:
+        """The pair's typed paths in ``(len, path)`` order, cut to the cap."""
+        return _as_typed(a1, a2, self._from(a1).get(a2, _NO_PATHS), self.max_paths)
+
+    def capped(self, a1: int, a2: int) -> bool:
+        """Whether the cap cut the pair's typed paths."""
+        by_length = self._from(a1).get(a2, _NO_PATHS)
+        return self.max_paths is not None and sum(map(len, by_length)) > self.max_paths
+
+    def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
+        """The pair's inclusion-maximal candidate regions."""
+        key = (a1, a2)
+        regions = self._regions.get(key)
+        if regions is None:
+            regions = self._regions[key] = _regions_from_paths(
+                self.instance, self.rs, a1, a2, self.paths(a1, a2)
+            )
+        return regions
 
 
 def _partition_sets(instance, a1, a2, internal_boundary, interior):
@@ -214,7 +307,7 @@ def enumerate_candidate_regions(
     """
     if not rs.describes(instance):
         raise StaleEmbeddingError("embedding no longer matches the instance")
-    paths, _ = _typed_paths(instance, a1, a2, max_paths)
+    paths = enumerate_boundary_paths(instance, a1, a2, max_paths)
     return _regions_from_paths(instance, rs, a1, a2, paths)
 
 

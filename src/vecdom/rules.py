@@ -21,7 +21,7 @@ for vertices the engine itself colored.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .instance import (
     AnnotatedInstance,
@@ -34,7 +34,7 @@ from .instance import (
     validate,
 )
 from .planarity import embed
-from .regions import rule6, rule7, rule8, _typed_paths, _regions_from_paths
+from .regions import RegionIndex, rule6, rule7, rule8
 
 KERNEL_FACTOR = 101
 
@@ -47,7 +47,6 @@ class FixpointOptions:
     enable_region_rules: bool = True
     max_rounds: int | None = None
     max_paths_per_pair: int = 512
-    parallel_pairs: bool = False
 
     def __post_init__(self):
         if self.kernel_certificate and not self.enable_region_rules:
@@ -67,6 +66,9 @@ class FixpointReport:
     caps_hit: bool = False
     max_rounds_hit: bool = False
     final_instance: AnnotatedInstance | None = None
+    # The last region phase's index, kept when the run stopped at quiescence
+    # on the graph that phase indexed; ``kernel_report`` reuses it.
+    region_index: RegionIndex | None = field(default=None, repr=False, compare=False)
 
 
 def rule1(instance: AnnotatedInstance) -> list[ReductionEvent]:
@@ -322,50 +324,39 @@ _LOCAL_RULES = {
 }
 
 
-def _region_phase(instance: AnnotatedInstance, options: FixpointOptions) -> tuple[list[ReductionEvent], bool]:
+def _region_phase(
+    instance: AnnotatedInstance, options: FixpointOptions
+) -> tuple[list[ReductionEvent], bool, RegionIndex]:
     """Run rules 6-8 over all maximal candidate regions of a fresh embedding.
 
-    Coloring never touches the graph or demands, so one embedding serves
-    the whole phase.  Regions are skipped when an anchor or a high-demand
-    boundary vertex is forbidden: the coloring arguments replace solution
-    vertices with those, so they must remain selectable.
+    Coloring never touches the graph or demands, so one embedding and one
+    region index serve the whole phase.  Regions are skipped when an
+    anchor or a high-demand boundary vertex is forbidden: the coloring
+    arguments replace solution vertices with those, so they must remain
+    selectable.  The cap flag covers the pairs whose anchors were both
+    selectable when the phase started.
     """
-    rs = embed(instance)
-    vertices = instance.vertices
+    index = RegionIndex(instance, embed(instance), options.max_paths_per_pair)
     pairs = [
         (a1, a2)
-        for i, a1 in enumerate(vertices)
+        for a1 in instance.vertices
         if a1 not in instance.forbidden
-        for a2 in vertices[i + 1 :]
+        for a2 in index.far_ends(a1)
         if a2 not in instance.forbidden
     ]
-    caps_hit = False
-
-    def regions_for(pair):
-        a1, a2 = pair
-        paths, truncated = _typed_paths(instance, a1, a2, options.max_paths_per_pair)
-        return _regions_from_paths(instance, rs, a1, a2, paths), truncated
-
-    if options.parallel_pairs and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor() as pool:
-            enumerated = list(pool.map(regions_for, pairs))
-    else:
-        enumerated = [regions_for(pair) for pair in pairs]
+    caps_hit = any(index.capped(a1, a2) for a1, a2 in pairs)
 
     events: list[ReductionEvent] = []
-    for (a1, a2), (regions, truncated) in zip(pairs, enumerated):
-        caps_hit |= truncated
+    for a1, a2 in pairs:
         if a1 in instance.forbidden or a2 in instance.forbidden:
             continue
-        for region in regions:
+        for region in index.regions(a1, a2):
             if region.high_boundary & instance.forbidden:
                 continue
             events.extend(rule6(instance, region))
             events.extend(rule7(instance, region))
             events.extend(rule8(instance, region))
-    return events, caps_hit
+    return events, caps_hit, index
 
 
 def potential(instance: AnnotatedInstance) -> int:
@@ -392,6 +383,7 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
     rounds = 0
     caps_hit = False
     max_rounds_hit = False
+    region_index = None
 
     while instance.status is Status.OPEN:
         if options.max_rounds is not None and rounds >= options.max_rounds:
@@ -412,13 +404,15 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
         if instance.status is not Status.OPEN:
             break
         if options.enable_region_rules:
-            region_events, truncated = _region_phase(instance, options)
+            region_events, truncated, region_index = _region_phase(instance, options)
             caps_hit |= truncated
             events.extend(region_events)
             if region_events:
                 fired_this_round = True
         if not fired_this_round:
             break
+        # Only a quiescent stop hands the index over; the next round indexes anew.
+        region_index = None
 
     if instance.status is Status.OPEN and not max_rounds_hit:
         if not any(instance.demand.values()) and instance.budget >= 0:
@@ -442,4 +436,5 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
         caps_hit=caps_hit,
         max_rounds_hit=max_rounds_hit,
         final_instance=instance,
+        region_index=region_index,
     )

@@ -127,26 +127,17 @@ def run_selftest(
     count: int = 200,
     seed0: int = 0,
     oracle_limit: int = 18,
-    threads: int | None = None,
     progress=None,
 ) -> tuple[int, list[str]]:
-    """Check ``count`` seeded instances, one worker thread per instance.
+    """Check ``count`` seeded instances, one after another.
 
     Returns the number of instances checked and a list of failure
     descriptions (empty on success).
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    seeds = range(seed0, seed0 + count)
     failures: list[str] = []
-
-    def work(seed: int) -> list[str]:
+    for i, seed in enumerate(range(seed0, seed0 + count)):
         record = evaluate_instance(seed, oracle_limit)
-        return [f"seed {seed}: {msg}" for msg in record.event_failures + record.failures]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, msgs in enumerate(pool.map(work, seeds)):
-            failures.extend(msgs)
-            if progress and (i + 1) % 50 == 0:
-                progress(i + 1)
+        failures.extend(f"seed {seed}: {msg}" for msg in record.event_failures + record.failures)
+        if progress and (i + 1) % 50 == 0:
+            progress(i + 1)
     return count, failures

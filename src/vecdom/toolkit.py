@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .instance import AnnotatedInstance, Status, VecdomError, validate
 from .planarity import embed
-from .regions import enumerate_candidate_regions
+from .regions import RegionIndex
 from .rules import FixpointReport
 
 
@@ -247,18 +247,24 @@ def kernel_report(
     """Summarize a completed fixpoint run.
 
     ``instance`` is the original; the reduced instance is taken from the
-    report.  The largest candidate-region interior is recomputed on the
-    final graph by full enumeration over all anchor pairs.
+    report.  The region count and the largest candidate-region interior
+    cover every anchor pair of the final graph, forbidden anchors
+    included.  A run that stopped at quiescence hands over the index its
+    last region phase built on that graph, and only the pairs the phase
+    skipped are enumerated here.  A fresh index is built when there is
+    none, when its path cap differs from ``max_paths_per_pair``, or when
+    the final instance's graph or demands changed since it was built.
     """
     final = report.final_instance
     region_count = 0
     max_interior = 0
     if final.n:
-        rs = embed(final)
-        ids = final.vertices
-        for i, a1 in enumerate(ids):
-            for a2 in ids[i + 1 :]:
-                regions = enumerate_candidate_regions(final, rs, a1, a2, max_paths_per_pair)
+        index = report.region_index
+        if index is None or index.max_paths != max_paths_per_pair or not index.describes(final):
+            index = RegionIndex(final, embed(final), max_paths_per_pair)
+        for a1 in final.vertices:
+            for a2 in index.far_ends(a1):
+                regions = index.regions(a1, a2)
                 region_count += len(regions)
                 for region in regions:
                     max_interior = max(max_interior, len(region.interior))

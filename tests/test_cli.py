@@ -1,7 +1,13 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import vecdom
 from vecdom import cli_main, parse, solve_brute
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
@@ -153,3 +159,20 @@ class TestSelftest:
 
 def test_unknown_subcommand_is_usage_error():
     assert cli_main(["frobnicate"]) == 2
+
+
+def test_python_dash_m_runs_the_driver(yes_file):
+    src = str(Path(vecdom.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-m", "vecdom", "solve", "--input", yes_file],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("YES")
+    usage = subprocess.run(
+        [sys.executable, "-m", "vecdom", "frobnicate"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert usage.returncode == 2

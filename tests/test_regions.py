@@ -1,10 +1,15 @@
 """Typed paths, candidate regions, and the region coloring rules 6-8."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecdom import (
+    AnnotatedInstance,
     MalformedPathError,
+    TypedPath,
     classify_path,
     dominates,
     embed,
@@ -19,8 +24,10 @@ from vecdom import (
     FixpointOptions,
     Status,
 )
+from vecdom.regions import RegionIndex
+from vecdom.rules import _region_phase
 from vecdom.selftest import corpus_instance, oracle_answer
-from vecdom.toolkit import generate_planar
+from vecdom.toolkit import generate_planar, make_special_case
 
 from conftest import build, worst_case_region_instance
 
@@ -74,6 +81,65 @@ class TestEnumerateBoundaryPaths:
         inst = generate_planar(12, 0.9, 3)
         a, b = inst.vertices[0], inst.vertices[5]
         assert enumerate_boundary_paths(inst, a, b) == enumerate_boundary_paths(inst, a, b)
+
+
+def brute_typed_paths(inst, a1, a2):
+    """Every vertex sequence of 2-4 edges from a1 to a2 that classify_path
+    accepts from either end, in (len, path) order."""
+    others = [v for v in inst.vertices if v not in (a1, a2)]
+    typed = []
+    for length in (1, 2, 3):
+        for inner in itertools.permutations(others, length):
+            path = (a1, *inner, a2)
+            try:
+                types = classify_path(inst, path, a1, a2)
+            except MalformedPathError:
+                continue
+            types |= classify_path(inst, path[::-1], a2, a1)
+            if types:
+                typed.append(TypedPath(a1, a2, inner, min(types)))
+    return sorted(typed, key=lambda p: (len(p.vertices), p.vertices))
+
+
+def seeded_instance_with_forbidden(seed):
+    rng = random.Random(seed)
+    base = make_special_case(generate_planar(8 + seed % 3, 0.9, seed), "random:2", seed=seed)
+    forbidden = rng.sample(base.vertices, 2)
+    return AnnotatedInstance(
+        base.vertices, base.edges(), base.demand, budget=3, forbidden=forbidden
+    )
+
+
+class TestRegionIndex:
+    # With cap 10, seed 0 has its only capped pairs at a forbidden anchor.
+    @pytest.mark.parametrize("cap", [2, 10, 512])
+    def test_typed_paths_and_caps_match_brute_force(self, cap):
+        any_capped = False
+        for seed in range(6):
+            inst = seeded_instance_with_forbidden(seed)
+            index = RegionIndex(inst, embed(inst), cap)
+            phase_caps = False
+            for a1, a2 in itertools.combinations(inst.vertices, 2):
+                expected = brute_typed_paths(inst, a1, a2)
+                assert index.paths(a1, a2) == expected[:cap], (seed, a1, a2)
+                assert index.capped(a1, a2) == (len(expected) > cap)
+                assert (a2 in index.far_ends(a1)) == bool(expected)
+                backward = brute_typed_paths(inst, a2, a1)
+                assert enumerate_boundary_paths(inst, a2, a1, cap) == backward[:cap]
+                if not {a1, a2} & inst.forbidden:
+                    phase_caps |= len(expected) > cap
+            any_capped |= phase_caps
+            _, caps_hit, _ = _region_phase(inst.copy(), FixpointOptions(max_paths_per_pair=cap))
+            assert caps_hit == phase_caps, seed
+        assert any_capped == (cap < 512)
+
+    def test_regions_match_the_single_pair_enumeration(self):
+        inst = seeded_instance_with_forbidden(4)
+        rs = embed(inst)
+        index = RegionIndex(inst, rs, 512)
+        for a1, a2 in itertools.combinations(inst.vertices, 2):
+            assert index.regions(a1, a2) == enumerate_candidate_regions(inst, rs, a1, a2, 512)
+            assert index.regions(a1, a2) is index.regions(a1, a2)
 
 
 class TestEnumerateCandidateRegions:
@@ -265,19 +331,6 @@ class TestEmbeddingFreshness:
         inst.delete_edge(8, 1)
         with pytest.raises(StaleEmbeddingError):
             enumerate_candidate_regions(inst, rs, 0, 4)
-
-    def test_parallel_pair_enumeration_matches_serial(self):
-        from vecdom.rules import _region_phase
-
-        serial = worst_case_region_instance()
-        parallel = worst_case_region_instance()
-        ev_serial, caps_s = _region_phase(serial, FixpointOptions())
-        ev_parallel, caps_p = _region_phase(parallel, FixpointOptions(parallel_pairs=True))
-        assert caps_s == caps_p
-        assert [(e.rule_id, e.newly_blue) for e in ev_serial] == [
-            (e.rule_id, e.newly_blue) for e in ev_parallel
-        ]
-        assert serial.forbidden == parallel.forbidden
 
 
 class TestRegionRulesInsideFixpoint:

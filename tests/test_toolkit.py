@@ -1,5 +1,7 @@
 """File format, generators, demand profiles, kernel statistics."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -198,6 +200,47 @@ class TestKernelReport:
         report = run_fixpoint(inst.copy())
         stats = kernel_report(inst, report)
         assert stats.bound_ratio == stats.n_after / max(stats.k_after, 1)
+
+    def test_reused_index_matches_a_fresh_one_and_is_dropped_when_stale(self, monkeypatch):
+        import vecdom.toolkit
+
+        inst = worst_case_region_instance()
+        embeds = []
+        real_embed = vecdom.toolkit.embed
+        monkeypatch.setattr(
+            vecdom.toolkit, "embed", lambda final: embeds.append(1) or real_embed(final)
+        )
+
+        def stats_and_embeds(report, cap=512):
+            embeds.clear()
+            return kernel_report(inst, report, cap), len(embeds)
+
+        report = run_fixpoint(inst.copy())
+        assert report.final_status is Status.OPEN and report.final_instance.forbidden
+        assert report.region_index is not None
+
+        reused, reused_embeds = stats_and_embeds(report)
+        fresh, fresh_embeds = stats_and_embeds(dataclasses.replace(report, region_index=None))
+        assert (reused_embeds, fresh_embeds) == (0, 1)
+        assert reused == fresh and reused.region_count_examined > 0
+
+        capped, capped_embeds = stats_and_embeds(report, cap=2)
+        no_index = dataclasses.replace(report, region_index=None)
+        assert capped_embeds == 1 and capped == stats_and_embeds(no_index, cap=2)[0]
+
+        # The caller mutates the reduced instance after the run: the counts
+        # must follow the new graph, or the new demands.
+        for mutate in (
+            lambda final: final.delete_edge(*min(final.edges())),
+            lambda final: final.demand.update({v: 0 for v in final.vertices}),
+        ):
+            report = run_fixpoint(inst.copy())
+            before = kernel_report(inst, report)
+            mutate(report.final_instance)
+            after, after_embeds = stats_and_embeds(report)
+            assert after_embeds == 1
+            assert after == stats_and_embeds(dataclasses.replace(report, region_index=None))[0]
+            assert after.region_count_examined != before.region_count_examined
 
 
 class TestTrivialInstances:
