@@ -5,7 +5,7 @@ order of neighbors around each vertex; faces and "which vertices sit
 inside this cycle" fall out combinatorially.
 """
 
-from vecdom import AnnotatedInstance, NonPlanarError, cycle_sides, embed, faces
+from vecdom import AnnotatedInstance, NonPlanarError, cycle_sides, embed
 
 # -- embed a small maximal planar graph -----------------------------------
 
@@ -19,7 +19,7 @@ octa = AnnotatedInstance(range(6), octa_edges)
 rs = embed(octa)
 print(f"n={octa.n} m={octa.m} faces={rs.face_count}  (Euler: 6 - 12 + 8 = 2)")
 print("rotation around vertex 0:", rs.rotation[0])
-print("first three faces:", [tuple(f) for f in faces(rs)[:3]])
+print("first three faces:", list(rs.faces[:3]))
 
 # -- non-planar graphs are refused with a witness -------------------------
 

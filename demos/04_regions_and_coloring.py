@@ -1,4 +1,4 @@
-"""Candidate regions: typed boundary paths, interior partitions, coloring.
+"""Candidate regions: typed boundary paths, vertex classes, coloring.
 
 The showpiece is the worst-case region: an eight-vertex boundary around
 fifteen interior vertices, every one of them dominated by the two anchors.
@@ -13,7 +13,6 @@ from vecdom import (
     embed,
     enumerate_boundary_paths,
     enumerate_candidate_regions,
-    region_partition,
     rule7,
     run_fixpoint,
     solve_bb,
@@ -47,17 +46,16 @@ for p in paths:
     if len(p.vertices) == 5 and set(p.vertices) <= {0, 1, 2, 3, 4, 5, 6, 7}:
         print("  ", p.vertices, "type", p.path_type)
 
-# -- the region and its partition ---------------------------------------------
+# -- the region and its vertex classes ------------------------------------------
 
 print("\n== the maximal candidate region between the anchors ==")
 rs = embed(inst)
 region = enumerate_candidate_regions(inst, rs, 0, 4)[0]
-part = region_partition(inst, region)
 print(f"boundary {sorted(region.side.boundary)}")
 print(f"interior: {len(region.interior)} vertices")
-print(f"demand-2 boundary vertices: {sorted(part.high_boundary)}")
-print(f"crosslinked centrals:       {sorted(part.crosslinks)}")
-print(f"deep core:                  {sorted(part.core)}")
+print(f"demand-2 boundary vertices: {sorted(region.high_boundary)}")
+print(f"crosslinked centrals:       {sorted(region.crosslinks)}")
+print(f"deep core:                  {sorted(region.core)}")
 
 # -- coloring with exemptions ----------------------------------------------------
 

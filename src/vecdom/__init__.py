@@ -33,17 +33,14 @@ from .planarity import (
     StaleEmbeddingError,
     cycle_sides,
     embed,
-    faces,
 )
 from .regions import (
     CandidateRegion,
     MalformedPathError,
-    RegionPartition,
     TypedPath,
     classify_path,
     enumerate_boundary_paths,
     enumerate_candidate_regions,
-    region_partition,
     rule6,
     rule7,
     rule8,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from .instance import Status, VecdomError
 from .rules import FixpointOptions, run_fixpoint
@@ -33,6 +34,15 @@ def _load_instance(path: str):
     return parse(_read(path))
 
 
+@contextmanager
+def _bad_values_are_input_errors():
+    """Report a library's ValueError about a command-line value as an input error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise VecdomError(str(exc)) from None
+
+
 def _fixpoint_options(args) -> FixpointOptions:
     certificate = args.kernel_certificate
     if args.no_region_rules:
@@ -42,11 +52,12 @@ def _fixpoint_options(args) -> FixpointOptions:
                 "drop --no-region-rules or turn the certificate off"
             )
         certificate = "off"
-    return FixpointOptions(
-        kernel_certificate=certificate != "off",
-        enable_region_rules=not args.no_region_rules,
-        max_paths_per_pair=args.max_paths_per_pair,
-    )
+    with _bad_values_are_input_errors():
+        return FixpointOptions(
+            kernel_certificate=certificate != "off",
+            enable_region_rules=not args.no_region_rules,
+            max_paths_per_pair=args.max_paths_per_pair,
+        )
 
 
 def _witness_text(instance, witness) -> str:
@@ -113,9 +124,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    instance = generate_planar(args.n, args.density, args.seed)
-    if args.profile:
-        instance = make_special_case(instance, args.profile, seed=args.seed)
+    if args.k < 0:
+        raise VecdomError("--k must be non-negative")
+    with _bad_values_are_input_errors():
+        instance = generate_planar(args.n, args.density, args.seed)
+        if args.profile:
+            instance = make_special_case(instance, args.profile, seed=args.seed)
     instance.budget = args.k
     text = write(instance)
     if args.output:
@@ -136,6 +150,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.count < 0:
+        raise VecdomError("--count must be non-negative")
     checked, failures = run_selftest(
         count=args.count,
         seed0=args.seed,

@@ -65,13 +65,10 @@ class ReductionEvent:
 class NeighborhoodView:
     """Demand-aware snapshot of one vertex's neighborhood.
 
-    ``high`` holds neighbors with demand >= 1, ``low`` the rest.  The
-    closed variants include the center itself regardless of its demand.
+    ``high`` holds neighbors with demand >= 1, ``low`` the rest.
+    ``high_closed`` adds the center itself regardless of its demand.
     """
 
-    center: int
-    open: frozenset[int]
-    closed: frozenset[int]
     high: frozenset[int]
     low: frozenset[int]
     high_closed: frozenset[int]
@@ -297,15 +294,7 @@ def neighborhood(instance: AnnotatedInstance, v: int) -> NeighborhoodView:
     """Compute the demand-split neighborhood of ``v`` from the current state."""
     nbrs = instance.neighbors(v)
     high = frozenset(u for u in nbrs if instance.demand[u] >= 1)
-    low = frozenset(nbrs) - high
-    return NeighborhoodView(
-        center=v,
-        open=frozenset(nbrs),
-        closed=frozenset(nbrs) | {v},
-        high=high,
-        low=low,
-        high_closed=high | {v},
-    )
+    return NeighborhoodView(high=high, low=frozenset(nbrs) - high, high_closed=high | {v})
 
 
 def force_into_solution(instance: AnnotatedInstance, v: int, rule_id: int | str = FORCE) -> ReductionEvent:

@@ -44,8 +44,7 @@ class RotationSystem:
     """Planar embedding as per-vertex cyclic neighbor orders, with derived faces.
 
     Faces are tuples of darts (directed edges); every dart belongs to
-    exactly one face.  Immutable after construction, so safe to share
-    across threads.
+    exactly one face.  Immutable after construction.
     """
 
     def __init__(self, rotation: dict[int, tuple[int, ...]]):
@@ -59,12 +58,6 @@ class RotationSystem:
         self.component_of = self._components()
         self._check_euler()
         self.outer_face_of_component = self._outer_faces()
-        self.outer_face = None
-        for v in self.rotation:
-            comp = self.component_of[v]
-            if comp in self.outer_face_of_component:
-                self.outer_face = self.outer_face_of_component[comp]
-                break
         edge_comps = len(self.outer_face_of_component)
         self.face_count = len(self.faces) - edge_comps + 1
 
@@ -168,11 +161,6 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
         raise NonPlanarError(sorted(tuple(sorted(e)) for e in witness.edges()))
     rotation = {v: tuple(embedding.neighbors_cw_order(v)) for v in instance.vertices}
     return RotationSystem(rotation)
-
-
-def faces(rs: RotationSystem) -> list[tuple[tuple[int, int], ...]]:
-    """All faces of the embedding, each as a cyclic walk of darts."""
-    return list(rs.faces)
 
 
 class _UnionFind:

@@ -42,25 +42,19 @@ class TypedPath:
 
 
 @dataclass(frozen=True)
-class RegionPartition:
-    """Derived vertex classes of one region, recomputed against the live instance.
+class CandidateRegion:
+    """One side of the cycle closed by two typed paths, with its vertex classes.
+
+    The classes depend only on the graph and demands the region was built
+    on, never on the forbidden set.  The internal boundary is the boundary
+    without the two anchors.
 
     high_boundary: internal boundary vertices with demand >= 2.
     fringe: interior vertices adjacent to an internal boundary vertex.
     core: interior vertices with no internal-boundary neighbor.
-    core_dominators: selectable vertices that alone satisfy the whole core.
     crosslinks: region vertices adjacent to two high-demand boundary vertices.
     """
 
-    high_boundary: frozenset[int]
-    fringe: frozenset[int]
-    core: frozenset[int]
-    core_dominators: frozenset[int]
-    crosslinks: frozenset[int]
-
-
-@dataclass(frozen=True)
-class CandidateRegion:
     a1: int
     a2: int
     outer1: TypedPath
@@ -70,16 +64,11 @@ class CandidateRegion:
     high_boundary: frozenset[int]
     fringe: frozenset[int]
     core: frozenset[int]
-    core_dominators: frozenset[int]
     crosslinks: frozenset[int]
 
     @property
     def boundary(self) -> frozenset[int]:
         return frozenset(self.side.boundary)
-
-    @property
-    def internal_boundary(self) -> frozenset[int]:
-        return self.boundary - {self.a1, self.a2}
 
     @property
     def closed_vertices(self) -> frozenset[int]:
@@ -212,9 +201,7 @@ class RegionIndex:
     for; a pair's regions are built when first asked for.  Both are kept,
     so the region phase and the kernel statistics that follow it on the
     same graph share one enumeration.  Regions do not depend on the
-    forbidden set, except for ``core_dominators``, which is taken when the
-    region is built; the coloring rules recompute it through
-    :func:`region_partition`.
+    forbidden set.
     """
 
     def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int | None):
@@ -265,29 +252,6 @@ class RegionIndex:
                 self.instance, self.rs, a1, a2, self.paths(a1, a2)
             )
         return regions
-
-
-def _partition_sets(instance, a1, a2, internal_boundary, interior):
-    d = instance.demand
-    adj = instance._adj
-    high_boundary = frozenset(v for v in internal_boundary if d[v] >= 2)
-    fringe = frozenset(v for v in interior if adj[v] & internal_boundary)
-    core = frozenset(interior) - fringe
-    dominators = frozenset(
-        v
-        for v in instance.vertex_set()
-        if v not in instance.forbidden and dominates(instance, {v}, core)
-    )
-    region_vertices = internal_boundary | {a1, a2} | interior
-    crosslinks = frozenset(v for v in region_vertices if len(adj[v] & high_boundary) >= 2)
-    return high_boundary, fringe, core, dominators, crosslinks
-
-
-def region_partition(instance: AnnotatedInstance, region: CandidateRegion) -> RegionPartition:
-    """Recompute the region's derived sets against the current instance state."""
-    return RegionPartition(
-        *_partition_sets(instance, region.a1, region.a2, region.internal_boundary, region.interior)
-    )
 
 
 def enumerate_candidate_regions(
@@ -348,11 +312,15 @@ def _regions_from_paths(instance, rs, a1, a2, paths) -> list[CandidateRegion]:
     out = []
     for pi, pj, side, closed in maximal:
         internal_boundary = frozenset(side.boundary) - anchors
-        sets = _partition_sets(instance, a1, a2, internal_boundary, side.inside)
-        region = CandidateRegion(a1, a2, pi, pj, side, side.inside, *sets)
-        if len(region.high_boundary) > 2:
+        high_boundary = frozenset(v for v in internal_boundary if d[v] >= 2)
+        if len(high_boundary) > 2:
             raise AssertionError("typed boundary admits at most two high-demand vertices")
-        out.append(region)
+        fringe = frozenset(v for v in side.inside if adj[v] & internal_boundary)
+        crosslinks = frozenset(v for v in closed if len(adj[v] & high_boundary) >= 2)
+        out.append(CandidateRegion(
+            a1, a2, pi, pj, side, side.inside,
+            high_boundary, fringe, side.inside - fringe, crosslinks,
+        ))
     return out
 
 
@@ -363,18 +331,22 @@ def _color(instance: AnnotatedInstance, v: int, rule_id: int) -> ReductionEvent:
 
 def rule6(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Color interior vertices that neither reach the high-demand boundary nor
-    could alone satisfy the core."""
-    part = region_partition(instance, region)
-    if not part.core:
+    could alone satisfy the core.
+
+    Like rules 7 and 8, this reads the vertex classes stored on ``region``,
+    so the region must have been built on the instance's current graph and
+    demands; only the forbidden set may have changed since.
+    """
+    if not region.core:
         return []
     adj = instance._adj
     events = []
     for u in sorted(region.interior):
         if u in instance.forbidden:
             continue
-        if adj[u] & part.high_boundary:
+        if adj[u] & region.high_boundary:
             continue
-        if dominates(instance, {u}, part.core):
+        if dominates(instance, {u}, region.core):
             continue
         events.append(_color(instance, u, 6))
     return events
@@ -383,30 +355,30 @@ def rule6(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
 def rule7(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Coloring rule for regions that have crosslinked boundary vertices.
 
-    An interior vertex stays selectable only if it is a crosslink or core
-    dominator itself, or it can cover the core (or an anchor's share of
-    it) together with one suitable partner.
+    An interior vertex stays selectable only if it is a crosslink, or it
+    satisfies the core alone, or it can cover the core (or an anchor's
+    share of it) together with one suitable partner.  The region must have
+    been built on the instance's current graph and demands.
     """
-    part = region_partition(instance, region)
-    if not part.core or not part.crosslinks:
+    if not region.core or not region.crosslinks:
         return []
     adj = instance._adj
     near_high = set()
-    for y in part.high_boundary:
+    for y in region.high_boundary:
         near_high |= adj[y]
-    core_a1 = part.core & adj[region.a1]
-    core_a2 = part.core & adj[region.a2]
+    core_a1 = region.core & adj[region.a1]
+    core_a2 = region.core & adj[region.a2]
     events = []
     for w in sorted(region.interior):
         if w in instance.forbidden:
             continue
-        if w in part.crosslinks or dominates(instance, {w}, part.core):
+        if w in region.crosslinks or dominates(instance, {w}, region.core):
             continue
-        if any(dominates(instance, {w, w2}, part.core) for w2 in sorted(near_high)):
+        if any(dominates(instance, {w, w2}, region.core) for w2 in sorted(near_high)):
             continue
         if any(
             dominates(instance, {w, w2}, core_a1) or dominates(instance, {w, w2}, core_a2)
-            for w2 in sorted(part.crosslinks)
+            for w2 in sorted(region.crosslinks)
         ):
             continue
         events.append(_color(instance, w, 7))
@@ -416,33 +388,34 @@ def rule7(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
 def rule8(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Coloring rule for regions without crosslinks.
 
-    Exemptions: core dominators; vertices covering the core with a partner
-    drawn from around an adjacent high-demand boundary vertex; and, when
-    the high-demand boundary hangs off one anchor, vertices covering the
-    rest of the core with a partner from around the high-demand boundary.
+    Exemptions: vertices that satisfy the core alone; vertices covering
+    the core with a partner drawn from around an adjacent high-demand
+    boundary vertex; and, when the high-demand boundary hangs off one
+    anchor, vertices covering the rest of the core with a partner from
+    around the high-demand boundary.  The region must have been built on
+    the instance's current graph and demands.
     """
-    part = region_partition(instance, region)
-    if not part.core or part.crosslinks:
+    if not region.core or region.crosslinks:
         return []
     adj = instance._adj
     near_high = set()
-    for y in part.high_boundary:
+    for y in region.high_boundary:
         near_high |= adj[y]
     events = []
     for u in sorted(region.interior):
         if u in instance.forbidden:
             continue
-        if dominates(instance, {u}, part.core):
+        if dominates(instance, {u}, region.core):
             continue
         partners = set()
-        for y in sorted(adj[u] & part.high_boundary):
+        for y in sorted(adj[u] & region.high_boundary):
             partners |= adj[y]
-        if any(dominates(instance, {u, u2}, part.core) for u2 in sorted(partners)):
+        if any(dominates(instance, {u, u2}, region.core) for u2 in sorted(partners)):
             continue
         exempt = False
         for anchor in (region.a1, region.a2):
-            if part.high_boundary <= adj[anchor]:
-                rest = part.core - adj[anchor]
+            if region.high_boundary <= adj[anchor]:
+                rest = region.core - adj[anchor]
                 if any(dominates(instance, {u, u2}, rest) for u2 in sorted(near_high)):
                     exempt = True
                     break

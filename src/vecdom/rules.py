@@ -49,6 +49,8 @@ class FixpointOptions:
     max_paths_per_pair: int = 512
 
     def __post_init__(self):
+        if self.max_paths_per_pair < 0:
+            raise ValueError("max_paths_per_pair must be non-negative")
         if self.kernel_certificate and not self.enable_region_rules:
             raise ValueError(
                 "the kernel-size certificate requires the region rules; "

@@ -161,21 +161,28 @@ def generate_planar(n: int, edge_density: float, seed: int) -> AnnotatedInstance
     return AnnotatedInstance(range(n), kept)
 
 
+def _profile_number(kind, arg: str, profile: str):
+    try:
+        return kind(arg.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"profile {profile!r} needs a number after ':'") from None
+
+
 def _parse_profile(profile: str):
     name, _, arg = profile.partition(":")
     name = name.strip().lower()
     if name == "r":
-        r = int(arg)
+        r = _profile_number(int, arg, profile)
         if r < 0:
             raise ValueError("uniform demand must be non-negative")
         return ("r", r)
     if name == "alpha":
-        alpha = Fraction(arg.strip())
+        alpha = _profile_number(Fraction, arg, profile)
         if not 0 < alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         return ("alpha", alpha)
     if name == "bdvd":
-        t = int(arg)
+        t = _profile_number(int, arg, profile)
         if t < 0:
             raise ValueError("target degree must be non-negative")
         return ("bdvd", t)
@@ -184,7 +191,7 @@ def _parse_profile(profile: str):
             raise ValueError("pids takes no argument")
         return ("alpha", Fraction(1, 2))
     if name == "random":
-        max_d = int(arg)
+        max_d = _profile_number(int, arg, profile)
         if max_d < 0:
             raise ValueError("maximum demand must be non-negative")
         return ("random", max_d)

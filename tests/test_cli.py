@@ -161,6 +161,40 @@ def test_unknown_subcommand_is_usage_error():
     assert cli_main(["frobnicate"]) == 2
 
 
+class TestBadNumbers:
+    """A bad value on the command line is an input error: exit 2 and an
+    ``error:`` line, never a traceback, and never silently accepted."""
+
+    def check(self, argv, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_generate_zero_vertices(self, capsys):
+        self.check(["generate", "--n", "0"], capsys)
+
+    def test_generate_density_above_one(self, capsys):
+        self.check(["generate", "--n", "5", "--density", "2"], capsys)
+
+    def test_generate_unknown_profile(self, capsys):
+        self.check(["generate", "--n", "5", "--profile", "bogus"], capsys)
+
+    @pytest.mark.parametrize("profile", ["r:x", "alpha:1/0"])
+    def test_generate_profile_without_a_number(self, profile, capsys):
+        self.check(["generate", "--n", "5", "--profile", profile], capsys)
+
+    def test_generate_negative_budget(self, capsys):
+        self.check(["generate", "--n", "5", "--k", "-1"], capsys)
+
+    @pytest.mark.parametrize("command", ["kernelize", "stats"])
+    def test_negative_path_cap(self, command, yes_file, capsys):
+        self.check([command, "--input", yes_file, "--max-paths-per-pair", "-1"], capsys)
+
+    def test_selftest_negative_count(self, capsys):
+        self.check(["selftest", "--count", "-3"], capsys)
+
+
 def test_python_dash_m_runs_the_driver(yes_file):
     src = str(Path(vecdom.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -88,8 +88,6 @@ class TestNeighborhood:
     def test_isolated_vertex(self):
         inst = build(1)
         view = neighborhood(inst, 0)
-        assert view.open == frozenset()
-        assert view.closed == {0}
         assert view.high_closed == {0}
 
     def test_all_demanding_k4(self):

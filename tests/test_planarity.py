@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecdom import NonPlanarError, NotACycleError, cycle_sides, embed, faces
+from vecdom import NonPlanarError, NotACycleError, cycle_sides, embed
 from vecdom.toolkit import generate_planar
 
 from conftest import build
@@ -41,24 +41,24 @@ class TestEmbed:
 class TestFaces:
     def test_single_edge_one_face_length_two(self):
         rs = embed(build(2, [(0, 1)]))
-        fs = faces(rs)
+        fs = rs.faces
         assert len(fs) == 1
         assert len(fs[0]) == 2
 
     def test_triangle_two_faces_length_three(self):
         rs = embed(build(3, [(0, 1), (1, 2), (0, 2)]))
-        fs = faces(rs)
+        fs = rs.faces
         assert sorted(len(f) for f in fs) == [3, 3]
 
     def test_two_triangles_sharing_an_edge(self):
         # Euler: 4 - 5 + F = 2 so F = 3
         rs = embed(build(4, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)]))
-        assert len(faces(rs)) == 3
+        assert len(rs.faces) == 3
 
     def test_every_dart_in_exactly_one_face(self):
         inst = generate_planar(25, 0.7, seed=3)
         rs = embed(inst)
-        darts = [d for f in faces(rs) for d in f]
+        darts = [d for f in rs.faces for d in f]
         assert len(darts) == len(set(darts)) == 2 * inst.m
 
     @given(st.integers(0, 400))

@@ -15,7 +15,6 @@ from vecdom import (
     embed,
     enumerate_boundary_paths,
     enumerate_candidate_regions,
-    region_partition,
     rule6,
     rule7,
     rule8,
@@ -178,31 +177,28 @@ class TestEnumerateCandidateRegions:
                         assert dominates(inst, {a1, a2}, region.interior)
 
 
-class TestRegionPartition:
+class TestRegionClasses:
     def test_all_low_demand_boundary_means_no_high_sets(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)], {2: 1, 3: 1})
         region = enumerate_candidate_regions(inst, embed(inst), 0, 1)[0]
-        part = region_partition(inst, region)
-        assert part.high_boundary == frozenset()
-        assert part.crosslinks == frozenset()
+        assert region.high_boundary == frozenset()
+        assert region.crosslinks == frozenset()
 
     def test_interior_touching_boundary_is_fringe(self):
         edges = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1), (4, 2)]
         inst = build(5, edges, {4: 2})
         regions = enumerate_candidate_regions(inst, embed(inst), 0, 1)
         region = next(r for r in regions if 4 in r.interior)
-        part = region_partition(inst, region)
-        assert part.fringe == {4}
-        assert part.core == frozenset()
+        assert region.fringe == {4}
+        assert region.core == frozenset()
 
     def test_worst_case_sets_match_figure(self):
         inst = worst_case_region_instance()
         region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
-        part = region_partition(inst, region)
-        assert part.high_boundary == {1, 5}
-        assert part.crosslinks == {8, 9, 10}
-        assert part.core == {11, 15, 17, 21}
-        assert 13 in part.fringe and 19 in part.fringe
+        assert region.high_boundary == {1, 5}
+        assert region.crosslinks == {8, 9, 10}
+        assert region.core == {11, 15, 17, 21}
+        assert 13 in region.fringe and 19 in region.fringe
 
 
 class TestRule6:
@@ -215,12 +211,11 @@ class TestRule6:
     def test_core_dominator_protected_and_others_colored(self):
         inst = worst_case_region_instance()
         region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
-        part = region_partition(inst, region)
         events = rule6(inst, region)
         blued = {v for ev in events for v in ev.newly_blue}
         assert blued == {11, 15, 16, 17, 21, 22}
         for v in blued:
-            assert v not in part.core_dominators
+            assert not dominates(inst, {v}, region.core)
 
     def test_events_only_color(self):
         inst = worst_case_region_instance()
@@ -304,9 +299,8 @@ class TestRule8:
         before = oracle_answer(inst)
         rs = embed(inst)
         for region in enumerate_candidate_regions(inst, rs, 0, 1):
-            part = region_partition(inst, region)
-            if part.core and not part.crosslinks and 5 in region.interior:
-                assert 5 not in part.core_dominators
+            if region.core and not region.crosslinks and 5 in region.interior:
+                assert not dominates(inst, {5}, region.core)
                 assert rule6(inst, region) == []
                 assert rule8(inst, region) == []
         assert not inst.forbidden

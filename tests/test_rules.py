@@ -328,6 +328,11 @@ class TestRunFixpoint:
         with pytest.raises(ValueError):
             FixpointOptions(kernel_certificate=True, enable_region_rules=False)
 
+    def test_negative_path_cap_refused(self):
+        with pytest.raises(ValueError):
+            FixpointOptions(max_paths_per_pair=-1)
+        assert FixpointOptions(max_paths_per_pair=0).max_paths_per_pair == 0
+
     def test_max_rounds_cap(self):
         inst = build(3, [(0, 1), (1, 2), (0, 2)], {0: 1, 1: 1, 2: 1}, k=1)
         report = run_fixpoint(inst, FixpointOptions(kernel_certificate=False,
