@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import AnnotatedInstance, VecdomError, ReductionEvent, dominates
+from .instance import AnnotatedInstance, ReductionEvent, UnknownVertexError, VecdomError, dominates
 from .planarity import ClosedWalkRegion, RotationSystem, StaleEmbeddingError, cycle_sides
 
 
@@ -174,6 +174,11 @@ def _sorted_neighbors(instance: AnnotatedInstance) -> dict[int, list[int]]:
     return {v: sorted(nbrs) for v, nbrs in instance._adj.items()}
 
 
+def _check_cap(max_paths: int | None) -> None:
+    if max_paths is not None and max_paths < 0:
+        raise ValueError("the path cap must be non-negative")
+
+
 def _as_typed(a1: int, a2: int, by_length, max_paths: int | None) -> list[TypedPath]:
     typed = [
         TypedPath(a1, a2, inner, path_type)
@@ -187,8 +192,12 @@ def enumerate_boundary_paths(
     instance: AnnotatedInstance, a1: int, a2: int, max_paths: int | None = None
 ) -> list[TypedPath]:
     """Typed paths between two anchors, in a deterministic order."""
+    for a in (a1, a2):
+        if not instance.has_vertex(a):
+            raise UnknownVertexError(f"unknown vertex {a}")
     if a1 == a2:
         raise MalformedPathError("anchors must be distinct")
+    _check_cap(max_paths)
     by_length = _typed_interiors(instance, _sorted_neighbors(instance), a1, a2).get(a2, _NO_PATHS)
     return _as_typed(a1, a2, by_length, max_paths)
 
@@ -207,6 +216,7 @@ class RegionIndex:
     def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int | None):
         if not rs.describes(instance):
             raise StaleEmbeddingError("embedding no longer matches the instance")
+        _check_cap(max_paths)
         self.instance = instance
         self.rs = rs
         self.max_paths = max_paths

@@ -8,7 +8,10 @@ applies the kernel-size certificate: a fully reduced instance larger than
 101 times its budget cannot have a solution.
 
 Every rule mutates the given instance in place and returns the events it
-fired.  All scans run in vertex-id order so runs are reproducible.
+fired.  A rule call is one scan in vertex-id order, so runs are
+reproducible.  When an event makes a rule apply again at a vertex its scan
+has already passed, the fixpoint's next batch of rules picks that up:
+``run_fixpoint`` is the only loop that repeats rules.
 
 A note on forbidden vertices: several rules justify themselves by swapping
 a hypothetical solution vertex for a named replacement, which silently
@@ -51,6 +54,8 @@ class FixpointOptions:
     def __post_init__(self):
         if self.max_paths_per_pair < 0:
             raise ValueError("max_paths_per_pair must be non-negative")
+        if self.max_rounds is not None and self.max_rounds < 0:
+            raise ValueError("max_rounds must be non-negative")
         if self.kernel_certificate and not self.enable_region_rules:
             raise ValueError(
                 "the kernel-size certificate requires the region rules; "
@@ -98,19 +103,17 @@ def rule3(instance: AnnotatedInstance) -> list[ReductionEvent]:
     """Force every vertex whose demand exceeds the budget or its degree.
 
     Forcing lowers the budget and neighbor demands, which can create new
-    violations, so the scan restarts until stable.  Forcing a forbidden
-    vertex or overspending decides the instance NO.
+    violations: a later vertex is forced when the scan reaches it, an
+    earlier one in the fixpoint's next batch.  Forcing a forbidden vertex
+    or overspending decides the instance NO and ends the scan.
     """
     events = []
-    changed = True
-    while changed and instance.status is Status.OPEN:
-        changed = False
-        for v in instance.vertices:
-            d = instance.demand[v]
-            if d > instance.budget or d > instance.degree(v):
-                events.append(force_into_solution(instance, v, rule_id=3))
-                changed = True
-                break
+    for v in instance.vertices:
+        if instance.status is not Status.OPEN:
+            break
+        d = instance.demand[v]
+        if d > instance.budget or d > instance.degree(v):
+            events.append(force_into_solution(instance, v, rule_id=3))
     return events
 
 
@@ -123,13 +126,11 @@ def rule4(instance: AnnotatedInstance) -> list[ReductionEvent]:
     """
     events = []
     for v in instance.vertices:
-        if not instance.has_vertex(v) or instance.demand[v] != 0:
+        if instance.demand[v] != 0:
             continue
         for a in instance.vertices:
-            if a == v or not instance.has_vertex(a) or a in instance.forbidden:
+            if a == v or a in instance.forbidden:
                 continue
-            if not instance.has_vertex(v):
-                break
             nv = instance.neighbors(v)
             if not nv <= (instance.neighbors(a) | {a}):
                 continue
@@ -152,32 +153,26 @@ def rule5(instance: AnnotatedInstance) -> list[ReductionEvent]:
     The witness ``a`` must be selectable and adjacent to ``v``, and every
     other vertex of ``N[v]`` must have demand at most one with all of its
     demanding closed neighborhood inside ``N[a]``; then some solution
-    contains ``a``.
+    contains ``a``.  Forcing ``a`` drops ``v``'s demand to zero, so the
+    scan moves on to the next vertex; the witness itself may be a later
+    vertex, which the scan then skips.  Overspending the budget decides
+    the instance NO and ends the scan.
     """
     events = []
-    restart = True
-    while restart and instance.status is Status.OPEN:
-        restart = False
-        for v in instance.vertices:
-            if not instance.has_vertex(v) or instance.demand[v] != 1:
+    for v in instance.vertices:
+        if instance.status is not Status.OPEN:
+            break
+        if not instance.has_vertex(v) or instance.demand[v] != 1:
+            continue
+        for a in sorted(instance.neighbors(v)):
+            if a in instance.forbidden:
                 continue
-            for a in sorted(instance.neighbors(v)):
-                if a in instance.forbidden:
-                    continue
-                closed_a = instance.neighbors(a) | {a}
-                ok = True
-                for u in sorted((instance.neighbors(v) | {v}) - {a}):
-                    if instance.demand[u] > 1:
-                        ok = False
-                        break
-                    if not neighborhood(instance, u).high_closed <= closed_a:
-                        ok = False
-                        break
-                if ok:
-                    events.append(force_into_solution(instance, a, rule_id=5))
-                    restart = True
-                    break
-            if restart:
+            closed_a = instance.neighbors(a) | {a}
+            if all(
+                instance.demand[u] <= 1 and neighborhood(instance, u).high_closed <= closed_a
+                for u in sorted((instance.neighbors(v) | {v}) - {a})
+            ):
+                events.append(force_into_solution(instance, a, rule_id=5))
                 break
     return events
 
@@ -236,8 +231,6 @@ def rule11(instance: AnnotatedInstance) -> list[ReductionEvent]:
     """
     events = []
     for v in instance.vertices:
-        if not instance.has_vertex(v):
-            continue
         if v not in instance.forbidden or instance.demand[v] < 1:
             continue
         nbrs = sorted(instance.neighbors(v))

@@ -265,16 +265,15 @@ def kernel_report(
     final = report.final_instance
     region_count = 0
     max_interior = 0
-    if final.n:
-        index = report.region_index
-        if index is None or index.max_paths != max_paths_per_pair or not index.describes(final):
-            index = RegionIndex(final, embed(final), max_paths_per_pair)
-        for a1 in final.vertices:
-            for a2 in index.far_ends(a1):
-                regions = index.regions(a1, a2)
-                region_count += len(regions)
-                for region in regions:
-                    max_interior = max(max_interior, len(region.interior))
+    index = report.region_index
+    if index is None or index.max_paths != max_paths_per_pair or not index.describes(final):
+        index = RegionIndex(final, embed(final), max_paths_per_pair)
+    for a1 in final.vertices:
+        for a2 in index.far_ends(a1):
+            regions = index.regions(a1, a2)
+            region_count += len(regions)
+            for region in regions:
+                max_interior = max(max_interior, len(region.interior))
     return KernelStats(
         n_before=instance.n,
         m_before=instance.m,

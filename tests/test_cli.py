@@ -1,14 +1,25 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vecdom
-from vecdom import cli_main, parse, solve_brute
+from vecdom import (
+    AnnotatedInstance,
+    NonPlanarError,
+    ParseError,
+    cli_main,
+    embed,
+    parse,
+    solve_brute,
+    write,
+)
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 NO_INSTANCE = "p pvds 2 1 0\nd 1 1\ne 1 2\n"
@@ -193,6 +204,44 @@ class TestBadNumbers:
 
     def test_selftest_negative_count(self, capsys):
         self.check(["selftest", "--count", "-3"], capsys)
+
+
+@st.composite
+def small_instances(draw):
+    """Instances of at most 8 vertices: forbidden vertices, budgets down to
+    -1, and edge sets that can be non-planar or too dense to parse."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    demand = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 3)))
+    forbidden = draw(st.sets(st.integers(0, n - 1)))
+    budget = draw(st.integers(-1, 3))
+    return AnnotatedInstance(range(n), edges, demand, budget=budget, forbidden=forbidden)
+
+
+K33 = AnnotatedInstance(range(6), [(u, v) for u in range(3) for v in range(3, 6)], {0: 1}, budget=1)
+
+
+@given(small_instances())
+@example(K33)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_instances_never_raise(tmp_path_factory, inst):
+    """Input errors end in exit 2, and a readable planar instance never does."""
+    base = tmp_path_factory.getbasetemp()
+    source, kernel = base / "fuzz.pvds", base / "fuzz.kernel.pvds"
+    text = write(inst)
+    source.write_text(text)
+    try:
+        embed(parse(text))
+        readable = planar = True
+    except ParseError:
+        readable = planar = False
+    except NonPlanarError:
+        readable, planar = True, False
+    ok = 0 if planar else 2
+    assert cli_main(["kernelize", "--input", str(source), "--output", str(kernel)]) == ok
+    assert cli_main(["stats", "--input", str(source)]) == ok
+    assert cli_main(["solve", "--input", str(source)]) in ((0, 1) if readable else (2,))
 
 
 def test_python_dash_m_runs_the_driver(yes_file):

@@ -10,6 +10,7 @@ from vecdom import (
     AnnotatedInstance,
     MalformedPathError,
     TypedPath,
+    UnknownVertexError,
     classify_path,
     dominates,
     embed,
@@ -29,6 +30,11 @@ from vecdom.selftest import corpus_instance, oracle_answer
 from vecdom.toolkit import generate_planar, make_special_case
 
 from conftest import build, worst_case_region_instance
+
+
+def cap_probe_instance():
+    """Anchors 0 and 2 of this triangulation are joined by 14 typed paths."""
+    return make_special_case(generate_planar(12, 1.0, 3), "r:1")
 
 
 class TestClassifyPath:
@@ -80,6 +86,20 @@ class TestEnumerateBoundaryPaths:
         inst = generate_planar(12, 0.9, 3)
         a, b = inst.vertices[0], inst.vertices[5]
         assert enumerate_boundary_paths(inst, a, b) == enumerate_boundary_paths(inst, a, b)
+
+    def test_negative_cap_refused(self):
+        inst = cap_probe_instance()
+        assert len(enumerate_boundary_paths(inst, 0, 2)) == 14
+        with pytest.raises(ValueError):
+            enumerate_boundary_paths(inst, 0, 2, -1)
+
+    @pytest.mark.parametrize("pair", [(99, 0), (0, 99)])
+    def test_unknown_anchor_refused(self, pair):
+        inst = cap_probe_instance()
+        with pytest.raises(UnknownVertexError):
+            enumerate_boundary_paths(inst, *pair)
+        with pytest.raises(UnknownVertexError):
+            enumerate_candidate_regions(inst, embed(inst), *pair)
 
 
 def brute_typed_paths(inst, a1, a2):
@@ -140,8 +160,20 @@ class TestRegionIndex:
             assert index.regions(a1, a2) == enumerate_candidate_regions(inst, rs, a1, a2, 512)
             assert index.regions(a1, a2) is index.regions(a1, a2)
 
+    def test_negative_cap_refused(self):
+        inst = cap_probe_instance()
+        with pytest.raises(ValueError):
+            RegionIndex(inst, embed(inst), -1)
+
 
 class TestEnumerateCandidateRegions:
+    def test_negative_cap_refused(self):
+        inst = cap_probe_instance()
+        rs = embed(inst)
+        assert len(enumerate_candidate_regions(inst, rs, 0, 2)) == 5
+        with pytest.raises(ValueError):
+            enumerate_candidate_regions(inst, rs, 0, 2, -1)
+
     def test_empty_interior_region_returned(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         regions = enumerate_candidate_regions(inst, embed(inst), 0, 1)

@@ -107,6 +107,24 @@ class TestRule3:
         rule3(inst)
         assert inst.status is Status.DECIDED_NO
 
+    def test_backward_cascade_waits_for_the_fixpoint(self):
+        # forcing 5 lowers the budget to 1, which makes the earlier vertex 0
+        # a violator: one pass has left 0 behind, the fixpoint's next batch
+        # forces it
+        def fresh():
+            return build(6, [(0, 1), (0, 2), (5, 4), (3, 4)], {0: 2, 5: 3}, k=2)
+
+        inst = fresh()
+        events = rule3(inst)
+        assert [sorted(ev.removed_vertices) for ev in events] == [[5]]
+        assert inst.has_vertex(0) and inst.budget == 1
+
+        inst = fresh()
+        report = run_fixpoint(inst)
+        forced = [v for ev in report.events if ev.rule_id == 3 for v in ev.removed_vertices]
+        assert forced == [5, 0]
+        assert oracle_answer(inst) == oracle_answer(fresh())
+
 
 class TestRule4:
     def test_figure_instance_drops_edge_to_demand_one_neighbor(self):
@@ -167,6 +185,20 @@ class TestRule5:
         events = rule5(inst)
         assert events and events[0].removed_vertices == {0}
         assert solve_brute(inst).answer == direct is True
+
+    def test_cascade_to_an_earlier_vertex_waits_for_the_fixpoint(self):
+        # forcing witness 2 makes 1 a witness for a vertex the pass has
+        # already left behind, so one pass forces only 2
+        inst = corpus_instance(95, max_n=10)
+        events = rule5(inst)
+        assert [sorted(ev.removed_vertices) for ev in events] == [[2]]
+
+        inst = corpus_instance(95, max_n=10)
+        before = oracle_answer(inst)
+        report = run_fixpoint(inst)
+        forced = [v for ev in report.events if ev.rule_id == 5 for v in ev.removed_vertices]
+        assert forced == [2, 1]
+        assert oracle_answer(inst) == before
 
     @given(st.integers(0, 3000))
     @settings(max_examples=80, deadline=None)
@@ -332,6 +364,11 @@ class TestRunFixpoint:
         with pytest.raises(ValueError):
             FixpointOptions(max_paths_per_pair=-1)
         assert FixpointOptions(max_paths_per_pair=0).max_paths_per_pair == 0
+
+    def test_negative_round_cap_refused(self):
+        with pytest.raises(ValueError):
+            FixpointOptions(max_rounds=-1)
+        assert FixpointOptions(max_rounds=0).max_rounds == 0
 
     def test_max_rounds_cap(self):
         inst = build(3, [(0, 1), (1, 2), (0, 2)], {0: 1, 1: 1, 2: 1}, k=1)

@@ -60,6 +60,32 @@ class TestParse:
             parse("e 1 2\np pvds 2 1 0\n")
 
 
+_TOKENS = st.one_of(
+    st.sampled_from(["p", "pvds", "d", "f", "e", "c", "x", "-", "1.5", "", "\t"]),
+    st.integers(-2, 12).map(str),
+)
+
+
+@st.composite
+def token_files(draw):
+    lines = draw(st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=10))
+    if draw(st.booleans()):
+        n, m, k = (draw(st.integers(-1, 8)) for _ in range(3))
+        lines.insert(draw(st.integers(0, len(lines))), f"p pvds {n} {m} {k}")
+    return "\n".join(lines)
+
+
+class TestParseFuzz:
+    @given(token_files())
+    @settings(max_examples=150, deadline=None)
+    def test_only_parse_errors_escape(self, text):
+        try:
+            inst = parse(text)
+        except ParseError:
+            return
+        assert parse(write(inst)) == inst
+
+
 class TestWrite:
     def test_empty_instance(self):
         assert write(build(0)) == "p pvds 0 0 0\n"
@@ -186,6 +212,20 @@ class TestKernelReport:
         assert stats.n_before == 23
         assert stats.n_after == reduced.n
         assert stats.blue_count == len(reduced.forbidden)
+
+    def test_negative_path_cap_refused(self):
+        inst = worst_case_region_instance()
+        report = run_fixpoint(
+            inst.copy(),
+            FixpointOptions(kernel_certificate=False, enable_region_rules=False, max_rounds=0),
+        )
+        with pytest.raises(ValueError):
+            kernel_report(inst, report, -1)
+        zero = build(2, [(0, 1)], k=0)
+        emptied = run_fixpoint(zero.copy())
+        assert emptied.final_instance.n == 0
+        with pytest.raises(ValueError):
+            kernel_report(zero, emptied, -1)
 
     def test_all_zero_demand_reduces_to_nothing(self):
         inst = generate_planar(9, 0.9, 2)
