@@ -44,7 +44,8 @@ answer = solve_brute(original).answer
 print(f"instance: {inst}, oracle says {answer}")
 
 report = run_fixpoint(inst, FixpointOptions())
-print(f"status {report.final_status.value}, final (n, m, k) = {report.final_size}, "
+final = report.final_instance
+print(f"status {report.final_status.value}, final (n, m, k) = {(final.n, final.m, final.budget)}, "
       f"{len(report.events)} events over {report.rounds} rounds")
 print("rule fire counts:", dict(sorted(report.rule_fire_counts.items(), key=lambda kv: str(kv[0]))))
 
@@ -62,5 +63,5 @@ n = 203
 ring = AnnotatedInstance(range(n), [(i, (i + 1) % n) for i in range(n)],
                          {v: 2 for v in range(n)}, budget=2)
 report = run_fixpoint(ring)
-print(f"no rule applies, {report.final_size[0]} vertices > 101 * 2, so the engine "
+print(f"no rule applies, {report.final_instance.n} vertices > 101 * 2, so the engine "
       f"decides {report.final_status.value} outright")

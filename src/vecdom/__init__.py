@@ -76,6 +76,7 @@ from .toolkit import (
     ParseError,
     format_stats,
     generate_planar,
+    kernel_of,
     kernel_report,
     make_special_case,
     parse,

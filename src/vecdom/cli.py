@@ -10,17 +10,17 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from .instance import Status, VecdomError
+from .instance import VecdomError
 from .rules import FixpointOptions, run_fixpoint
 from .selftest import run_selftest
 from .solver import solve_bb, solve_brute, verify_solution
 from .toolkit import (
     format_stats,
     generate_planar,
+    kernel_of,
     kernel_report,
     make_special_case,
     parse,
-    trivial_instance,
     write,
 )
 
@@ -65,23 +65,25 @@ def _witness_text(instance, witness) -> str:
     return " ".join(str(label[v]) for v in sorted(witness))
 
 
-def _cmd_kernelize(args) -> int:
-    instance = _load_instance(args.input)
-    options = _fixpoint_options(args)
-    reduced = instance.copy()
-    report = run_fixpoint(reduced, options)
-    stats = kernel_report(instance, report, args.max_paths_per_pair)
-    if report.final_status is Status.OPEN:
-        kernel = reduced
-    else:
-        kernel = trivial_instance(report.final_status is Status.DECIDED_YES)
-    text = write(kernel)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+def _write_output(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(format_stats(stats))
+
+
+def _reduce(args):
+    """Run the fixpoint on the input file; return its kernel and stats line."""
+    instance = _load_instance(args.input)
+    report = run_fixpoint(instance.copy(), _fixpoint_options(args))
+    return kernel_of(report), format_stats(kernel_report(instance, report))
+
+
+def _cmd_kernelize(args) -> int:
+    kernel, stats = _reduce(args)
+    _write_output(write(kernel), args.output)
+    print(stats)
     return 0
 
 
@@ -131,21 +133,12 @@ def _cmd_generate(args) -> int:
         if args.profile:
             instance = make_special_case(instance, args.profile, seed=args.seed)
     instance.budget = args.k
-    text = write(instance)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(write(instance), args.output)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    instance = _load_instance(args.input)
-    options = _fixpoint_options(args)
-    reduced = instance.copy()
-    report = run_fixpoint(reduced, options)
-    print(format_stats(kernel_report(instance, report, args.max_paths_per_pair)))
+    print(_reduce(args)[1])
     return 0
 
 

@@ -68,8 +68,9 @@ class FixpointReport:
     events: list[ReductionEvent]
     rounds: int
     final_status: Status
-    final_size: tuple[int, int, int]
     rule_fire_counts: dict
+    # The run's path cap from ``FixpointOptions``; ``kernel_report`` counts at it.
+    max_paths_per_pair: int
     caps_hit: bool = False
     max_rounds_hit: bool = False
     final_instance: AnnotatedInstance | None = None
@@ -426,8 +427,8 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
         events=events,
         rounds=rounds,
         final_status=instance.status,
-        final_size=(instance.n, instance.m, instance.budget),
         rule_fire_counts=dict(Counter(ev.rule_id for ev in events)),
+        max_paths_per_pair=options.max_paths_per_pair,
         caps_hit=caps_hit,
         max_rounds_hit=max_rounds_hit,
         final_instance=instance,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .instance import AnnotatedInstance, Status, replay
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
 from .solver import solve_bb, solve_brute
-from .toolkit import generate_planar, make_special_case
+from .toolkit import generate_planar, kernel_of, make_special_case
 
 # Profile mix used for generated corpora; covers the uniform, ceiling,
 # degree-slack and random demand families.
@@ -95,11 +95,7 @@ def evaluate_instance(seed: int, oracle_limit: int = 18, max_n: int = 14) -> Ins
     _check_event_chain(record, oracle_limit)
 
     for label, report in (("on", report_on), ("off", report_off)):
-        final = report.final_instance
-        if report.final_status is Status.OPEN:
-            got = solve_bb(final).answer
-        else:
-            got = report.final_status is Status.DECIDED_YES
+        got = solve_bb(kernel_of(report)).answer
         if got != brute:
             record.failures.append(
                 f"kernel answer with region rules {label} is {got}, oracle says {brute}"

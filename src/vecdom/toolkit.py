@@ -134,6 +134,14 @@ def trivial_instance(answer: bool) -> AnnotatedInstance:
     )
 
 
+def kernel_of(report: FixpointReport) -> AnnotatedInstance:
+    """The instance a fixpoint run leaves: the reduced instance while the
+    answer is open, the trivial instance of the answer once it is decided."""
+    if report.final_status is Status.OPEN:
+        return report.final_instance
+    return trivial_instance(report.final_status is Status.DECIDED_YES)
+
+
 def generate_planar(n: int, edge_density: float, seed: int) -> AnnotatedInstance:
     """Random planar graph: grow a triangulation by face splits, then thin it.
 
@@ -248,27 +256,25 @@ class KernelStats:
     status: Status
 
 
-def kernel_report(
-    instance: AnnotatedInstance, report: FixpointReport, max_paths_per_pair: int = 512
-) -> KernelStats:
-    """Summarize a completed fixpoint run.
+def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> KernelStats:
+    """Summarize a completed fixpoint run by the kernel it leaves, ``kernel_of(report)``.
 
-    ``instance`` is the original; the reduced instance is taken from the
-    report.  The region count and the largest candidate-region interior
-    cover every anchor pair of the final graph, forbidden anchors
-    included.  A run that stopped at quiescence hands over the index its
-    last region phase built on that graph, and only the pairs the phase
-    skipped are enumerated here.  A fresh index is built when there is
-    none, when its path cap differs from ``max_paths_per_pair``, or when
-    the final instance's graph or demands changed since it was built.
+    ``instance`` is the original.  The region count and the largest
+    candidate-region interior cover every anchor pair of the kernel,
+    forbidden anchors included, at the run's path cap.  A run that
+    stopped at quiescence hands over the index its last region phase
+    built on that graph, and only the pairs the phase skipped are
+    enumerated here.  A fresh index is built when there is none or when
+    it does not describe the kernel: the run was decided, or the reduced
+    graph or demands changed since the index was built.
     """
-    final = report.final_instance
+    kernel = kernel_of(report)
     region_count = 0
     max_interior = 0
     index = report.region_index
-    if index is None or index.max_paths != max_paths_per_pair or not index.describes(final):
-        index = RegionIndex(final, embed(final), max_paths_per_pair)
-    for a1 in final.vertices:
+    if index is None or not index.describes(kernel):
+        index = RegionIndex(kernel, embed(kernel), report.max_paths_per_pair)
+    for a1 in kernel.vertices:
         for a2 in index.far_ends(a1):
             regions = index.regions(a1, a2)
             region_count += len(regions)
@@ -277,15 +283,15 @@ def kernel_report(
     return KernelStats(
         n_before=instance.n,
         m_before=instance.m,
-        n_after=final.n,
-        m_after=final.m,
+        n_after=kernel.n,
+        m_after=kernel.m,
         k_before=instance.budget,
-        k_after=final.budget,
-        blue_count=len(final.forbidden),
+        k_after=kernel.budget,
+        blue_count=len(kernel.forbidden),
         rule_fire_counts=dict(report.rule_fire_counts),
         region_count_examined=region_count,
         max_region_interior=max_interior,
-        bound_ratio=final.n / max(final.budget, 1),
+        bound_ratio=kernel.n / max(kernel.budget, 1),
         status=report.final_status,
     )
 

@@ -20,6 +20,7 @@ from vecdom import (
     solve_brute,
     write,
 )
+from vecdom.selftest import corpus_instance
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 NO_INSTANCE = "p pvds 2 1 0\nd 1 1\ne 1 2\n"
@@ -113,6 +114,21 @@ class TestKernelize:
             assert cli_main(["kernelize", "--input", str(src), "--output", str(kern)]) == 0
             outputs.append((kern.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+    def test_stats_line_describes_the_written_kernel(self, tmp_path, capsys):
+        src, kern = tmp_path / "inst.pvds", tmp_path / "kernel.pvds"
+        decided = 0
+        for seed in range(150):
+            src.write_text(write(corpus_instance(seed)))
+            assert cli_main(["kernelize", "--input", str(src), "--output", str(kern)]) == 0
+            fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split())
+            kernel = parse(kern.read_text())
+            stated = tuple(int(fields[f]) for f in ("n_after", "m_after", "k_after", "blue"))
+            assert stated == (kernel.n, kernel.m, kernel.budget, len(kernel.forbidden)), seed
+            if fields["status"] != "open":
+                decided += 1
+                assert (fields["regions"], fields["max_region_interior"]) == ("0", "0"), seed
+        assert 0 < decided < 150
 
 
 class TestVerify:

@@ -335,7 +335,8 @@ class TestRunFixpoint:
         inst = build(5, [(0, 1), (1, 2), (3, 4)], k=0)
         report = run_fixpoint(inst)
         assert report.final_status is Status.DECIDED_YES
-        assert report.final_size == (0, 0, 0)
+        final = report.final_instance
+        assert (final.n, final.m, final.budget) == (0, 0, 0)
 
     def test_kernel_certificate_fires_on_big_rigid_cycle(self):
         # demand-2 cycle admits no rule, so size alone decides NO
@@ -354,7 +355,7 @@ class TestRunFixpoint:
         inst = build(n, [(i, (i + 1) % n) for i in range(n)], {v: 2 for v in range(n)}, k=2)
         report = run_fixpoint(inst, FixpointOptions(kernel_certificate=False))
         assert report.final_status is Status.OPEN
-        assert report.final_size[0] == n
+        assert report.final_instance.n == n
 
     def test_certificate_requires_region_rules(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,13 @@ from vecdom import (
     Status,
     embed,
     generate_planar,
+    kernel_of,
     kernel_report,
     make_special_case,
     parse,
     run_fixpoint,
     solve_bb,
     solve_brute,
-    trivial_instance,
     write,
 )
 
@@ -213,19 +213,23 @@ class TestKernelReport:
         assert stats.n_after == reduced.n
         assert stats.blue_count == len(reduced.forbidden)
 
-    def test_negative_path_cap_refused(self):
-        inst = worst_case_region_instance()
-        report = run_fixpoint(
-            inst.copy(),
-            FixpointOptions(kernel_certificate=False, enable_region_rules=False, max_rounds=0),
+    def test_early_no_enumerates_no_regions(self, monkeypatch):
+        import vecdom.regions
+
+        # Rule 3 overspends the budget with 18 of the 20 vertices left.
+        inst = make_special_case(generate_planar(20, 0.8, 2), "r:1")
+        inst.budget = 1
+        report = run_fixpoint(inst.copy())
+        assert report.final_status is Status.DECIDED_NO and report.final_instance.n == 18
+        calls = []
+        real_cycle_sides = vecdom.regions.cycle_sides
+        monkeypatch.setattr(
+            vecdom.regions, "cycle_sides", lambda *a: calls.append(1) or real_cycle_sides(*a)
         )
-        with pytest.raises(ValueError):
-            kernel_report(inst, report, -1)
-        zero = build(2, [(0, 1)], k=0)
-        emptied = run_fixpoint(zero.copy())
-        assert emptied.final_instance.n == 0
-        with pytest.raises(ValueError):
-            kernel_report(zero, emptied, -1)
+        stats = kernel_report(inst, report)
+        assert calls == []
+        assert (stats.n_after, stats.m_after, stats.k_after, stats.blue_count) == (2, 1, 0, 0)
+        assert (stats.region_count_examined, stats.max_region_interior) == (0, 0)
 
     def test_all_zero_demand_reduces_to_nothing(self):
         inst = generate_planar(9, 0.9, 2)
@@ -251,9 +255,9 @@ class TestKernelReport:
             vecdom.toolkit, "embed", lambda final: embeds.append(1) or real_embed(final)
         )
 
-        def stats_and_embeds(report, cap=512):
+        def stats_and_embeds(report):
             embeds.clear()
-            return kernel_report(inst, report, cap), len(embeds)
+            return kernel_report(inst, report), len(embeds)
 
         report = run_fixpoint(inst.copy())
         assert report.final_status is Status.OPEN and report.final_instance.forbidden
@@ -264,9 +268,13 @@ class TestKernelReport:
         assert (reused_embeds, fresh_embeds) == (0, 1)
         assert reused == fresh and reused.region_count_examined > 0
 
-        capped, capped_embeds = stats_and_embeds(report, cap=2)
-        no_index = dataclasses.replace(report, region_index=None)
-        assert capped_embeds == 1 and capped == stats_and_embeds(no_index, cap=2)[0]
+        # A capped run counts at its own cap, whether the index is reused or fresh.
+        capped_run = run_fixpoint(inst.copy(), FixpointOptions(max_paths_per_pair=2))
+        assert capped_run.region_index is not None
+        capped, capped_embeds = stats_and_embeds(capped_run)
+        fresh, fresh_embeds = stats_and_embeds(dataclasses.replace(capped_run, region_index=None))
+        assert (capped_embeds, fresh_embeds) == (0, 1)
+        assert capped == fresh and fresh.region_count_examined != reused.region_count_examined
 
         # The caller mutates the reduced instance after the run: the counts
         # must follow the new graph, or the new demands.
@@ -285,11 +293,16 @@ class TestKernelReport:
 
 class TestTrivialInstances:
     def test_yes_round_trip(self):
-        text = write(trivial_instance(True))
+        report = run_fixpoint(build(2, [(0, 1)], k=0))
+        assert report.final_status is Status.DECIDED_YES
+        text = write(kernel_of(report))
         assert text == "p pvds 0 0 0\n"
         assert solve_brute(parse(text)).answer
 
     def test_no_round_trip(self):
-        inst = parse(write(trivial_instance(False)))
+        report = run_fixpoint(build(2, [(0, 1)], {0: 1, 1: 1}, k=0))
+        assert report.final_status is Status.DECIDED_NO
+        inst = parse(write(kernel_of(report)))
+        assert (inst.n, inst.m, inst.budget) == (2, 1, 0)
         assert not solve_brute(inst).answer
         assert not solve_bb(inst).answer

@@ -1,0 +1,28 @@
+"""The benchmark's tracer finds every name it wraps.
+
+``perfbench/tracing.py`` wraps vecdom functions where their callers look
+them up; a name that moves silently drops its spans from a traced run.
+The module imports only the standard library, so it is loaded here by
+file path.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_every_trace_target_exists():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # ``install`` also wraps each entry of the local-rule table.
+    names = [(module, attr) for module, attr, _, _ in tracing.TARGETS]
+    names.append(("vecdom.rules", "_LOCAL_RULES"))
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in names
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert tracing.TARGETS and missing == []
