@@ -14,7 +14,6 @@ from .instance import (
     FORCE,
     InvalidInstanceError,
     KERNEL_BOUND,
-    NeighborhoodView,
     ReductionEvent,
     Status,
     UnknownVertexError,
@@ -48,8 +47,6 @@ from .regions import (
 from .rules import (
     FixpointOptions,
     FixpointReport,
-    KERNEL_FACTOR,
-    RULE_PRIORITY,
     potential,
     rule1,
     rule2,
@@ -80,7 +77,6 @@ from .toolkit import (
     kernel_report,
     make_special_case,
     parse,
-    trivial_instance,
     write,
 )
 from .selftest import corpus_instance, evaluate_instance, oracle_answer, run_selftest

@@ -55,7 +55,7 @@ class RotationSystem:
         for fi, face in enumerate(self.faces):
             for dart in face:
                 self.face_of[dart] = fi
-        self.component_of = self._components()
+        self.component_of, self.component_vertices = self._components()
         self._check_euler()
         self.outer_face_of_component = self._outer_faces()
         edge_comps = len(self.outer_face_of_component)
@@ -88,21 +88,25 @@ class RotationSystem:
                 faces.append(tuple(walk))
         return tuple(faces)
 
-    def _components(self) -> dict[int, int]:
+    def _components(self) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
         comp = {}
+        members = {}
         for v in self.rotation:
             if v in comp:
                 continue
             cid = v
             stack = [v]
             comp[v] = cid
+            found = [v]
             while stack:
                 x = stack.pop()
                 for y in self.rotation[x]:
                     if y not in comp:
                         comp[y] = cid
                         stack.append(y)
-        return comp
+                        found.append(y)
+            members[cid] = tuple(sorted(found))
+        return comp, members
 
     def _check_euler(self) -> None:
         stats: dict[int, list[int]] = {}
@@ -163,30 +167,64 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     return RotationSystem(rotation)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+def _walk_side(rs: RotationSystem, cycle, cycle_darts, start: int, other: int, keep):
+    """The vertices strictly on one side of a cycle, or ``None``.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    Walks the faces reachable from face ``start`` without crossing a cycle
+    edge and collects the non-cycle vertices on them.  When the walk
+    reaches the outer face of the cycle's component, the vertices of every
+    other component join the side.  Returns ``None`` at the first vertex
+    ``keep`` refuses.
+    """
+    faces = rs.faces
+    face_of = rs.face_of
+    boundary = set(cycle)
+    seen = {start}
+    stack = [start]
+    inside: set[int] = set()
+    while stack:
+        for dart in faces[stack.pop()]:
+            u, v = dart
+            if u not in boundary:
+                if u not in inside:
+                    if keep is not None and not keep(u):
+                        return None
+                    inside.add(u)
+            elif dart in cycle_darts:
+                continue
+            f = face_of[(v, u)]
+            if f not in seen:
+                if f == other:
+                    raise AssertionError("cycle does not separate the embedding")
+                seen.add(f)
+                stack.append(f)
+    comp = rs.component_of[cycle[0]]
+    if rs.outer_face_of_component[comp] in seen:
+        for c, members in rs.component_vertices.items():
+            if c == comp:
+                continue
+            if keep is not None and not all(map(keep, members)):
+                return None
+            inside.update(members)
+    return inside
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
-
-def cycle_sides(rs: RotationSystem, cycle) -> tuple[ClosedWalkRegion, ClosedWalkRegion]:
+def cycle_sides(
+    rs: RotationSystem, cycle, keep=None
+) -> tuple[ClosedWalkRegion | None, ClosedWalkRegion | None]:
     """Split the embedded graph along a simple cycle into its two sides.
 
-    Faces that share a non-cycle edge are merged; for the cycle's own
-    component exactly two groups remain, one per side.  Vertices of other
-    components count as lying on the side that holds the cycle component's
-    outer face, matching an embedding that nests every other component
-    there.
+    Side 0 is the side of dart ``(cycle[0], cycle[1])``, side 1 that of its
+    reverse.  Each side is found by a walk over faces from its dart's face
+    that glues faces along edges off the cycle and collects the non-cycle
+    vertices it meets, so a short cycle costs only as much as the sides it
+    collects.  Vertices of other components count as lying on the side
+    that holds the cycle component's outer face, matching an embedding
+    that nests every other component there.
+
+    ``keep`` is an optional predicate on vertices: a side holding a vertex
+    that ``keep`` refuses comes back as ``None``, and its walk stops at the
+    first such vertex.
     """
     cycle = tuple(cycle)
     if len(cycle) < 3:
@@ -196,46 +234,26 @@ def cycle_sides(rs: RotationSystem, cycle) -> tuple[ClosedWalkRegion, ClosedWalk
     for v in cycle:
         if v not in rs.rotation:
             raise NotACycleError(f"cycle vertex {v} is not embedded")
-    cyc_edges = set()
+    cycle_darts = set()
     for i, u in enumerate(cycle):
         v = cycle[(i + 1) % len(cycle)]
         if v not in rs._index[u]:
             raise NotACycleError(f"cycle step ({u}, {v}) is not an edge")
-        cyc_edges.add((u, v) if u < v else (v, u))
-    if len(cyc_edges) != len(cycle):
+        cycle_darts.add((u, v))
+        cycle_darts.add((v, u))
+    if len(cycle_darts) != 2 * len(cycle):
         raise NotACycleError("cycle repeats an edge")
 
-    uf = _UnionFind(len(rs.faces))
-    for u in rs.rotation:
-        for v in rs.rotation[u]:
-            if u < v and (u, v) not in cyc_edges:
-                uf.union(rs.face_of[(u, v)], rs.face_of[(v, u)])
-
     c0, c1 = cycle[0], cycle[1]
-    group_a = uf.find(rs.face_of[(c0, c1)])
-    group_b = uf.find(rs.face_of[(c1, c0)])
-    if group_a == group_b:
+    starts = (rs.face_of[(c0, c1)], rs.face_of[(c1, c0)])
+    if starts[0] == starts[1]:
         raise AssertionError("cycle does not separate the embedding")
-
-    comp = rs.component_of[c0]
-    outer_group = uf.find(rs.outer_face_of_component[comp])
-    boundary = set(cycle)
-    inside_a: set[int] = set()
-    inside_b: set[int] = set()
-    for v in rs.rotation:
-        if v in boundary:
-            continue
-        if rs.component_of[v] == comp:
-            g = uf.find(rs.face_of[(v, rs.rotation[v][0])])
-        else:
-            g = outer_group
-        if g == group_a:
-            inside_a.add(v)
-        elif g == group_b:
-            inside_b.add(v)
-        else:
-            raise AssertionError(f"vertex {v} not assigned to either side of the cycle")
-    return (
-        ClosedWalkRegion(cycle, 0, frozenset(inside_a)),
-        ClosedWalkRegion(cycle, 1, frozenset(inside_b)),
+    inside_a = _walk_side(rs, cycle, cycle_darts, starts[0], starts[1], keep)
+    inside_b = _walk_side(rs, cycle, cycle_darts, starts[1], starts[0], keep)
+    if inside_a is not None and inside_b is not None:
+        if len(inside_a) + len(inside_b) + len(cycle) != len(rs.rotation):
+            raise AssertionError("a vertex lies on neither side of the cycle")
+    return tuple(
+        None if inside is None else ClosedWalkRegion(cycle, number, frozenset(inside))
+        for number, inside in enumerate((inside_a, inside_b))
     )

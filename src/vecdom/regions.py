@@ -208,9 +208,9 @@ class RegionIndex:
     Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each
     ``a1`` come from one search, run when the first of its pairs is asked
     for; a pair's regions are built when first asked for.  Both are kept,
-    so the region phase and the kernel statistics that follow it on the
-    same graph share one enumeration.  Regions do not depend on the
-    forbidden set.
+    so the region phases of a fixpoint run and the kernel statistics that
+    follow it share one enumeration while the graph and demands stay the
+    same.  Regions do not depend on the forbidden set.
     """
 
     def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int | None):
@@ -289,6 +289,10 @@ def _regions_from_paths(instance, rs, a1, a2, paths) -> list[CandidateRegion]:
     adj = instance._adj
     d = instance.demand
     anchors = {a1, a2}
+
+    def keep(w):
+        return d[w] <= len(adj[w] & anchors)
+
     raw = []
     seen_keys = set()
     for i in range(len(paths)):
@@ -299,13 +303,8 @@ def _regions_from_paths(instance, rs, a1, a2, paths) -> list[CandidateRegion]:
             if set_i & set(pj.interior):
                 continue
             cycle = (a1, *pi.interior, a2, *reversed(pj.interior))
-            for side in cycle_sides(rs, cycle):
-                ok = True
-                for w in side.inside:
-                    if d[w] > len(adj[w] & anchors):
-                        ok = False
-                        break
-                if not ok:
+            for side in cycle_sides(rs, cycle, keep):
+                if side is None:
                     continue
                 closed = frozenset(cycle) | side.inside
                 key = (closed, side.inside)

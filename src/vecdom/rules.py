@@ -74,8 +74,8 @@ class FixpointReport:
     caps_hit: bool = False
     max_rounds_hit: bool = False
     final_instance: AnnotatedInstance | None = None
-    # The last region phase's index, kept when the run stopped at quiescence
-    # on the graph that phase indexed; ``kernel_report`` reuses it.
+    # The last region phase's index; ``kernel_report`` reuses it while it
+    # still describes the kernel.
     region_index: RegionIndex | None = field(default=None, repr=False, compare=False)
 
 
@@ -321,18 +321,18 @@ _LOCAL_RULES = {
 
 
 def _region_phase(
-    instance: AnnotatedInstance, options: FixpointOptions
-) -> tuple[list[ReductionEvent], bool, RegionIndex]:
-    """Run rules 6-8 over all maximal candidate regions of a fresh embedding.
+    instance: AnnotatedInstance, index: RegionIndex
+) -> tuple[list[ReductionEvent], bool]:
+    """Run rules 6-8 over all maximal candidate regions of ``index``.
 
-    Coloring never touches the graph or demands, so one embedding and one
-    region index serve the whole phase.  Regions are skipped when an
-    anchor or a high-demand boundary vertex is forbidden: the coloring
-    arguments replace solution vertices with those, so they must remain
-    selectable.  The cap flag covers the pairs whose anchors were both
-    selectable when the phase started.
+    The index must describe the instance.  Coloring never touches the
+    graph or demands, so the index serves the whole phase, and later
+    phases too while the graph and demands stay as they are.  Regions are
+    skipped when an anchor or a high-demand boundary vertex is forbidden:
+    the coloring arguments replace solution vertices with those, so they
+    must remain selectable.  The cap flag covers the pairs whose anchors
+    were both selectable when the phase started.
     """
-    index = RegionIndex(instance, embed(instance), options.max_paths_per_pair)
     pairs = [
         (a1, a2)
         for a1 in instance.vertices
@@ -352,7 +352,7 @@ def _region_phase(
             events.extend(rule6(instance, region))
             events.extend(rule7(instance, region))
             events.extend(rule8(instance, region))
-    return events, caps_hit, index
+    return events, caps_hit
 
 
 def potential(instance: AnnotatedInstance) -> int:
@@ -373,7 +373,7 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    embed(instance)  # planarity is a precondition; raises NonPlanarError
+    rs = embed(instance)  # planarity is a precondition; raises NonPlanarError
 
     events: list[ReductionEvent] = []
     rounds = 0
@@ -400,15 +400,19 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
         if instance.status is not Status.OPEN:
             break
         if options.enable_region_rules:
-            region_events, truncated, region_index = _region_phase(instance, options)
+            # Reuse the last index, or failing that the last embedding,
+            # while the local rules left what it was built on unchanged.
+            if region_index is None or not region_index.describes(instance):
+                if not rs.describes(instance):
+                    rs = embed(instance)
+                region_index = RegionIndex(instance, rs, options.max_paths_per_pair)
+            region_events, truncated = _region_phase(instance, region_index)
             caps_hit |= truncated
             events.extend(region_events)
             if region_events:
                 fired_this_round = True
         if not fired_this_round:
             break
-        # Only a quiescent stop hands the index over; the next round indexes anew.
-        region_index = None
 
     if instance.status is Status.OPEN and not max_rounds_hit:
         if not any(instance.demand.values()) and instance.budget >= 0:

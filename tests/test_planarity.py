@@ -1,9 +1,13 @@
 """Embeddings: planarity certification, face traversal, cycle sides."""
 
+import itertools
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecdom import NonPlanarError, NotACycleError, cycle_sides, embed
+from vecdom import AnnotatedInstance, NonPlanarError, NotACycleError, cycle_sides, embed
 from vecdom.toolkit import generate_planar
 
 from conftest import build
@@ -11,6 +15,50 @@ from conftest import build
 
 def complete(n):
     return build(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def union_find_sides(rs, cycle):
+    """Reference split: glue faces along every non-cycle edge with a
+    union-find, then read each vertex's side off one of its faces.
+    Returns the non-cycle vertices of side 0 and side 1."""
+    parent = list(range(len(rs.faces)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    cycle_edges = {frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1])}
+    for u in rs.rotation:
+        for v in rs.rotation[u]:
+            if u < v and frozenset((u, v)) not in cycle_edges:
+                parent[find(rs.face_of[(v, u)])] = find(rs.face_of[(u, v)])
+    groups = [find(rs.face_of[(cycle[0], cycle[1])]), find(rs.face_of[(cycle[1], cycle[0])])]
+    assert groups[0] != groups[1]
+    comp = rs.component_of[cycle[0]]
+    sides = (set(), set())
+    for v in rs.rotation:
+        if v in cycle:
+            continue
+        if rs.component_of[v] == comp:
+            group = find(rs.face_of[(v, rs.rotation[v][0])])
+        else:
+            group = find(rs.outer_face_of_component[comp])
+        sides[groups.index(group)].add(v)
+    return sides
+
+
+def planar_with_isolated(seed):
+    """A seeded planar graph at density 0.5-1.0, plus two isolated vertices."""
+    base = generate_planar(8 + seed % 13, 0.5 + 0.1 * (seed % 6), seed)
+    vertices = base.vertices + [base.n, base.n + 1]
+    return AnnotatedInstance(vertices, base.edges(), {}, budget=0)
+
+
+def short_cycles(inst, limit=60):
+    graph = nx.Graph(inst.edges())
+    return [tuple(c) for c in itertools.islice(nx.simple_cycles(graph, length_bound=8), limit)]
 
 
 class TestEmbed:
@@ -87,9 +135,11 @@ class TestCycleSides:
         rs = embed(inst)
         sides = cycle_sides(rs, [0, 1, 2, 3, 4, 5])
         assert sorted(len(s.inside) for s in sides) == [0, 3]
-        outer_holder = rs.face_of[rs.faces[rs.outer_face_of_component[0]][0]]
-        # whichever side holds the other component, the partition is exact
-        assert sum(len(s.inside) for s in sides) + 6 == inst.n
+        # The hexagon's component has two faces, one on each side.
+        starts = (rs.face_of[(0, 1)], rs.face_of[(1, 0)])
+        outer_holder = starts.index(rs.outer_face_of_component[rs.component_of[0]])
+        assert sides[outer_holder].inside == {6, 7, 8}
+        assert sides[1 - outer_holder].inside == set()
 
     def test_outer_face_boundary_has_everything_on_one_side(self):
         # wheel: hub 6 joined to a 6-cycle; the rim is a face boundary
@@ -134,3 +184,38 @@ class TestCycleSides:
         inst.delete_edge(*inst.edges()[0])
         inst.delete_vertex(inst.vertices[-1])
         embed(inst)
+
+
+class TestCycleSidesMatchUnionFind:
+    def test_same_sides_and_side_numbers(self):
+        checked = multi_component = 0
+        for seed in range(30):
+            inst = planar_with_isolated(seed)
+            rs = embed(inst)
+            multi_component += len(rs.component_vertices) > 3
+            for cycle in short_cycles(inst):
+                a, b = cycle_sides(rs, cycle)
+                assert (a.side, b.side) == (0, 1)
+                assert (a.inside, b.inside) == union_find_sides(rs, cycle), (seed, cycle)
+                checked += 1
+        assert checked > 500 and multi_component > 5
+
+    def test_keep_drops_exactly_the_sides_holding_a_refused_vertex(self):
+        rng = random.Random(5)
+        dropped = kept = 0
+        for seed in range(30):
+            inst = planar_with_isolated(seed)
+            rs = embed(inst)
+            for cycle in short_cycles(inst):
+                refused = set(rng.sample(inst.vertices, rng.randint(0, 3)))
+                sides = cycle_sides(rs, cycle, lambda w: w not in refused)
+                for number, (side, expected) in enumerate(
+                    zip(sides, union_find_sides(rs, cycle))
+                ):
+                    if expected & refused:
+                        assert side is None, (seed, cycle, number)
+                        dropped += 1
+                    else:
+                        assert (side.side, side.inside) == (number, expected)
+                        kept += 1
+        assert dropped > 100 and kept > 100

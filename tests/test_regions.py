@@ -148,7 +148,8 @@ class TestRegionIndex:
                 if not {a1, a2} & inst.forbidden:
                     phase_caps |= len(expected) > cap
             any_capped |= phase_caps
-            _, caps_hit, _ = _region_phase(inst.copy(), FixpointOptions(max_paths_per_pair=cap))
+            phase_inst = inst.copy()
+            _, caps_hit = _region_phase(phase_inst, RegionIndex(phase_inst, embed(phase_inst), cap))
             assert caps_hit == phase_caps, seed
         assert any_capped == (cap < 512)
 

@@ -23,6 +23,7 @@ from vecdom import (
     validate,
 )
 from vecdom.selftest import corpus_instance, oracle_answer
+from vecdom.toolkit import generate_planar, make_special_case
 
 from conftest import build
 
@@ -446,6 +447,74 @@ class TestRunFixpoint:
         assert capped.caps_hit
         assert capped.final_status is Status.OPEN
         assert "kernel_bound" not in capped.rule_fire_counts
+
+
+class TestIndexReuseAcrossRounds:
+    """Counts ``vecdom.rules.embed`` calls up to each region phase."""
+
+    @pytest.fixture
+    def phases(self, monkeypatch):
+        import vecdom.rules
+
+        log = {"embeds": 0, "phases": [], "rule10": []}
+        real_embed = vecdom.rules.embed
+        real_phase = vecdom.rules._region_phase
+        real_rule10 = vecdom.rules._LOCAL_RULES[10]
+
+        def embed(instance):
+            log["embeds"] += 1
+            return real_embed(instance)
+
+        def region_phase(instance, index):
+            log["phases"].append((log["embeds"], index))
+            return real_phase(instance, index)
+
+        def rule10(instance):
+            events = real_rule10(instance)
+            if any(ev.removed_edges or ev.removed_vertices for ev in events):
+                log["rule10"].append(len(log["phases"]))
+            return events
+
+        monkeypatch.setattr(vecdom.rules, "embed", embed)
+        monkeypatch.setattr(vecdom.rules, "_region_phase", region_phase)
+        monkeypatch.setitem(vecdom.rules._LOCAL_RULES, 10, rule10)
+        return log
+
+    @staticmethod
+    def triangulation(n, seed, k):
+        inst = make_special_case(generate_planar(n, 1.0, seed), "pids")
+        inst.budget = k
+        return inst
+
+    def test_unchanged_graph_embeds_once(self, phases):
+        report = run_fixpoint(self.triangulation(12, 0, 5))
+        # Round 1's local rules fire nothing and its region phase only colors.
+        assert set(report.rule_fire_counts) <= {6, 7, 8}
+        assert report.rounds == 2 and len(phases["phases"]) == 2
+        (embeds1, index1), (embeds2, index2) = phases["phases"]
+        assert (embeds1, embeds2, phases["embeds"]) == (1, 1, 1)
+        assert index2 is index1 and report.region_index is index1
+
+    def test_phase_after_rule10_deletion_reembeds(self, phases):
+        report = run_fixpoint(self.triangulation(12, 2, 5))
+        assert report.rule_fire_counts[10] > 0
+        # Rule 10 deletes between the first and the second phase.
+        assert phases["rule10"][0] == 1
+        embeds = [count for count, _ in phases["phases"]]
+        assert embeds[:2] == [1, 2]
+        assert phases["phases"][1][1] is not phases["phases"][0][1]
+
+    def test_local_only_and_one_round_runs(self, phases):
+        local_only = FixpointOptions(enable_region_rules=False, kernel_certificate=False)
+        report = run_fixpoint(self.triangulation(12, 2, 5), local_only)
+        assert report.rounds == 1 and report.region_index is None
+        assert phases["embeds"] == 1 and phases["phases"] == []
+
+        phases["embeds"] = 0
+        report = run_fixpoint(self.triangulation(12, 2, 5), FixpointOptions(max_rounds=1))
+        assert report.rounds == 1 and report.max_rounds_hit
+        assert phases["embeds"] == 1 and len(phases["phases"]) == 1
+        assert report.region_index is phases["phases"][0][1]
 
 
 class TestRuleSoundnessSweep:
