@@ -50,10 +50,9 @@ no_hub.budget = 3
 print("budget 3, hub forbidden:", solve_bb(no_hub).answer,
       "witness", sorted(solve_bb(no_hub).witness))
 
-# -- neighborhood views -------------------------------------------------
+# -- demanding neighborhoods --------------------------------------------
 
 print("\n== demand-aware neighborhoods ==")
-view = neighborhood(wheel, 0)
-print(f"hub: demanding neighbors {sorted(view.high)}, quiet neighbors {sorted(view.low)}")
+print(f"hub with its demanding neighbors: {sorted(neighborhood(wheel, 0))}")
 print("does {1, 4} dominate the rim?", dominates(wheel, {1, 4}, range(1, 7)))
 print("does the hub alone dominate everyone?", dominates(wheel, {0}, range(7)))

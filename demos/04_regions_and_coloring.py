@@ -9,15 +9,14 @@ of exempt vertices.
 
 from vecdom import (
     AnnotatedInstance,
-    classify_path,
+    RegionIndex,
     embed,
-    enumerate_boundary_paths,
-    enumerate_candidate_regions,
     kernel_of,
     rule7,
     run_fixpoint,
     solve_bb,
 )
+from vecdom.regions import classify_path
 
 # Anchors 0 and 4; demand-2 boundary vertices 1 and 5; three central
 # vertices 8, 9, 10 tied to both of them; two mirrored clusters fill the
@@ -41,7 +40,10 @@ print("== typed paths between the anchors ==")
 top = [0, 1, 2, 3, 4]
 print("path", top, "types read forward:", classify_path(inst, top, 0, 4),
       "read backward:", classify_path(inst, list(reversed(top)), 4, 0))
-paths = enumerate_boundary_paths(inst, 0, 4)
+# One index per embedding serves every anchor pair, with no cap on the
+# typed paths per pair.
+index = RegionIndex(inst, embed(inst), None)
+paths = index.paths(0, 4)
 print(f"{len(paths)} typed paths between 0 and 4; the two four-edge boundary arcs:")
 for p in paths:
     if len(p.vertices) == 5 and set(p.vertices) <= {0, 1, 2, 3, 4, 5, 6, 7}:
@@ -50,9 +52,8 @@ for p in paths:
 # -- the region and its vertex classes ------------------------------------------
 
 print("\n== the maximal candidate region between the anchors ==")
-rs = embed(inst)
-region = enumerate_candidate_regions(inst, rs, 0, 4)[0]
-print(f"boundary {sorted(region.side.boundary)}")
+region = index.regions(0, 4)[0]
+print(f"boundary {sorted(region.boundary)}")
 print(f"interior: {len(region.interior)} vertices")
 print(f"demand-2 boundary vertices: {sorted(region.high_boundary)}")
 print(f"crosslinked centrals:       {sorted(region.crosslinks)}")

@@ -19,7 +19,6 @@ from .instance import (
     UnknownVertexError,
     VecdomError,
     dominates,
-    force_into_solution,
     neighborhood,
     replay,
     validate,
@@ -36,10 +35,8 @@ from .planarity import (
 from .regions import (
     CandidateRegion,
     MalformedPathError,
+    RegionIndex,
     TypedPath,
-    classify_path,
-    enumerate_boundary_paths,
-    enumerate_candidate_regions,
     rule6,
     rule7,
     rule8,
@@ -79,7 +76,6 @@ from .toolkit import (
     parse,
     write,
 )
-from .selftest import corpus_instance, evaluate_instance, oracle_answer, run_selftest
 from .cli import cli_main
 
 __version__ = "0.1.0"

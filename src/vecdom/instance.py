@@ -61,19 +61,6 @@ class ReductionEvent:
     status_after: Status | None = None
 
 
-@dataclass(frozen=True)
-class NeighborhoodView:
-    """Demand-aware snapshot of one vertex's neighborhood.
-
-    ``high`` holds neighbors with demand >= 1, ``low`` the rest.
-    ``high_closed`` adds the center itself regardless of its demand.
-    """
-
-    high: frozenset[int]
-    low: frozenset[int]
-    high_closed: frozenset[int]
-
-
 def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
@@ -290,11 +277,13 @@ def dominates(instance: AnnotatedInstance, chosen: Iterable[int], targets: Itera
     return True
 
 
-def neighborhood(instance: AnnotatedInstance, v: int) -> NeighborhoodView:
-    """Compute the demand-split neighborhood of ``v`` from the current state."""
-    nbrs = instance.neighbors(v)
-    high = frozenset(u for u in nbrs if instance.demand[u] >= 1)
-    return NeighborhoodView(high=high, low=frozenset(nbrs) - high, high_closed=high | {v})
+def neighborhood(instance: AnnotatedInstance, v: int) -> set[int]:
+    """``v`` with its neighbors of positive demand, as a new set computed
+    from the current state."""
+    demand = instance.demand
+    out = {u for u in instance.neighbors(v) if demand[u] >= 1}
+    out.add(v)
+    return out
 
 
 def force_into_solution(instance: AnnotatedInstance, v: int, rule_id: int | str = FORCE) -> ReductionEvent:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .instance import AnnotatedInstance, ReductionEvent, UnknownVertexError, VecdomError, dominates
-from .planarity import ClosedWalkRegion, RotationSystem, StaleEmbeddingError, cycle_sides
+from .planarity import RotationSystem, StaleEmbeddingError, cycle_sides
 
 
 class MalformedPathError(VecdomError):
@@ -49,6 +49,8 @@ class CandidateRegion:
     on, never on the forbidden set.  The internal boundary is the boundary
     without the two anchors.
 
+    boundary: the vertices of the cycle, anchors included.
+    interior: the vertices strictly inside, all dominated by the anchors.
     high_boundary: internal boundary vertices with demand >= 2.
     fringe: interior vertices adjacent to an internal boundary vertex.
     core: interior vertices with no internal-boundary neighbor.
@@ -57,18 +59,12 @@ class CandidateRegion:
 
     a1: int
     a2: int
-    outer1: TypedPath
-    outer2: TypedPath
-    side: ClosedWalkRegion
+    boundary: frozenset[int]
     interior: frozenset[int]
     high_boundary: frozenset[int]
     fringe: frozenset[int]
     core: frozenset[int]
     crosslinks: frozenset[int]
-
-    @property
-    def boundary(self) -> frozenset[int]:
-        return frozenset(self.side.boundary)
 
     @property
     def closed_vertices(self) -> frozenset[int]:
@@ -117,111 +113,32 @@ def classify_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> set[in
 
 _NO_PATHS = ((), (), ())
 
-# The type of the two-, three- and four-edge paths, in the order they are listed.
-_TYPE_BY_LENGTH = (1, 3, 2)
-
-
-def _typed_interiors(instance: AnnotatedInstance, nbrs, a1: int, min_far: int) -> dict:
-    """Interiors of the typed paths from ``a1`` to every vertex ``>= min_far``.
-
-    One depth-first search over the sorted neighbor lists ``nbrs`` walks the
-    simple paths of two to four edges from ``a1`` and types each one while
-    it grows, read from both ends as :func:`classify_path` would: type 3
-    needs a vertex of demand at most one next to an anchor; type 2 needs a
-    zero-demand middle, inner ends off the far anchors and a demand-1
-    inner end.  A path that cannot become typed is not extended.  The
-    result maps each far anchor to three lists (two-, three- and four-edge
-    interiors), each in lexicographic order, so concatenated they follow
-    ``(len, path)``.
-    """
-    d = instance.demand
-    adj = instance._adj
-    around_a1 = adj[a1]
-    found: dict[int, tuple[list, list, list]] = {}
-
-    def bucket(v):
-        lists = found.get(v)
-        if lists is None:
-            lists = found[v] = ([], [], [])
-        return lists
-
-    for x in nbrs[a1]:
-        around_x = adj[x]
-        for y in nbrs[x]:
-            if y == a1:
-                continue
-            if y >= min_far:
-                bucket(y)[0].append((x,))
-            type3 = d[x] <= 1 or d[y] <= 1
-            deep = d[y] == 0
-            if not (type3 or deep):
-                continue
-            for z in nbrs[y]:
-                if z == a1 or z == x:
-                    continue
-                if type3 and z >= min_far:
-                    bucket(z)[1].append((x, y))
-                if not deep or z in around_a1 or (d[x] != 1 and d[z] != 1):
-                    continue
-                # Excluding the neighbors of x also excludes a1 and y.
-                for w in nbrs[z]:
-                    if w >= min_far and w != x and w not in around_x:
-                        bucket(w)[2].append((x, y, z))
-    return found
-
-
-def _sorted_neighbors(instance: AnnotatedInstance) -> dict[int, list[int]]:
-    return {v: sorted(nbrs) for v, nbrs in instance._adj.items()}
-
-
-def _check_cap(max_paths: int | None) -> None:
-    if max_paths is not None and max_paths < 0:
-        raise ValueError("the path cap must be non-negative")
-
-
-def _as_typed(a1: int, a2: int, by_length, max_paths: int | None) -> list[TypedPath]:
-    typed = [
-        TypedPath(a1, a2, inner, path_type)
-        for path_type, group in zip(_TYPE_BY_LENGTH, by_length)
-        for inner in group
-    ]
-    return typed if max_paths is None else typed[:max_paths]
-
-
-def enumerate_boundary_paths(
-    instance: AnnotatedInstance, a1: int, a2: int, max_paths: int | None = None
-) -> list[TypedPath]:
-    """Typed paths between two anchors, in a deterministic order."""
-    for a in (a1, a2):
-        if not instance.has_vertex(a):
-            raise UnknownVertexError(f"unknown vertex {a}")
-    if a1 == a2:
-        raise MalformedPathError("anchors must be distinct")
-    _check_cap(max_paths)
-    by_length = _typed_interiors(instance, _sorted_neighbors(instance), a1, a2).get(a2, _NO_PATHS)
-    return _as_typed(a1, a2, by_length, max_paths)
+# The type of a typed path by the number of its interior vertices.
+_TYPE_BY_INTERIOR = {1: 1, 2: 3, 3: 2}
 
 
 class RegionIndex:
     """Typed paths and candidate regions of every anchor pair of one embedding.
 
-    Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each
-    ``a1`` come from one search, run when the first of its pairs is asked
-    for; a pair's regions are built when first asked for.  Both are kept,
-    so the region phases of a fixpoint run and the kernel statistics that
-    follow it share one enumeration while the graph and demands stay the
-    same.  Regions do not depend on the forbidden set.
+    This is the one way to reach typed paths and regions.  Pairs are
+    ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each ``a1`` come
+    from one search, run when the first of its pairs is asked for; a
+    pair's regions are built when first asked for.  Both are kept, so the
+    region phases of a fixpoint run and the kernel statistics that follow
+    it share one enumeration while the graph and demands stay the same.
+    Regions do not depend on the forbidden set.
     """
 
     def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int | None):
         if not rs.describes(instance):
             raise StaleEmbeddingError("embedding no longer matches the instance")
-        _check_cap(max_paths)
+        if max_paths is not None and max_paths < 0:
+            raise ValueError("the path cap must be non-negative")
         self.instance = instance
         self.rs = rs
         self.max_paths = max_paths
         self._demand = dict(instance.demand)
-        self._nbrs = _sorted_neighbors(instance)
+        self._nbrs = {v: sorted(nbrs) for v, nbrs in instance._adj.items()}
         self._found: dict[int, dict] = {}
         self._regions: dict[tuple[int, int], list[CandidateRegion]] = {}
 
@@ -235,57 +152,110 @@ class RegionIndex:
         )
 
     def _from(self, a1: int) -> dict:
+        """Interiors of the typed paths from ``a1`` to every vertex above it.
+
+        One depth-first search over the sorted neighbor lists walks the
+        simple paths of two to four edges from ``a1`` and types each one
+        while it grows, read from both ends as :func:`classify_path` would:
+        type 3 needs a vertex of demand at most one next to an anchor; type
+        2 needs a zero-demand middle, inner ends off the far anchors and a
+        demand-1 inner end.  A path that cannot become typed is not
+        extended.  The result maps each far anchor to three lists (two-,
+        three- and four-edge interiors), each in lexicographic order, so
+        concatenated they follow ``(len, path)``.
+        """
         found = self._found.get(a1)
-        if found is None:
-            found = self._found[a1] = _typed_interiors(self.instance, self._nbrs, a1, a1 + 1)
+        if found is not None:
+            return found
+        d = self.instance.demand
+        adj = self.instance._adj
+        nbrs = self._nbrs
+        around_a1 = adj[a1]
+        found = self._found[a1] = {}
+
+        def bucket(v):
+            lists = found.get(v)
+            if lists is None:
+                lists = found[v] = ([], [], [])
+            return lists
+
+        for x in nbrs[a1]:
+            around_x = adj[x]
+            for y in nbrs[x]:
+                if y == a1:
+                    continue
+                if y > a1:
+                    bucket(y)[0].append((x,))
+                type3 = d[x] <= 1 or d[y] <= 1
+                deep = d[y] == 0
+                if not (type3 or deep):
+                    continue
+                for z in nbrs[y]:
+                    if z == a1 or z == x:
+                        continue
+                    if type3 and z > a1:
+                        bucket(z)[1].append((x, y))
+                    if not deep or z in around_a1 or (d[x] != 1 and d[z] != 1):
+                        continue
+                    # Excluding the neighbors of x also excludes a1 and y.
+                    for w in nbrs[z]:
+                        if w > a1 and w != x and w not in around_x:
+                            bucket(w)[2].append((x, y, z))
         return found
+
+    def _check(self, *anchors: int) -> None:
+        for a in anchors:
+            if not self.instance.has_vertex(a):
+                raise UnknownVertexError(f"unknown vertex {a}")
+
+    def _by_length(self, a1: int, a2: int):
+        """The pair's two-, three- and four-edge typed-path interiors."""
+        self._check(a1, a2)
+        if not a1 < a2:
+            raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
+        return self._from(a1).get(a2, _NO_PATHS)
+
+    def _interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
+        """The pair's typed-path interiors in ``(len, path)`` order, cut to the cap."""
+        interiors = [inner for group in self._by_length(a1, a2) for inner in group]
+        return interiors if self.max_paths is None else interiors[: self.max_paths]
 
     def far_ends(self, a1: int) -> list[int]:
         """The vertices above ``a1`` that at least one typed path joins to it."""
+        self._check(a1)
         return sorted(self._from(a1))
 
     def paths(self, a1: int, a2: int) -> list[TypedPath]:
         """The pair's typed paths in ``(len, path)`` order, cut to the cap."""
-        return _as_typed(a1, a2, self._from(a1).get(a2, _NO_PATHS), self.max_paths)
+        return [
+            TypedPath(a1, a2, inner, _TYPE_BY_INTERIOR[len(inner)])
+            for inner in self._interiors(a1, a2)
+        ]
 
     def capped(self, a1: int, a2: int) -> bool:
         """Whether the cap cut the pair's typed paths."""
-        by_length = self._from(a1).get(a2, _NO_PATHS)
+        by_length = self._by_length(a1, a2)
         return self.max_paths is not None and sum(map(len, by_length)) > self.max_paths
 
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
-        """The pair's inclusion-maximal candidate regions."""
+        """The pair's inclusion-maximal candidate regions.
+
+        Every internally disjoint pair of the pair's typed paths closes into
+        a simple cycle; each side of that cycle qualifies when the anchors
+        dominate all of its strictly interior vertices.  Among qualifying
+        regions only those whose closed vertex set is not strictly
+        contained in another's survive.
+        """
         key = (a1, a2)
         regions = self._regions.get(key)
         if regions is None:
-            regions = self._regions[key] = _regions_from_paths(
-                self.instance, self.rs, a1, a2, self.paths(a1, a2)
+            regions = self._regions[key] = _regions(
+                self.instance, self.rs, a1, a2, self._interiors(a1, a2)
             )
         return regions
 
 
-def enumerate_candidate_regions(
-    instance: AnnotatedInstance,
-    rs: RotationSystem,
-    a1: int,
-    a2: int,
-    max_paths: int | None = None,
-) -> list[CandidateRegion]:
-    """Inclusion-maximal candidate regions anchored at the given pair.
-
-    Every internally disjoint pair of typed paths closes into a simple
-    cycle; each side of that cycle qualifies when the anchors dominate all
-    of its strictly interior vertices.  Among qualifying regions only
-    those whose closed vertex set is not strictly contained in another's
-    survive.
-    """
-    if not rs.describes(instance):
-        raise StaleEmbeddingError("embedding no longer matches the instance")
-    paths = enumerate_boundary_paths(instance, a1, a2, max_paths)
-    return _regions_from_paths(instance, rs, a1, a2, paths)
-
-
-def _regions_from_paths(instance, rs, a1, a2, paths) -> list[CandidateRegion]:
+def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
     adj = instance._adj
     d = instance.demand
     anchors = {a1, a2}
@@ -293,42 +263,35 @@ def _regions_from_paths(instance, rs, a1, a2, paths) -> list[CandidateRegion]:
     def keep(w):
         return d[w] <= len(adj[w] & anchors)
 
-    raw = []
-    seen_keys = set()
-    for i in range(len(paths)):
-        pi = paths[i]
-        set_i = set(pi.interior)
-        for j in range(i + 1, len(paths)):
-            pj = paths[j]
-            if set_i & set(pj.interior):
+    sides = set()
+    for i, pi in enumerate(interiors):
+        set_i = set(pi)
+        for pj in interiors[i + 1:]:
+            if not set_i.isdisjoint(pj):
                 continue
-            cycle = (a1, *pi.interior, a2, *reversed(pj.interior))
+            cycle = (a1, *pi, a2, *reversed(pj))
             for side in cycle_sides(rs, cycle, keep):
-                if side is None:
-                    continue
-                closed = frozenset(cycle) | side.inside
-                key = (closed, side.inside)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                raw.append((pi, pj, side, closed))
-    maximal = []
-    for pi, pj, side, closed in raw:
-        if any(closed < other_closed for _, _, _, other_closed in raw):
-            continue
-        maximal.append((pi, pj, side, closed))
-    maximal.sort(key=lambda item: (sorted(item[3]), sorted(item[2].inside), item[2].side))
+                if side is not None:
+                    sides.add((frozenset(cycle) | side.inside, side.inside))
+    maximal = sorted(
+        (
+            (closed, inside)
+            for closed, inside in sides
+            if not any(closed < other for other, _ in sides)
+        ),
+        key=lambda item: (sorted(item[0]), sorted(item[1])),
+    )
     out = []
-    for pi, pj, side, closed in maximal:
-        internal_boundary = frozenset(side.boundary) - anchors
+    for closed, inside in maximal:
+        boundary = closed - inside
+        internal_boundary = boundary - anchors
         high_boundary = frozenset(v for v in internal_boundary if d[v] >= 2)
         if len(high_boundary) > 2:
             raise AssertionError("typed boundary admits at most two high-demand vertices")
-        fringe = frozenset(v for v in side.inside if adj[v] & internal_boundary)
+        fringe = frozenset(v for v in inside if adj[v] & internal_boundary)
         crosslinks = frozenset(v for v in closed if len(adj[v] & high_boundary) >= 2)
         out.append(CandidateRegion(
-            a1, a2, pi, pj, side, side.inside,
-            high_boundary, fringe, side.inside - fringe, crosslinks,
+            a1, a2, boundary, inside, high_boundary, fringe, inside - fringe, crosslinks,
         ))
     return out
 

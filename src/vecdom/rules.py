@@ -28,13 +28,11 @@ from dataclasses import dataclass, field
 
 from .instance import (
     AnnotatedInstance,
-    InvalidInstanceError,
     KERNEL_BOUND,
     ReductionEvent,
     Status,
     force_into_solution,
     neighborhood,
-    validate,
 )
 from .planarity import embed
 from .regions import RegionIndex, rule6, rule7, rule8
@@ -170,7 +168,7 @@ def rule5(instance: AnnotatedInstance) -> list[ReductionEvent]:
                 continue
             closed_a = instance.neighbors(a) | {a}
             if all(
-                instance.demand[u] <= 1 and neighborhood(instance, u).high_closed <= closed_a
+                instance.demand[u] <= 1 and neighborhood(instance, u) <= closed_a
                 for u in sorted((instance.neighbors(v) | {v}) - {a})
             ):
                 events.append(force_into_solution(instance, a, rule_id=5))
@@ -186,7 +184,7 @@ def rule9(instance: AnnotatedInstance) -> list[ReductionEvent]:
     for v in instance.vertices:
         if v in instance.forbidden or instance.demand[v] > 1:
             continue
-        high_closed = neighborhood(instance, v).high_closed
+        high_closed = neighborhood(instance, v)
         for w in sorted(instance.neighbors(v)):
             if w in instance.forbidden:
                 continue
@@ -370,10 +368,9 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
     instance bigger than 101 times its remaining budget is NO.
     """
     options = options or FixpointOptions()
-    violations = validate(instance)
-    if violations:
-        raise InvalidInstanceError(violations)
-    rs = embed(instance)  # planarity is a precondition; raises NonPlanarError
+    # Planarity is a precondition: embed validates the instance and raises
+    # NonPlanarError, with a witness, on a graph with too many edges too.
+    rs = embed(instance)
 
     events: list[ReductionEvent] = []
     rounds = 0

@@ -8,11 +8,11 @@ from vecdom import (
     Status,
     UnknownVertexError,
     dominates,
-    force_into_solution,
     neighborhood,
     replay,
     validate,
 )
+from vecdom.instance import force_into_solution
 from vecdom.toolkit import generate_planar
 
 from conftest import build
@@ -79,27 +79,22 @@ class TestDominates:
 
 class TestNeighborhood:
     def test_demand_split(self):
+        # the quiet neighbor 0 is left out, the demanding neighbor 2 kept
         inst = build(3, [(0, 1), (1, 2)], {0: 0, 2: 2})
-        view = neighborhood(inst, 1)
-        assert view.high == {2}
-        assert view.low == {0}
-        assert view.high_closed == {1, 2}
+        assert neighborhood(inst, 1) == {1, 2}
 
     def test_isolated_vertex(self):
         inst = build(1)
-        view = neighborhood(inst, 0)
-        assert view.high_closed == {0}
+        assert neighborhood(inst, 0) == {0}
 
     def test_all_demanding_k4(self):
         inst = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)], {v: 1 for v in range(4)})
-        view = neighborhood(inst, 0)
-        assert view.high == {1, 2, 3}
-        assert view.low == frozenset()
+        assert neighborhood(inst, 0) == {0, 1, 2, 3}
 
     def test_center_always_in_high_closed(self):
         # literal closed-set convention: the center joins even with demand 0
         inst = build(2, [(0, 1)], {0: 0, 1: 0})
-        assert neighborhood(inst, 0).high_closed == {0}
+        assert neighborhood(inst, 0) == {0}
 
 
 class TestForceIntoSolution:

@@ -11,11 +11,8 @@ from vecdom import (
     MalformedPathError,
     TypedPath,
     UnknownVertexError,
-    classify_path,
     dominates,
     embed,
-    enumerate_boundary_paths,
-    enumerate_candidate_regions,
     kernel_of,
     rule6,
     rule7,
@@ -24,7 +21,7 @@ from vecdom import (
     solve_bb,
     FixpointOptions,
 )
-from vecdom.regions import RegionIndex
+from vecdom.regions import RegionIndex, classify_path
 from vecdom.rules import _region_phase
 from vecdom.selftest import corpus_instance, oracle_answer
 from vecdom.toolkit import generate_planar, make_special_case
@@ -35,6 +32,10 @@ from conftest import build, worst_case_region_instance
 def cap_probe_instance():
     """Anchors 0 and 2 of this triangulation are joined by 14 typed paths."""
     return make_special_case(generate_planar(12, 1.0, 3), "r:1")
+
+
+def index_of(inst, cap=None):
+    return RegionIndex(inst, embed(inst), cap)
 
 
 class TestClassifyPath:
@@ -64,19 +65,21 @@ class TestClassifyPath:
 
 
 class TestEnumerateBoundaryPaths:
+    """Typed paths of one anchor pair, read through ``RegionIndex.paths``."""
+
     def test_plain_adjacency_is_not_typed(self):
         inst = build(2, [(0, 1)])
-        assert enumerate_boundary_paths(inst, 0, 1) == []
+        assert index_of(inst).paths(0, 1) == []
 
     def test_two_common_neighbors_two_type_one_paths(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        paths = enumerate_boundary_paths(inst, 0, 1)
+        paths = index_of(inst).paths(0, 1)
         assert len(paths) == 2
         assert all(p.path_type == 1 for p in paths)
 
     def test_worst_case_boundary_paths_found_both_ways(self):
         inst = worst_case_region_instance()
-        paths = enumerate_boundary_paths(inst, 0, 4)
+        paths = index_of(inst).paths(0, 4)
         four_edge = {p.vertices for p in paths if len(p.vertices) == 5}
         assert (0, 1, 2, 3, 4) in four_edge   # typed only when read from anchor 4
         assert (0, 7, 6, 5, 4) in four_edge
@@ -85,21 +88,31 @@ class TestEnumerateBoundaryPaths:
     def test_deterministic_order(self):
         inst = generate_planar(12, 0.9, 3)
         a, b = inst.vertices[0], inst.vertices[5]
-        assert enumerate_boundary_paths(inst, a, b) == enumerate_boundary_paths(inst, a, b)
+        assert index_of(inst).paths(a, b) == index_of(inst).paths(a, b)
 
     def test_negative_cap_refused(self):
         inst = cap_probe_instance()
-        assert len(enumerate_boundary_paths(inst, 0, 2)) == 14
+        paths = index_of(inst).paths(0, 2)
+        assert len(paths) == 14
+        assert index_of(inst, 13).paths(0, 2) == paths[:13]
         with pytest.raises(ValueError):
-            enumerate_boundary_paths(inst, 0, 2, -1)
+            index_of(inst, -1)
 
     @pytest.mark.parametrize("pair", [(99, 0), (0, 99)])
     def test_unknown_anchor_refused(self, pair):
-        inst = cap_probe_instance()
+        index = index_of(cap_probe_instance())
+        for query in (index.paths, index.capped, index.regions):
+            with pytest.raises(UnknownVertexError):
+                query(*pair)
         with pytest.raises(UnknownVertexError):
-            enumerate_boundary_paths(inst, *pair)
-        with pytest.raises(UnknownVertexError):
-            enumerate_candidate_regions(inst, embed(inst), *pair)
+            index.far_ends(max(pair))
+
+    @pytest.mark.parametrize("pair", [(1, 0), (0, 0)])
+    def test_unordered_pair_refused(self, pair):
+        index = index_of(cap_probe_instance())
+        for query in (index.paths, index.capped, index.regions):
+            with pytest.raises(MalformedPathError):
+                query(*pair)
 
 
 def brute_typed_paths(inst, a1, a2):
@@ -143,8 +156,6 @@ class TestRegionIndex:
                 assert index.paths(a1, a2) == expected[:cap], (seed, a1, a2)
                 assert index.capped(a1, a2) == (len(expected) > cap)
                 assert (a2 in index.far_ends(a1)) == bool(expected)
-                backward = brute_typed_paths(inst, a2, a1)
-                assert enumerate_boundary_paths(inst, a2, a1, cap) == backward[:cap]
                 if not {a1, a2} & inst.forbidden:
                     phase_caps |= len(expected) > cap
             any_capped |= phase_caps
@@ -158,7 +169,8 @@ class TestRegionIndex:
         rs = embed(inst)
         index = RegionIndex(inst, rs, 512)
         for a1, a2 in itertools.combinations(inst.vertices, 2):
-            assert index.regions(a1, a2) == enumerate_candidate_regions(inst, rs, a1, a2, 512)
+            # An index asked for this pair alone builds the same regions.
+            assert index.regions(a1, a2) == RegionIndex(inst, rs, 512).regions(a1, a2)
             assert index.regions(a1, a2) is index.regions(a1, a2)
 
     def test_negative_cap_refused(self):
@@ -168,16 +180,17 @@ class TestRegionIndex:
 
 
 class TestEnumerateCandidateRegions:
+    """Candidate regions of one anchor pair, read through ``RegionIndex.regions``."""
+
     def test_negative_cap_refused(self):
         inst = cap_probe_instance()
-        rs = embed(inst)
-        assert len(enumerate_candidate_regions(inst, rs, 0, 2)) == 5
+        assert len(index_of(inst).regions(0, 2)) == 5
         with pytest.raises(ValueError):
-            enumerate_candidate_regions(inst, rs, 0, 2, -1)
+            index_of(inst, -1)
 
     def test_empty_interior_region_returned(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        regions = enumerate_candidate_regions(inst, embed(inst), 0, 1)
+        regions = index_of(inst).regions(0, 1)
         assert len(regions) == 1
         assert regions[0].interior == frozenset()
         assert regions[0].core == frozenset()
@@ -185,12 +198,12 @@ class TestEnumerateCandidateRegions:
     def test_undominated_side_rejected(self):
         # interior vertex with demand 3 cannot be covered by two anchors
         inst = build(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)], {4: 3})
-        regions = enumerate_candidate_regions(inst, embed(inst), 0, 1)
+        regions = index_of(inst).regions(0, 1)
         assert all(4 not in r.interior for r in regions)
 
     def test_worst_case_region_is_unique_and_maximal(self):
         inst = worst_case_region_instance()
-        regions = enumerate_candidate_regions(inst, embed(inst), 0, 4)
+        regions = index_of(inst).regions(0, 4)
         assert len(regions) == 1
         region = regions[0]
         assert len(region.interior) == 15
@@ -202,32 +215,32 @@ class TestEnumerateCandidateRegions:
             inst = corpus_instance(seed, max_n=10)
             if inst.n < 4:
                 continue
-            rs = embed(inst)
+            index = index_of(inst)
             ids = inst.vertices
             for i, a1 in enumerate(ids):
                 for a2 in ids[i + 1:]:
-                    for region in enumerate_candidate_regions(inst, rs, a1, a2):
+                    for region in index.regions(a1, a2):
                         assert dominates(inst, {a1, a2}, region.interior)
 
 
 class TestRegionClasses:
     def test_all_low_demand_boundary_means_no_high_sets(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)], {2: 1, 3: 1})
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 1)[0]
+        region = index_of(inst).regions(0, 1)[0]
         assert region.high_boundary == frozenset()
         assert region.crosslinks == frozenset()
 
     def test_interior_touching_boundary_is_fringe(self):
         edges = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1), (4, 2)]
         inst = build(5, edges, {4: 2})
-        regions = enumerate_candidate_regions(inst, embed(inst), 0, 1)
+        regions = index_of(inst).regions(0, 1)
         region = next(r for r in regions if 4 in r.interior)
         assert region.fringe == {4}
         assert region.core == frozenset()
 
     def test_worst_case_sets_match_figure(self):
         inst = worst_case_region_instance()
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
+        region = index_of(inst).regions(0, 4)[0]
         assert region.high_boundary == {1, 5}
         assert region.crosslinks == {8, 9, 10}
         assert region.core == {11, 15, 17, 21}
@@ -237,13 +250,13 @@ class TestRegionClasses:
 class TestRule6:
     def test_high_boundary_neighbor_protected(self):
         inst = worst_case_region_instance()
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
+        region = index_of(inst).regions(0, 4)[0]
         rule6(inst, region)
         assert 9 not in inst.forbidden  # adjacent to both high-demand boundary vertices
 
     def test_core_dominator_protected_and_others_colored(self):
         inst = worst_case_region_instance()
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
+        region = index_of(inst).regions(0, 4)[0]
         events = rule6(inst, region)
         blued = {v for ev in events for v in ev.newly_blue}
         assert blued == {11, 15, 16, 17, 21, 22}
@@ -254,7 +267,7 @@ class TestRule6:
         inst = worst_case_region_instance()
         n, m = inst.n, inst.m
         demands = dict(inst.demand)
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
+        region = index_of(inst).regions(0, 4)[0]
         for ev in rule6(inst, region):
             assert not ev.removed_vertices and not ev.removed_edges
             assert not ev.demand_deltas and ev.budget_delta == 0
@@ -265,7 +278,7 @@ class TestRule7:
     def test_paired_coverers_exempt(self):
         # the two deep helpers each cover an anchor's core share with a crosslink
         inst = worst_case_region_instance()
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
+        region = index_of(inst).regions(0, 4)[0]
         events = rule7(inst, region)
         blued = {v for ev in events for v in ev.newly_blue}
         assert 13 not in blued and 19 not in blued  # w and u of the drawing
@@ -273,13 +286,13 @@ class TestRule7:
 
     def test_crosslink_exempt(self):
         inst = worst_case_region_instance()
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 4)[0]
+        region = index_of(inst).regions(0, 4)[0]
         blued = {v for ev in rule7(inst, region) for v in ev.newly_blue}
         assert not blued & {8, 9, 10}
 
     def test_noop_without_crosslinks(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)], {2: 1, 3: 1})
-        region = enumerate_candidate_regions(inst, embed(inst), 0, 1)[0]
+        region = index_of(inst).regions(0, 1)[0]
         assert rule7(inst, region) == []
 
 
@@ -295,8 +308,7 @@ class TestRule8:
         # every middle is in the core of some maximal region, and no pair of
         # non-adjacent demand-1 middles covers the other, so all get colored
         inst = k24_instance()
-        rs = embed(inst)
-        regions = enumerate_candidate_regions(inst, rs, 0, 1)
+        regions = index_of(inst).regions(0, 1)
         fired = []
         for region in regions:
             fired += rule8(inst, region)
@@ -330,8 +342,7 @@ class TestRule8:
         edges = [(0, 2), (1, 2), (0, 3), (3, 4), (4, 1), (0, 5), (4, 5), (0, 6), (1, 6), (5, 6)]
         inst = build(7, edges, {0: 2, 1: 2, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2}, k=3)
         before = oracle_answer(inst)
-        rs = embed(inst)
-        for region in enumerate_candidate_regions(inst, rs, 0, 1):
+        for region in index_of(inst).regions(0, 1):
             if region.core and not region.crosslinks and 5 in region.interior:
                 assert not dominates(inst, {5}, region.core)
                 assert rule6(inst, region) == []
@@ -343,8 +354,7 @@ class TestRule8:
         # with one buried vertex the member convention exempts it
         edges = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1)]
         inst = build(5, edges, {2: 1, 3: 1, 4: 1}, k=2)
-        rs = embed(inst)
-        for region in enumerate_candidate_regions(inst, rs, 0, 1):
+        for region in index_of(inst).regions(0, 1):
             assert rule8(inst, region) == []
         assert not inst.forbidden
 
@@ -357,7 +367,7 @@ class TestEmbeddingFreshness:
         rs = embed(inst)
         inst.delete_edge(8, 1)
         with pytest.raises(StaleEmbeddingError):
-            enumerate_candidate_regions(inst, rs, 0, 4)
+            RegionIndex(inst, rs, None)
 
 
 class TestRegionRulesInsideFixpoint:

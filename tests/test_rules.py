@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from vecdom import (
     FixpointOptions,
+    InvalidInstanceError,
+    NonPlanarError,
     Status,
     potential,
     replay,
@@ -357,6 +359,17 @@ class TestRunFixpoint:
         report = run_fixpoint(inst, FixpointOptions(kernel_certificate=False))
         assert report.final_status is Status.OPEN
         assert report.final_instance.n == n
+
+    def test_k5_refused_as_non_planar_with_witness(self):
+        inst = build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)], {0: 1}, k=1)
+        with pytest.raises(NonPlanarError) as err:
+            run_fixpoint(inst)
+        assert err.value.witness_edges
+
+    def test_self_loop_refused_as_invalid(self):
+        inst = build(3, [(0, 1), (1, 2), (1, 1)], {0: 1}, k=1)
+        with pytest.raises(InvalidInstanceError):
+            run_fixpoint(inst)
 
     def test_certificate_requires_region_rules(self):
         with pytest.raises(ValueError):
