@@ -34,9 +34,9 @@ except NonPlanarError as err:
 
 print("\n== splitting the octahedron along a 4-cycle ==")
 side_a, side_b = cycle_sides(rs, [1, 2, 3, 4])
-print(f"side 0 holds {sorted(side_a.inside)}, side 1 holds {sorted(side_b.inside)}")
+print(f"side 0 holds {sorted(side_a)}, side 1 holds {sorted(side_b)}")
 print("together with the cycle that is every vertex:",
-      len(side_a.inside) + len(side_b.inside) + 4 == octa.n)
+      len(side_a) + len(side_b) + 4 == octa.n)
 
 # -- sides respect nesting -------------------------------------------------
 
@@ -44,5 +44,5 @@ print("\n== a triangle hanging inside a hexagon ==")
 edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8), (0, 6)]
 nested = AnnotatedInstance(range(9), edges)
 inner, outer = cycle_sides(embed(nested), [0, 1, 2, 3, 4, 5])
-sides = sorted((sorted(inner.inside), sorted(outer.inside)), key=len)
+sides = sorted((sorted(inner), sorted(outer)), key=len)
 print("empty side:", sides[0], " triangle side:", sides[1])

@@ -24,7 +24,6 @@ from .instance import (
     validate,
 )
 from .planarity import (
-    ClosedWalkRegion,
     NonPlanarError,
     NotACycleError,
     RotationSystem,

@@ -13,8 +13,6 @@ import networkx as nx
 
 from .instance import AnnotatedInstance, InvalidInstanceError, VecdomError, validate
 
-from dataclasses import dataclass
-
 
 class NonPlanarError(VecdomError):
     def __init__(self, witness_edges=None):
@@ -29,15 +27,6 @@ class NotACycleError(VecdomError):
 
 class StaleEmbeddingError(VecdomError):
     pass
-
-
-@dataclass(frozen=True)
-class ClosedWalkRegion:
-    """One side of a simple cycle: the boundary plus the strictly interior vertices."""
-
-    boundary: tuple[int, ...]
-    side: int
-    inside: frozenset[int]
 
 
 class RotationSystem:
@@ -167,18 +156,17 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     return RotationSystem(rotation)
 
 
-def _walk_side(rs: RotationSystem, cycle, cycle_darts, start: int, other: int, keep):
+def _walk_side(rs: RotationSystem, boundary, cycle_darts, start: int, other: int, keep):
     """The vertices strictly on one side of a cycle, or ``None``.
 
     Walks the faces reachable from face ``start`` without crossing a cycle
-    edge and collects the non-cycle vertices on them.  When the walk
-    reaches the outer face of the cycle's component, the vertices of every
-    other component join the side.  Returns ``None`` at the first vertex
-    ``keep`` refuses.
+    edge and collects the vertices off ``boundary``, the cycle's vertex
+    set, on them.  When the walk reaches the outer face of the cycle's
+    component, the vertices of every other component join the side.
+    Returns ``None`` at the first vertex ``keep`` refuses.
     """
     faces = rs.faces
     face_of = rs.face_of
-    boundary = set(cycle)
     seen = {start}
     stack = [start]
     inside: set[int] = set()
@@ -198,7 +186,8 @@ def _walk_side(rs: RotationSystem, cycle, cycle_darts, start: int, other: int, k
                     raise AssertionError("cycle does not separate the embedding")
                 seen.add(f)
                 stack.append(f)
-    comp = rs.component_of[cycle[0]]
+    # Face ``start`` lies in the cycle's component.
+    comp = rs.component_of[faces[start][0][0]]
     if rs.outer_face_of_component[comp] in seen:
         for c, members in rs.component_vertices.items():
             if c == comp:
@@ -206,30 +195,32 @@ def _walk_side(rs: RotationSystem, cycle, cycle_darts, start: int, other: int, k
             if keep is not None and not all(map(keep, members)):
                 return None
             inside.update(members)
-    return inside
+    return frozenset(inside)
 
 
 def cycle_sides(
     rs: RotationSystem, cycle, keep=None
-) -> tuple[ClosedWalkRegion | None, ClosedWalkRegion | None]:
+) -> tuple[frozenset[int] | None, frozenset[int] | None]:
     """Split the embedded graph along a simple cycle into its two sides.
 
-    Side 0 is the side of dart ``(cycle[0], cycle[1])``, side 1 that of its
-    reverse.  Each side is found by a walk over faces from its dart's face
-    that glues faces along edges off the cycle and collects the non-cycle
-    vertices it meets, so a short cycle costs only as much as the sides it
-    collects.  Vertices of other components count as lying on the side
-    that holds the cycle component's outer face, matching an embedding
-    that nests every other component there.
+    Returns the vertices strictly inside each side.  Side 0 is the side of
+    dart ``(cycle[0], cycle[1])``, side 1 that of its reverse.  Each side
+    is found by a walk over faces from its dart's face that glues faces
+    along edges off the cycle and collects the non-cycle vertices it
+    meets, so a short cycle costs only as much as the sides it collects.
+    Vertices of other components count as lying on the side that holds
+    the cycle component's outer face, matching an embedding that nests
+    every other component there.
 
     ``keep`` is an optional predicate on vertices: a side holding a vertex
     that ``keep`` refuses comes back as ``None``, and its walk stops at the
     first such vertex.
     """
     cycle = tuple(cycle)
+    boundary = set(cycle)
     if len(cycle) < 3:
         raise NotACycleError("a simple cycle needs at least three vertices")
-    if len(set(cycle)) != len(cycle):
+    if len(boundary) != len(cycle):
         raise NotACycleError("cycle repeats a vertex")
     for v in cycle:
         if v not in rs.rotation:
@@ -241,19 +232,14 @@ def cycle_sides(
             raise NotACycleError(f"cycle step ({u}, {v}) is not an edge")
         cycle_darts.add((u, v))
         cycle_darts.add((v, u))
-    if len(cycle_darts) != 2 * len(cycle):
-        raise NotACycleError("cycle repeats an edge")
 
     c0, c1 = cycle[0], cycle[1]
     starts = (rs.face_of[(c0, c1)], rs.face_of[(c1, c0)])
     if starts[0] == starts[1]:
         raise AssertionError("cycle does not separate the embedding")
-    inside_a = _walk_side(rs, cycle, cycle_darts, starts[0], starts[1], keep)
-    inside_b = _walk_side(rs, cycle, cycle_darts, starts[1], starts[0], keep)
-    if inside_a is not None and inside_b is not None:
-        if len(inside_a) + len(inside_b) + len(cycle) != len(rs.rotation):
+    side0 = _walk_side(rs, boundary, cycle_darts, starts[0], starts[1], keep)
+    side1 = _walk_side(rs, boundary, cycle_darts, starts[1], starts[0], keep)
+    if side0 is not None and side1 is not None:
+        if len(side0) + len(side1) + len(cycle) != len(rs.rotation):
             raise AssertionError("a vertex lies on neither side of the cycle")
-    return tuple(
-        None if inside is None else ClosedWalkRegion(cycle, number, frozenset(inside))
-        for number, inside in enumerate((inside_a, inside_b))
-    )
+    return side0, side1

@@ -123,10 +123,9 @@ class RegionIndex:
     This is the one way to reach typed paths and regions.  Pairs are
     ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each ``a1`` come
     from one search, run when the first of its pairs is asked for; a
-    pair's regions are built when first asked for.  Both are kept, so the
-    region phases of a fixpoint run and the kernel statistics that follow
-    it share one enumeration while the graph and demands stay the same.
-    Regions do not depend on the forbidden set.
+    pair's regions are built when first asked for.  Both are kept, so a
+    fixpoint run's last region phase and the kernel statistics that follow
+    it share one enumeration.  Regions do not depend on the forbidden set.
     """
 
     def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int | None):
@@ -270,9 +269,9 @@ def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
             if not set_i.isdisjoint(pj):
                 continue
             cycle = (a1, *pi, a2, *reversed(pj))
-            for side in cycle_sides(rs, cycle, keep):
-                if side is not None:
-                    sides.add((frozenset(cycle) | side.inside, side.inside))
+            for inside in cycle_sides(rs, cycle, keep):
+                if inside is not None:
+                    sides.add((frozenset(cycle) | inside, inside))
     maximal = sorted(
         (
             (closed, inside)

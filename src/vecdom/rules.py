@@ -39,8 +39,6 @@ from .regions import RegionIndex, rule6, rule7, rule8
 
 KERNEL_FACTOR = 101
 
-RULE_PRIORITY = (1, 2, 3, 13, 4, 5, 9, 10, 11, 12)
-
 
 @dataclass
 class FixpointOptions:
@@ -63,6 +61,14 @@ class FixpointOptions:
 
 @dataclass
 class FixpointReport:
+    """What a fixpoint run did and the instance it left.
+
+    ``rounds`` counts the rounds begun; a round runs the local rules to
+    exhaustion, then at most one region phase.  ``max_rounds_hit`` means
+    the round cap stopped an open run before its first round or after a
+    region phase that colored something.
+    """
+
     events: list[ReductionEvent]
     rounds: int
     final_status: Status
@@ -304,17 +310,18 @@ def rule13(instance: AnnotatedInstance) -> list[ReductionEvent]:
     return events
 
 
+# In the order the fixpoint runs them.
 _LOCAL_RULES = {
     1: rule1,
     2: rule2,
     3: rule3,
+    13: rule13,
     4: rule4,
     5: rule5,
     9: rule9,
     10: rule10,
     11: rule11,
     12: rule12,
-    13: rule13,
 }
 
 
@@ -324,8 +331,7 @@ def _region_phase(
     """Run rules 6-8 over all maximal candidate regions of ``index``.
 
     The index must describe the instance.  Coloring never touches the
-    graph or demands, so the index serves the whole phase, and later
-    phases too while the graph and demands stay as they are.  Regions are
+    graph or demands, so the index serves the whole phase.  Regions are
     skipped when an anchor or a high-demand boundary vertex is forbidden:
     the coloring arguments replace solution vertices with those, so they
     must remain selectable.  The cap flag covers the pairs whose anchors
@@ -362,8 +368,15 @@ def potential(instance: AnnotatedInstance) -> int:
 def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = None) -> FixpointReport:
     """Reduce the instance until no rule fires, then apply the terminal checks.
 
-    Mutates the instance in place.  Cheap local rules run to exhaustion
-    before each region phase.  At quiescence: demand-free instances with
+    Mutates the instance in place.  A round runs the cheap local rules to
+    exhaustion, then one region phase on a new index, which reuses the
+    embedding while that still describes the graph.  The run stops
+    when the phase colors nothing, or when the last phase's index still
+    describes the instance, because then a new phase could color nothing
+    either: rules 6-8 read only the graph, the demands and the index's
+    regions, the phase skips a pair or region only for forbidden
+    vertices, the rules skip only vertices already blue, and the
+    forbidden set only grows.  At quiescence: demand-free instances with
     budget left are YES; and with the certificate enabled, a reduced
     instance bigger than 101 times its remaining budget is NO.
     """
@@ -383,32 +396,27 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
             max_rounds_hit = True
             break
         rounds += 1
-        fired_this_round = False
         while instance.status is Status.OPEN:
             batch: list[ReductionEvent] = []
-            for rid in RULE_PRIORITY:
-                batch.extend(_LOCAL_RULES[rid](instance))
+            for rule in _LOCAL_RULES.values():
+                batch.extend(rule(instance))
                 if instance.status is not Status.OPEN:
                     break
             events.extend(batch)
             if not batch:
                 break
-            fired_this_round = True
-        if instance.status is not Status.OPEN:
+        if instance.status is not Status.OPEN or not options.enable_region_rules:
             break
-        if options.enable_region_rules:
-            # Reuse the last index, or failing that the last embedding,
-            # while the local rules left what it was built on unchanged.
-            if region_index is None or not region_index.describes(instance):
-                if not rs.describes(instance):
-                    rs = embed(instance)
-                region_index = RegionIndex(instance, rs, options.max_paths_per_pair)
-            region_events, truncated = _region_phase(instance, region_index)
-            caps_hit |= truncated
-            events.extend(region_events)
-            if region_events:
-                fired_this_round = True
-        if not fired_this_round:
+        # A phase over the last phase's graph and demands colors nothing.
+        if region_index is not None and region_index.describes(instance):
+            break
+        if not rs.describes(instance):
+            rs = embed(instance)
+        region_index = RegionIndex(instance, rs, options.max_paths_per_pair)
+        region_events, truncated = _region_phase(instance, region_index)
+        caps_hit |= truncated
+        events.extend(region_events)
+        if not region_events:
             break
 
     if instance.status is Status.OPEN and not max_rounds_hit:

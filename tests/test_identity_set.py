@@ -1,0 +1,29 @@
+"""The identity gate's instance set stays as measured.
+
+``tools/identity_digest.py`` runs the fixpoint on a fixed instance set so
+that two versions of the sources can be compared output for output.  The
+comparison only means something while the set itself stays fixed, so its
+size and content are pinned here.  The tool imports only the standard
+library at module level, so it is loaded here by file path.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import vecdom
+
+DIGEST = Path(__file__).resolve().parent.parent / "tools" / "identity_digest.py"
+
+
+def test_identity_set_is_pinned():
+    spec = importlib.util.spec_from_file_location("identity_digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    names = []
+    h = hashlib.sha256()
+    for name, inst in digest.identity_set(vecdom):
+        names.append(name)
+        h.update((name + vecdom.write(inst)).encode())
+    assert len(names) == len(set(names)) == 1345
+    assert h.hexdigest() == "11f430f39dd0977d76c8ef1c4f0949add488385a4786dd13e0897714c713b4eb"

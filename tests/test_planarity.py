@@ -124,33 +124,32 @@ class TestCycleSides:
         edges += [(6, 7), (7, 8), (6, 8), (0, 6)]
         inst = build(9, edges)
         sides = cycle_sides(embed(inst), [0, 1, 2, 3, 4, 5])
-        counts = sorted(len(s.inside) for s in sides)
+        counts = sorted(len(s) for s in sides)
         assert counts == [0, 3]
-        big = max(sides, key=lambda s: len(s.inside))
-        assert big.inside == {6, 7, 8}
+        assert max(sides, key=len) == {6, 7, 8}
 
     def test_detached_triangle_lands_on_outer_side(self):
         edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8)]
         inst = build(9, edges)
         rs = embed(inst)
         sides = cycle_sides(rs, [0, 1, 2, 3, 4, 5])
-        assert sorted(len(s.inside) for s in sides) == [0, 3]
+        assert sorted(len(s) for s in sides) == [0, 3]
         # The hexagon's component has two faces, one on each side.
         starts = (rs.face_of[(0, 1)], rs.face_of[(1, 0)])
         outer_holder = starts.index(rs.outer_face_of_component[rs.component_of[0]])
-        assert sides[outer_holder].inside == {6, 7, 8}
-        assert sides[1 - outer_holder].inside == set()
+        assert sides[outer_holder] == {6, 7, 8}
+        assert sides[1 - outer_holder] == set()
 
     def test_outer_face_boundary_has_everything_on_one_side(self):
         # wheel: hub 6 joined to a 6-cycle; the rim is a face boundary
         edges = [(i, (i + 1) % 6) for i in range(6)] + [(6, i) for i in range(6)]
         inst = build(7, edges)
         sides = cycle_sides(embed(inst), [0, 1, 2, 3, 4, 5])
-        assert sorted(len(s.inside) for s in sides) == [0, 1]
+        assert sorted(len(s) for s in sides) == [0, 1]
 
     def test_k4_triangle_sides(self):
         sides = cycle_sides(embed(complete(4)), [0, 1, 2])
-        assert sorted(len(s.inside) for s in sides) == [0, 1]
+        assert sorted(len(s) for s in sides) == [0, 1]
 
     def test_rejects_non_cycles(self):
         inst = build(4, [(0, 1), (1, 2), (2, 3)])
@@ -174,9 +173,9 @@ class TestCycleSides:
         if cycle is None:
             return
         a, b = cycle_sides(rs, cycle)
-        assert a.inside.isdisjoint(b.inside)
-        assert len(a.inside) + len(b.inside) + len(cycle) == inst.n
-        assert not (a.inside | b.inside) & set(cycle)
+        assert a.isdisjoint(b)
+        assert len(a) + len(b) + len(cycle) == inst.n
+        assert not (a | b) & set(cycle)
 
     def test_subgraphs_of_planar_stay_embeddable(self):
         inst = generate_planar(20, 1.0, seed=11)
@@ -194,9 +193,8 @@ class TestCycleSidesMatchUnionFind:
             rs = embed(inst)
             multi_component += len(rs.component_vertices) > 3
             for cycle in short_cycles(inst):
-                a, b = cycle_sides(rs, cycle)
-                assert (a.side, b.side) == (0, 1)
-                assert (a.inside, b.inside) == union_find_sides(rs, cycle), (seed, cycle)
+                sides = cycle_sides(rs, cycle)
+                assert sides == union_find_sides(rs, cycle), (seed, cycle)
                 checked += 1
         assert checked > 500 and multi_component > 5
 
@@ -216,6 +214,6 @@ class TestCycleSidesMatchUnionFind:
                         assert side is None, (seed, cycle, number)
                         dropped += 1
                     else:
-                        assert (side.side, side.inside) == (number, expected)
+                        assert side == expected, (seed, cycle, number)
                         kept += 1
         assert dropped > 100 and kept > 100

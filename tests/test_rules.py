@@ -1,5 +1,7 @@
 """Reduction rules 1-5 and 9-13, the fixpoint engine, and event replay."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -392,6 +394,26 @@ class TestRunFixpoint:
         assert report.max_rounds_hit
         assert report.final_status is Status.OPEN
 
+    def test_round_cap_on_a_finished_local_run_is_no_hit(self):
+        # The local rules reach their fixpoint in round 1; with the region
+        # rules off nothing is left for a second round, so the cap stopped
+        # nothing and the terminal checks decide YES.
+        local_only = dict(enable_region_rules=False, kernel_certificate=False)
+        full = run_fixpoint(corpus_instance(2), FixpointOptions(**local_only))
+        capped = run_fixpoint(corpus_instance(2), FixpointOptions(**local_only, max_rounds=1))
+        assert not capped.max_rounds_hit
+        assert capped.final_status is full.final_status is Status.DECIDED_YES
+        assert len(full.events) == 7
+        assert list(map(astuple, capped.events)) == list(map(astuple, full.events))
+
+    def test_round_cap_after_a_phase_that_colors_nothing_is_no_hit(self):
+        full = run_fixpoint(corpus_instance(63))
+        capped = run_fixpoint(corpus_instance(63), FixpointOptions(max_rounds=2))
+        assert not capped.max_rounds_hit
+        assert capped.final_status is full.final_status
+        assert len(full.events) == 23
+        assert list(map(astuple, capped.events)) == list(map(astuple, full.events))
+
     def test_budget_never_increases_and_potential_bounds_events(self):
         for seed in range(60):
             inst = corpus_instance(seed)
@@ -501,12 +523,14 @@ class TestIndexReuseAcrossRounds:
 
     def test_unchanged_graph_embeds_once(self, phases):
         report = run_fixpoint(self.triangulation(12, 0, 5))
-        # Round 1's local rules fire nothing and its region phase only colors.
+        # Round 1's local rules fire nothing and its region phase only colors,
+        # so round 2 stops after its local rules: a second phase on the
+        # same graph and demands could color nothing.
         assert set(report.rule_fire_counts) <= {6, 7, 8}
-        assert report.rounds == 2 and len(phases["phases"]) == 2
-        (embeds1, index1), (embeds2, index2) = phases["phases"]
-        assert (embeds1, embeds2, phases["embeds"]) == (1, 1, 1)
-        assert index2 is index1 and report.region_index is index1
+        assert report.rounds == 2 and not report.max_rounds_hit
+        [(embeds, index)] = phases["phases"]
+        assert (embeds, phases["embeds"]) == (1, 1)
+        assert report.region_index is index
 
     def test_phase_after_rule10_deletion_reembeds(self, phases):
         report = run_fixpoint(self.triangulation(12, 2, 5))
@@ -528,6 +552,34 @@ class TestIndexReuseAcrossRounds:
         assert report.rounds == 1 and report.max_rounds_hit
         assert phases["embeds"] == 1 and len(phases["phases"]) == 1
         assert report.region_index is phases["phases"][0][1]
+
+
+class TestStopRule:
+    """A run stops when its last index still describes the instance, because
+    a region phase over the same graph and demands colors nothing."""
+
+    @staticmethod
+    def instances():
+        for seed in range(1000):
+            yield corpus_instance(seed)
+        for seed in range(45):
+            inst = make_special_case(generate_planar(20, 1.0, seed), "pids")
+            inst.budget = 5
+            yield inst
+
+    def test_last_index_describes_the_kernel_and_a_new_phase_colors_nothing(self):
+        from vecdom.rules import _region_phase
+
+        checked = 0
+        for inst in self.instances():
+            report = run_fixpoint(inst)
+            if report.final_status is not Status.OPEN:
+                continue
+            kernel = report.final_instance
+            assert report.region_index.describes(kernel)
+            assert _region_phase(kernel, report.region_index)[0] == []
+            checked += 1
+        assert checked > 100
 
 
 class TestRuleSoundnessSweep:
