@@ -40,9 +40,9 @@ print("== typed paths between the anchors ==")
 top = [0, 1, 2, 3, 4]
 print("path", top, "types read forward:", classify_path(inst, top, 0, 4),
       "read backward:", classify_path(inst, list(reversed(top)), 4, 0))
-# One index per embedding serves every anchor pair, with no cap on the
-# typed paths per pair.
-index = RegionIndex(inst, embed(inst), None)
+# One index per embedding serves every anchor pair, keeping at most 512
+# typed paths per pair (the fixpoint's default cap).
+index = RegionIndex(inst, embed(inst), 512)
 paths = index.paths(0, 4)
 print(f"{len(paths)} typed paths between 0 and 4; the two four-edge boundary arcs:")
 for p in paths:

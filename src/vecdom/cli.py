@@ -44,17 +44,15 @@ def _bad_values_are_input_errors():
 
 
 def _fixpoint_options(args) -> FixpointOptions:
-    certificate = args.kernel_certificate
-    if args.no_region_rules:
-        if certificate == "on":
-            raise VecdomError(
-                "--kernel-certificate on needs the region rules; "
-                "drop --no-region-rules or turn the certificate off"
-            )
-        certificate = "off"
     with _bad_values_are_input_errors():
         return FixpointOptions(
-            kernel_certificate=certificate != "off",
+            # On unless --no-region-rules is given; FixpointOptions refuses
+            # an explicit "on" together with that flag.
+            kernel_certificate=(
+                args.kernel_certificate == "on"
+                if args.kernel_certificate
+                else not args.no_region_rules
+            ),
             enable_region_rules=not args.no_region_rules,
             max_paths_per_pair=args.max_paths_per_pair,
         )

@@ -3,9 +3,10 @@
 An instance is a simple graph with a per-vertex demand, a selection budget,
 and a set of forbidden ("blue") vertices that may never enter a solution.
 Every reduction rule and both exact solvers operate on this one mutable
-class.  Vertex ids are stable: deleting a vertex never renumbers the rest,
-so a log of reduction events can be replayed against a copy of the
-original instance.
+class.  During a run every change is a :class:`ReductionEvent` that
+:func:`apply` makes.  Vertex ids are stable: deleting a vertex never
+renumbers the rest, so a log of reduction events can be replayed against a
+copy of the original instance.
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ KERNEL_BOUND = "kernel_bound"
 
 @dataclass(frozen=True, eq=False)
 class ReductionEvent:
-    """One replayable mutation of an instance.
+    """One change to an instance, as :func:`apply` makes it.
 
-    ``rule_id`` is 1..13 for the numbered rules, or ``FORCE`` /
-    ``KERNEL_BOUND`` for the shared forcing primitive and the kernel-size
-    certificate.  ``demand_deltas`` records the deltas actually applied,
-    after clamping at zero.
+    Every rule describes its change as an event built from the instance's
+    current state, and :func:`apply` makes it; the run's log is the list
+    of events applied.  ``rule_id`` is 1..13 for the numbered rules, or
+    ``FORCE`` / ``KERNEL_BOUND`` for the shared forcing primitive and the
+    kernel-size certificate.  A removed vertex's incident edges are listed
+    in ``removed_edges``.  ``demand_deltas`` holds the deltas as they
+    apply, already clamped at zero.
     """
 
     rule_id: int | str
@@ -164,25 +168,16 @@ class AnnotatedInstance:
         self._adj[v].discard(u)
         self._m -= 1
 
-    def delete_vertex(self, v: int) -> list[tuple[int, int]]:
-        """Remove ``v`` with its incident edges; returns the edges removed."""
-        nbrs = sorted(self.neighbors(v))
-        removed = [_edge(v, u) for u in nbrs]
+    def delete_vertex(self, v: int) -> None:
+        """Remove ``v`` with its incident edges."""
+        nbrs = self.neighbors(v)
         for u in nbrs:
             if u != v:
                 self._adj[u].discard(v)
-        self._m -= len(removed)
+        self._m -= len(nbrs)
         del self._adj[v]
         del self.demand[v]
         self.forbidden.discard(v)
-        return removed
-
-    def decrement_demand(self, v: int) -> int:
-        """Lower the demand of ``v`` by one, clamped at zero; returns the applied delta."""
-        if self.demand[v] > 0:
-            self.demand[v] -= 1
-            return -1
-        return 0
 
     def color_blue(self, v: int) -> None:
         if v not in self._adj:
@@ -286,51 +281,63 @@ def neighborhood(instance: AnnotatedInstance, v: int) -> set[int]:
     return out
 
 
-def force_into_solution(instance: AnnotatedInstance, v: int, rule_id: int | str = FORCE) -> ReductionEvent:
-    """Commit ``v`` to the solution: delete it, relax its neighbors, spend budget.
-
-    Forcing a forbidden vertex, or spending the budget below zero, decides
-    the instance NO; the decision is recorded on the returned event.
-    """
-    if not instance.has_vertex(v):
-        raise UnknownVertexError(f"unknown vertex {v}")
-    was_forbidden = v in instance.forbidden
-    nbrs = sorted(u for u in instance.neighbors(v) if u != v)
-    removed = instance.delete_vertex(v)
-    deltas = {}
-    for u in nbrs:
-        applied = instance.decrement_demand(u)
-        if applied:
-            deltas[u] = applied
-    instance.budget -= 1
-    status_after = None
-    if instance.status is Status.OPEN and (was_forbidden or instance.budget < 0):
-        instance.status = Status.DECIDED_NO
-        status_after = Status.DECIDED_NO
+def vertex_removal(
+    instance: AnnotatedInstance, v: int, rule_id: int | str, **changes
+) -> ReductionEvent:
+    """The event that deletes ``v`` with its incident edges, plus ``changes``."""
     return ReductionEvent(
         rule_id=rule_id,
         removed_vertices=frozenset({v}),
-        removed_edges=frozenset(removed),
+        removed_edges=frozenset(_edge(v, u) for u in instance.neighbors(v)),
+        **changes,
+    )
+
+
+def force_into_solution(instance: AnnotatedInstance, v: int, rule_id: int | str = FORCE) -> ReductionEvent:
+    """Commit ``v`` to the solution: delete it, relax its neighbors, spend budget.
+
+    Builds the event from the current state and returns it applied.
+    Forcing a forbidden vertex, or spending the budget below zero, decides
+    the instance NO; the event records the decision.
+    """
+    demand = instance.demand
+    deltas = {u: -1 for u in sorted(instance.neighbors(v)) if u != v and demand[u] > 0}
+    decides_no = instance.status is Status.OPEN and (
+        v in instance.forbidden or instance.budget < 1
+    )
+    return apply(instance, vertex_removal(
+        instance, v, rule_id,
         demand_deltas=deltas,
         budget_delta=-1,
-        status_after=status_after,
-    )
+        status_after=Status.DECIDED_NO if decides_no else None,
+    ))
+
+
+def apply(instance: AnnotatedInstance, event: ReductionEvent) -> ReductionEvent:
+    """Make the change ``event`` describes, mutating ``instance``; returns ``event``.
+
+    This is the one code that changes an instance during a run.  An edge
+    or vertex the event names but the instance lacks raises
+    :class:`UnknownVertexError`; the instance may then be partly changed.
+    """
+    for u, v in sorted(event.removed_edges):
+        instance.delete_edge(u, v)
+    for v in sorted(event.removed_vertices):
+        instance.delete_vertex(v)
+    for v, delta in sorted(event.demand_deltas.items()):
+        if v not in instance.demand:
+            raise UnknownVertexError(f"demand change for missing vertex {v}")
+        instance.demand[v] = max(0, instance.demand[v] + delta)
+    instance.budget += event.budget_delta
+    for v in event.newly_blue:
+        instance.color_blue(v)
+    if event.status_after is not None:
+        instance.status = event.status_after
+    return event
 
 
 def replay(instance: AnnotatedInstance, events: Iterable[ReductionEvent]) -> AnnotatedInstance:
     """Apply recorded events to ``instance`` in order, mutating and returning it."""
-    for ev in events:
-        for u, v in sorted(ev.removed_edges):
-            if instance.has_edge(u, v):
-                instance.delete_edge(u, v)
-        for v in sorted(ev.removed_vertices):
-            if instance.has_vertex(v):
-                instance.delete_vertex(v)
-        for v, delta in sorted(ev.demand_deltas.items()):
-            instance.demand[v] = max(0, instance.demand[v] + delta)
-        instance.budget += ev.budget_delta
-        for v in ev.newly_blue:
-            instance.color_blue(v)
-        if ev.status_after is not None:
-            instance.status = ev.status_after
+    for event in events:
+        apply(instance, event)
     return instance

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import AnnotatedInstance, ReductionEvent, UnknownVertexError, VecdomError, dominates
+from .instance import (
+    AnnotatedInstance, ReductionEvent, UnknownVertexError, VecdomError, apply, dominates,
+)
 from .planarity import RotationSystem, StaleEmbeddingError, cycle_sides
 
 
@@ -128,10 +130,10 @@ class RegionIndex:
     it share one enumeration.  Regions do not depend on the forbidden set.
     """
 
-    def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int | None):
+    def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int):
         if not rs.describes(instance):
             raise StaleEmbeddingError("embedding no longer matches the instance")
-        if max_paths is not None and max_paths < 0:
+        if max_paths < 0:
             raise ValueError("the path cap must be non-negative")
         self.instance = instance
         self.rs = rs
@@ -217,7 +219,7 @@ class RegionIndex:
     def _interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
         """The pair's typed-path interiors in ``(len, path)`` order, cut to the cap."""
         interiors = [inner for group in self._by_length(a1, a2) for inner in group]
-        return interiors if self.max_paths is None else interiors[: self.max_paths]
+        return interiors[: self.max_paths]
 
     def far_ends(self, a1: int) -> list[int]:
         """The vertices above ``a1`` that at least one typed path joins to it."""
@@ -234,7 +236,7 @@ class RegionIndex:
     def capped(self, a1: int, a2: int) -> bool:
         """Whether the cap cut the pair's typed paths."""
         by_length = self._by_length(a1, a2)
-        return self.max_paths is not None and sum(map(len, by_length)) > self.max_paths
+        return sum(map(len, by_length)) > self.max_paths
 
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
         """The pair's inclusion-maximal candidate regions.
@@ -296,8 +298,7 @@ def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
 
 
 def _color(instance: AnnotatedInstance, v: int, rule_id: int) -> ReductionEvent:
-    instance.color_blue(v)
-    return ReductionEvent(rule_id=rule_id, newly_blue=frozenset({v}))
+    return apply(instance, ReductionEvent(rule_id=rule_id, newly_blue=frozenset({v})))
 
 
 def rule6(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:

@@ -7,8 +7,11 @@ exhaustion, logging one replayable event per atomic change, and finally
 applies the kernel-size certificate: a fully reduced instance larger than
 101 times its budget cannot have a solution.
 
-Every rule mutates the given instance in place and returns the events it
-fired.  A rule call is one scan in vertex-id order, so runs are
+Each rule describes every change it makes as a :class:`ReductionEvent`
+built from the instance's current state, makes the change with
+:func:`~vecdom.instance.apply`, and returns the events in the order
+applied; ``apply`` is the only code that changes an instance during a
+run.  A rule call is one scan in vertex-id order, so runs are
 reproducible.  When an event makes a rule apply again at a vertex its scan
 has already passed, the fixpoint's next batch of rules picks that up:
 ``run_fixpoint`` is the only loop that repeats rules.
@@ -31,8 +34,10 @@ from .instance import (
     KERNEL_BOUND,
     ReductionEvent,
     Status,
+    apply,
     force_into_solution,
     neighborhood,
+    vertex_removal,
 )
 from .planarity import embed
 from .regions import RegionIndex, rule6, rule7, rule8
@@ -89,8 +94,8 @@ def rule1(instance: AnnotatedInstance) -> list[ReductionEvent]:
     events = []
     for u, v in instance.edges():
         if d[u] == 0 and d[v] == 0:
-            instance.delete_edge(u, v)
-            events.append(ReductionEvent(rule_id=1, removed_edges=frozenset({(u, v)})))
+            event = ReductionEvent(rule_id=1, removed_edges=frozenset({(u, v)}))
+            events.append(apply(instance, event))
     return events
 
 
@@ -99,8 +104,7 @@ def rule2(instance: AnnotatedInstance) -> list[ReductionEvent]:
     events = []
     for v in instance.vertices:
         if instance.demand[v] == 0 and instance.degree(v) == 0:
-            instance.delete_vertex(v)
-            events.append(ReductionEvent(rule_id=2, removed_vertices=frozenset({v})))
+            events.append(apply(instance, vertex_removal(instance, v, 2)))
     return events
 
 
@@ -144,11 +148,8 @@ def rule4(instance: AnnotatedInstance) -> list[ReductionEvent]:
                 doomed.append(a)
             if not doomed:
                 continue
-            removed = []
-            for u in doomed:
-                instance.delete_edge(v, u)
-                removed.append((v, u) if v <= u else (u, v))
-            events.append(ReductionEvent(rule_id=4, removed_edges=frozenset(removed)))
+            removed = frozenset((v, u) if v <= u else (u, v) for u in doomed)
+            events.append(apply(instance, ReductionEvent(rule_id=4, removed_edges=removed)))
     return events
 
 
@@ -201,8 +202,7 @@ def rule9(instance: AnnotatedInstance) -> list[ReductionEvent]:
                 continue
             if any(z in instance.forbidden for z in fallbacks):
                 continue
-            instance.color_blue(v)
-            events.append(ReductionEvent(rule_id=9, newly_blue=frozenset({v})))
+            events.append(apply(instance, ReductionEvent(rule_id=9, newly_blue=frozenset({v}))))
             break
     return events
 
@@ -212,18 +212,11 @@ def rule10(instance: AnnotatedInstance) -> list[ReductionEvent]:
     events = []
     for u, v in instance.edges():
         if u in instance.forbidden and v in instance.forbidden:
-            instance.delete_edge(u, v)
-            events.append(ReductionEvent(rule_id=10, removed_edges=frozenset({(u, v)})))
+            event = ReductionEvent(rule_id=10, removed_edges=frozenset({(u, v)}))
+            events.append(apply(instance, event))
     for v in instance.vertices:
         if v in instance.forbidden and instance.demand[v] == 0:
-            removed = instance.delete_vertex(v)
-            events.append(
-                ReductionEvent(
-                    rule_id=10,
-                    removed_vertices=frozenset({v}),
-                    removed_edges=frozenset(removed),
-                )
-            )
+            events.append(apply(instance, vertex_removal(instance, v, 10)))
     return events
 
 
@@ -244,19 +237,11 @@ def rule11(instance: AnnotatedInstance) -> list[ReductionEvent]:
         u, w = nbrs
         if not instance.has_edge(u, w):
             continue
-        instance.delete_edge(u, w)
-        deltas = {}
-        for x in (u, w):
-            applied = instance.decrement_demand(x)
-            if applied:
-                deltas[x] = applied
-        events.append(
-            ReductionEvent(
-                rule_id=11,
-                removed_edges=frozenset({(u, w) if u <= w else (w, u)}),
-                demand_deltas=deltas,
-            )
-        )
+        events.append(apply(instance, ReductionEvent(
+            rule_id=11,
+            removed_edges=frozenset({(u, w)}),
+            demand_deltas={x: -1 for x in (u, w) if instance.demand[x] > 0},
+        )))
     return events
 
 
@@ -275,8 +260,7 @@ def rule12(instance: AnnotatedInstance) -> list[ReductionEvent]:
             if u == v or instance.demand[u] != 1:
                 continue
             if nv <= (instance.neighbors(u) | {u}):
-                instance.demand[u] = 0
-                events.append(ReductionEvent(rule_id=12, demand_deltas={u: -1}))
+                events.append(apply(instance, ReductionEvent(rule_id=12, demand_deltas={u: -1})))
     return events
 
 
@@ -299,14 +283,7 @@ def rule13(instance: AnnotatedInstance) -> list[ReductionEvent]:
     for key in sorted(groups, key=sorted):
         twins = sorted(groups[key])
         for v in twins[1:]:
-            removed = instance.delete_vertex(v)
-            events.append(
-                ReductionEvent(
-                    rule_id=13,
-                    removed_vertices=frozenset({v}),
-                    removed_edges=frozenset(removed),
-                )
-            )
+            events.append(apply(instance, vertex_removal(instance, v, 13)))
     return events
 
 
@@ -379,6 +356,10 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
     forbidden set only grows.  At quiescence: demand-free instances with
     budget left are YES; and with the certificate enabled, a reduced
     instance bigger than 101 times its remaining budget is NO.
+
+    Every change goes through ``apply`` and is logged, the certificate's
+    NO included, except the terminal YES: that is a plain status write
+    without an event, so a YES run's log holds only its reductions.
     """
     options = options or FixpointOptions()
     # Planarity is a precondition: embed validates the instance and raises
@@ -427,10 +408,9 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
             and not caps_hit
             and instance.n > KERNEL_FACTOR * instance.budget
         ):
-            instance.status = Status.DECIDED_NO
-            events.append(
-                ReductionEvent(rule_id=KERNEL_BOUND, status_after=Status.DECIDED_NO)
-            )
+            events.append(apply(
+                instance, ReductionEvent(rule_id=KERNEL_BOUND, status_after=Status.DECIDED_NO)
+            ))
 
     return FixpointReport(
         events=events,

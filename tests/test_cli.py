@@ -177,6 +177,29 @@ class TestStats:
         line = capsys.readouterr().out
         assert "n_before=3" in line and "bound_ratio=" in line
 
+    @pytest.mark.parametrize("flags, status", [
+        ([], "no"),
+        (["--kernel-certificate", "off"], "open"),
+        (["--kernel-certificate", "on"], "no"),
+        (["--no-region-rules"], "open"),
+        (["--no-region-rules", "--kernel-certificate", "off"], "open"),
+        (["--no-region-rules", "--kernel-certificate", "on"], None),
+    ])
+    def test_certificate_flags(self, flags, status, tmp_path, capsys):
+        # A demand-2 cycle admits no rule, so only the size certificate
+        # decides it at k=2.
+        n = 203
+        cycle = AnnotatedInstance(range(n), [(i, (i + 1) % n) for i in range(n)],
+                                  {v: 2 for v in range(n)}, budget=2)
+        path = tmp_path / "cycle.pvds"
+        path.write_text(write(cycle))
+        code = cli_main(["stats", "--input", str(path), *flags])
+        if status is None:
+            assert code == 2
+        else:
+            assert code == 0
+            assert f"status={status}" in capsys.readouterr().out.split()
+
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from vecdom import (
     AnnotatedInstance,
+    ReductionEvent,
     Status,
     UnknownVertexError,
     dominates,
@@ -142,6 +143,16 @@ class TestReplay:
         ev2 = force_into_solution(inst, 2)
         replay(mirror, [ev1, ev2])
         assert mirror == inst
+
+    def test_event_for_a_missing_edge_or_vertex_raises(self):
+        inst = build(3, [(0, 1)], k=1)
+        with pytest.raises(UnknownVertexError):
+            replay(inst, [ReductionEvent(rule_id=1, removed_edges=frozenset({(1, 2)}))])
+        with pytest.raises(UnknownVertexError):
+            replay(inst, [ReductionEvent(rule_id=2, removed_vertices=frozenset({7}))])
+        with pytest.raises(UnknownVertexError):
+            replay(inst, [ReductionEvent(rule_id=12, demand_deltas={7: -1})])
+        assert inst == build(3, [(0, 1)], k=1)
 
     def test_copy_is_independent(self):
         inst = build(3, [(0, 1), (1, 2)], {1: 1}, k=1)

@@ -34,7 +34,7 @@ def cap_probe_instance():
     return make_special_case(generate_planar(12, 1.0, 3), "r:1")
 
 
-def index_of(inst, cap=None):
+def index_of(inst, cap=512):
     return RegionIndex(inst, embed(inst), cap)
 
 
@@ -367,7 +367,7 @@ class TestEmbeddingFreshness:
         rs = embed(inst)
         inst.delete_edge(8, 1)
         with pytest.raises(StaleEmbeddingError):
-            RegionIndex(inst, rs, None)
+            RegionIndex(inst, rs, 512)
 
 
 class TestRegionRulesInsideFixpoint:
