@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from .instance import VecdomError
 from .rules import FixpointOptions, run_fixpoint
 from .selftest import run_selftest
-from .solver import solve_bb, solve_brute, verify_solution
+from .solver import ORACLE_LIMIT, solve_bb, solve_brute, verify_solution
 from .toolkit import (
     format_stats,
     generate_planar,
@@ -168,7 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_fixpoint_flags(p):
         p.add_argument("--kernel-certificate", choices=("on", "off"), default=None)
         p.add_argument("--no-region-rules", action="store_true")
-        p.add_argument("--max-paths-per-pair", type=int, default=512)
+        p.add_argument(
+            "--max-paths-per-pair", type=int, default=FixpointOptions.max_paths_per_pair
+        )
 
     p = sub.add_parser("kernelize", help="reduce an instance and write the kernel")
     p.add_argument("--input", required=True)
@@ -179,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide an instance exactly")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("bb", "brute"), default="bb")
-    p.add_argument("--oracle-limit", type=int, default=18)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a witness file against an instance")
@@ -204,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the rule-soundness property suite")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-limit", type=int, default=18)
+    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -216,12 +216,12 @@ class AnnotatedInstance:
         )
 
 
-def validate(instance: AnnotatedInstance, *, construction: bool = False) -> list[str]:
+def validate(instance: AnnotatedInstance) -> list[str]:
     """Return a list of invariant violations, empty when the instance is well formed.
 
-    With ``construction=True`` the demand ceiling ``d(v) <= n - 1`` is also
-    enforced; that bound only holds for freshly built instances, since
-    deletions may shrink ``n`` under a fixed demand.
+    Planarity is not an invariant here: ``parse`` refuses files above the
+    3n-6 edge bound, and ``embed`` refuses any non-planar graph with a
+    witness.
     """
     out = []
     adj = instance._adj
@@ -233,14 +233,9 @@ def validate(instance: AnnotatedInstance, *, construction: bool = False) -> list
                 out.append(f"edge ({v}, {u}) references missing vertex {u}")
             elif u != v and v not in adj[u]:
                 out.append(f"asymmetric adjacency between {v} and {u}")
-    n = instance.n
-    if n >= 3 and instance.m > 3 * n - 6:
-        out.append(f"m > 3n-6: {instance.m} edges exceeds planar bound {3 * n - 6}")
     for v, d in instance.demand.items():
         if d < 0:
             out.append(f"negative demand at {v}")
-        elif construction and d > n - 1:
-            out.append(f"demand {d} at {v} exceeds n-1 = {n - 1}")
     for v in instance.forbidden:
         if v not in adj:
             out.append(f"forbidden vertex {v} is not in the graph")

@@ -140,9 +140,7 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     fixed input always yields the same rotation system.  Raises
     ``NonPlanarError`` with a witness subgraph otherwise.
     """
-    # An edge count above 3n-6 is evidence of non-planarity, not malformed
-    # input; let the planarity test refuse it with a witness.
-    violations = [v for v in validate(instance) if not v.startswith("m > 3n-6")]
+    violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
     G = nx.Graph()

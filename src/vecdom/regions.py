@@ -297,40 +297,46 @@ def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
     return out
 
 
-def _color(instance: AnnotatedInstance, v: int, rule_id: int) -> ReductionEvent:
-    return apply(instance, ReductionEvent(rule_id=rule_id, newly_blue=frozenset({v})))
+def _color_unless(
+    instance: AnnotatedInstance, region: CandidateRegion, rule_id: int, exempt
+) -> list[ReductionEvent]:
+    """Color, in id order, every interior vertex that is not yet blue and
+    that the rule's test ``exempt`` does not spare."""
+    events = []
+    for v in sorted(region.interior):
+        if v not in instance.forbidden and not exempt(v):
+            event = ReductionEvent(rule_id=rule_id, newly_blue=frozenset({v}))
+            events.append(apply(instance, event))
+    return events
 
 
 def rule6(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Color interior vertices that neither reach the high-demand boundary nor
     could alone satisfy the core.
 
-    Like rules 7 and 8, this reads the vertex classes stored on ``region``,
-    so the region must have been built on the instance's current graph and
-    demands; only the forbidden set may have changed since.
+    Like rules 7 and 8, this scans the interior with ``_color_unless`` and
+    reads the vertex classes stored on ``region``, so the region must have
+    been built on the instance's current graph and demands; only the
+    forbidden set may have changed since.
     """
     if not region.core:
         return []
     adj = instance._adj
-    events = []
-    for u in sorted(region.interior):
-        if u in instance.forbidden:
-            continue
-        if adj[u] & region.high_boundary:
-            continue
-        if dominates(instance, {u}, region.core):
-            continue
-        events.append(_color(instance, u, 6))
-    return events
+
+    def exempt(u):
+        return bool(adj[u] & region.high_boundary) or dominates(instance, {u}, region.core)
+
+    return _color_unless(instance, region, 6, exempt)
 
 
 def rule7(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Coloring rule for regions that have crosslinked boundary vertices.
 
-    An interior vertex stays selectable only if it is a crosslink, or it
-    satisfies the core alone, or it can cover the core (or an anchor's
-    share of it) together with one suitable partner.  The region must have
-    been built on the instance's current graph and demands.
+    The ``_color_unless`` scan colors every interior vertex except those
+    that are crosslinks, satisfy the core alone, or can cover the core
+    (or an anchor's share of it) together with one suitable partner.  The
+    region must have been built on the instance's current graph and
+    demands.
     """
     if not region.core or not region.crosslinks:
         return []
@@ -340,32 +346,31 @@ def rule7(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
         near_high |= adj[y]
     core_a1 = region.core & adj[region.a1]
     core_a2 = region.core & adj[region.a2]
-    events = []
-    for w in sorted(region.interior):
-        if w in instance.forbidden:
-            continue
-        if w in region.crosslinks or dominates(instance, {w}, region.core):
-            continue
-        if any(dominates(instance, {w, w2}, region.core) for w2 in sorted(near_high)):
-            continue
-        if any(
-            dominates(instance, {w, w2}, core_a1) or dominates(instance, {w, w2}, core_a2)
-            for w2 in sorted(region.crosslinks)
-        ):
-            continue
-        events.append(_color(instance, w, 7))
-    return events
+
+    def exempt(w):
+        return (
+            w in region.crosslinks
+            or dominates(instance, {w}, region.core)
+            or any(dominates(instance, {w, w2}, region.core) for w2 in sorted(near_high))
+            or any(
+                dominates(instance, {w, w2}, core_a1) or dominates(instance, {w, w2}, core_a2)
+                for w2 in sorted(region.crosslinks)
+            )
+        )
+
+    return _color_unless(instance, region, 7, exempt)
 
 
 def rule8(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Coloring rule for regions without crosslinks.
 
-    Exemptions: vertices that satisfy the core alone; vertices covering
-    the core with a partner drawn from around an adjacent high-demand
-    boundary vertex; and, when the high-demand boundary hangs off one
-    anchor, vertices covering the rest of the core with a partner from
-    around the high-demand boundary.  The region must have been built on
-    the instance's current graph and demands.
+    The ``_color_unless`` scan colors every interior vertex except those
+    that satisfy the core alone; those covering the core with a partner
+    drawn from around an adjacent high-demand boundary vertex; and, when
+    the high-demand boundary hangs off one anchor, those covering the rest
+    of the core with a partner from around the high-demand boundary.  The
+    region must have been built on the instance's current graph and
+    demands.
     """
     if not region.core or region.crosslinks:
         return []
@@ -373,25 +378,20 @@ def rule8(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
     near_high = set()
     for y in region.high_boundary:
         near_high |= adj[y]
-    events = []
-    for u in sorted(region.interior):
-        if u in instance.forbidden:
-            continue
+
+    def exempt(u):
         if dominates(instance, {u}, region.core):
-            continue
+            return True
         partners = set()
         for y in sorted(adj[u] & region.high_boundary):
             partners |= adj[y]
         if any(dominates(instance, {u, u2}, region.core) for u2 in sorted(partners)):
-            continue
-        exempt = False
+            return True
         for anchor in (region.a1, region.a2):
             if region.high_boundary <= adj[anchor]:
                 rest = region.core - adj[anchor]
                 if any(dominates(instance, {u, u2}, rest) for u2 in sorted(near_high)):
-                    exempt = True
-                    break
-        if exempt:
-            continue
-        events.append(_color(instance, u, 8))
-    return events
+                    return True
+        return False
+
+    return _color_unless(instance, region, 8, exempt)

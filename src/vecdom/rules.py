@@ -71,7 +71,11 @@ class FixpointReport:
     ``rounds`` counts the rounds begun; a round runs the local rules to
     exhaustion, then at most one region phase.  ``max_rounds_hit`` means
     the round cap stopped an open run before its first round or after a
-    region phase that colored something.
+    region phase that colored something.  The flag is conservative: the
+    cap is checked before the next round's local rules run, so it is set
+    even when that round would have changed nothing.  A run that hits the
+    cap skips the terminal YES/NO checks, so the flag can cost a decision
+    but never an answer.
     """
 
     events: list[ReductionEvent]

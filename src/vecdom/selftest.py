@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .instance import AnnotatedInstance, Status, replay
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
-from .solver import solve_bb, solve_brute
+from .solver import ORACLE_LIMIT, solve_bb, solve_brute
 from .toolkit import generate_planar, kernel_of, make_special_case
 
 # Profile mix used for generated corpora; covers the uniform, ceiling,
@@ -33,7 +33,7 @@ def corpus_instance(seed: int, max_n: int = 14) -> AnnotatedInstance:
     return inst
 
 
-def oracle_answer(instance: AnnotatedInstance, oracle_limit: int = 18) -> bool:
+def oracle_answer(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -> bool:
     """Status-aware exhaustive answer; decided instances keep their decision."""
     if instance.status is Status.DECIDED_YES:
         return True
@@ -71,7 +71,9 @@ def _check_event_chain(record: InstanceRecord, oracle_limit: int) -> None:
             return
 
 
-def evaluate_instance(seed: int, oracle_limit: int = 18, max_n: int = 14) -> InstanceRecord:
+def evaluate_instance(
+    seed: int, oracle_limit: int = ORACLE_LIMIT, max_n: int = 14
+) -> InstanceRecord:
     """Run the full battery of checks on one generated instance."""
     original = corpus_instance(seed, max_n)
     brute = solve_brute(original, oracle_limit).answer
@@ -122,7 +124,7 @@ def evaluate_instance(seed: int, oracle_limit: int = 18, max_n: int = 14) -> Ins
 def run_selftest(
     count: int = 200,
     seed0: int = 0,
-    oracle_limit: int = 18,
+    oracle_limit: int = ORACLE_LIMIT,
     progress=None,
 ) -> tuple[int, list[str]]:
     """Check ``count`` seeded instances, one after another.

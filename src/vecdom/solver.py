@@ -17,6 +17,10 @@ from dataclasses import dataclass
 from .instance import AnnotatedInstance, UnknownVertexError, VecdomError, dominates
 
 
+# The largest n that ``solve_brute`` enumerates by default.
+ORACLE_LIMIT = 18
+
+
 class OracleLimitError(VecdomError):
     pass
 
@@ -46,7 +50,7 @@ def _is_solution(instance: AnnotatedInstance, chosen: set[int]) -> bool:
     return True
 
 
-def solve_brute(instance: AnnotatedInstance, oracle_limit: int = 18) -> SolveResult:
+def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -> SolveResult:
     """Decide by exhaustive enumeration of selectable subsets, smallest first.
 
     Deterministic: vertices are scanned in id order, so the witness for a

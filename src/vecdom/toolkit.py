@@ -8,11 +8,12 @@ demands omitted) so that round-trips are byte stable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import AnnotatedInstance, Status, VecdomError, validate
+from .instance import AnnotatedInstance, Status, VecdomError
 from .planarity import embed
 from .regions import RegionIndex
 from .rules import FixpointReport
@@ -25,7 +26,11 @@ class ParseError(VecdomError):
 
 
 def parse(text: str) -> AnnotatedInstance:
-    """Parse an instance file; demands default to zero, vertices to isolated."""
+    """Parse an instance file; demands default to zero, vertices to isolated.
+
+    A file with n >= 3 vertices and more than 3n-6 edges is refused: no
+    such graph is planar.
+    """
     n = m = k = None
     demands: dict[int, int] = {}
     forbidden: set[int] = set()
@@ -98,11 +103,9 @@ def parse(text: str) -> AnnotatedInstance:
         raise ParseError("missing 'p pvds' header")
     if len(edges) != m:
         raise ParseError(f"header announces {m} edges but file has {len(edges)}")
-    instance = AnnotatedInstance(range(n), edges, demands, budget=k, forbidden=forbidden)
-    bad = validate(instance)
-    if bad:
-        raise ParseError("; ".join(bad))
-    return instance
+    if n >= 3 and m > 3 * n - 6:
+        raise ParseError(f"m > 3n-6: {m} edges exceeds planar bound {3 * n - 6}")
+    return AnnotatedInstance(range(n), edges, demands, budget=k, forbidden=forbidden)
 
 
 def write(instance: AnnotatedInstance) -> str:
@@ -169,41 +172,18 @@ def generate_planar(n: int, edge_density: float, seed: int) -> AnnotatedInstance
     return AnnotatedInstance(range(n), kept)
 
 
-def _profile_number(kind, arg: str, profile: str):
-    try:
-        return kind(arg.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"profile {profile!r} needs a number after ':'") from None
-
-
-def _parse_profile(profile: str):
-    name, _, arg = profile.partition(":")
-    name = name.strip().lower()
-    if name == "r":
-        r = _profile_number(int, arg, profile)
-        if r < 0:
-            raise ValueError("uniform demand must be non-negative")
-        return ("r", r)
-    if name == "alpha":
-        alpha = _profile_number(Fraction, arg, profile)
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        return ("alpha", alpha)
-    if name == "bdvd":
-        t = _profile_number(int, arg, profile)
-        if t < 0:
-            raise ValueError("target degree must be non-negative")
-        return ("bdvd", t)
-    if name == "pids":
-        if arg:
-            raise ValueError("pids takes no argument")
-        return ("alpha", Fraction(1, 2))
-    if name == "random":
-        max_d = _profile_number(int, arg, profile)
-        if max_d < 0:
-            raise ValueError("maximum demand must be non-negative")
-        return ("random", max_d)
-    raise ValueError(f"unknown profile {profile!r}")
+# Profile name -> (type of the number after ':', whether it is in range,
+# the error for one that is not, demand(number, degree, seeded rng)).
+_PROFILES = {
+    "r": (int, lambda r: r >= 0, "uniform demand must be non-negative",
+          lambda r, deg, rng: r),
+    "alpha": (Fraction, lambda alpha: 0 < alpha <= 1, "alpha must lie in (0, 1]",
+              lambda alpha, deg, rng: math.ceil(alpha * deg)),
+    "bdvd": (int, lambda t: t >= 0, "target degree must be non-negative",
+             lambda t, deg, rng: max(0, deg - t)),
+    "random": (int, lambda max_d: max_d >= 0, "maximum demand must be non-negative",
+               lambda max_d, deg, rng: rng.randint(0, max_d)),
+}
 
 
 def make_special_case(
@@ -211,32 +191,33 @@ def make_special_case(
 ) -> AnnotatedInstance:
     """Assign demands from a named profile, returning a new instance.
 
-    Profiles: ``r:<r>`` uniform demand r; ``alpha:<x>`` demand
-    ceil(x * degree); ``pids`` the alpha=1/2 case; ``bdvd:<t>`` demand
+    Profiles, one ``_PROFILES`` row each: ``r:<r>`` uniform demand r;
+    ``alpha:<x>`` demand ceil(x * degree); ``bdvd:<t>`` demand
     max(0, degree - t), so deleting the solution leaves every survivor
     with at most ``t`` neighbors; ``random:<max>`` independent uniform
-    demands in 0..max.
+    demands in 0..max, drawn in vertex order from ``random.Random(seed)``.
+    ``pids`` is the alpha=1/2 case and takes no number.  Names are case
+    blind and blanks around the name and the number are ignored.
     """
-    kind, *args = _parse_profile(profile)
+    name, _, arg = profile.partition(":")
+    name = name.strip().lower()
+    if name == "pids":
+        if arg:
+            raise ValueError("pids takes no argument")
+        name, arg = "alpha", "1/2"
+    if name not in _PROFILES:
+        raise ValueError(f"unknown profile {profile!r}")
+    kind, in_range, range_error, demand = _PROFILES[name]
+    try:
+        number = kind(arg.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"profile {profile!r} needs a number after ':'") from None
+    if not in_range(number):
+        raise ValueError(range_error)
     out = instance.copy()
-    if kind == "r":
-        (r,) = args
-        for v in out.vertices:
-            out.demand[v] = r
-    elif kind == "alpha":
-        (alpha,) = args
-        for v in out.vertices:
-            deg = out.degree(v)
-            out.demand[v] = -((-alpha.numerator * deg) // alpha.denominator)
-    elif kind == "bdvd":
-        (t,) = args
-        for v in out.vertices:
-            out.demand[v] = max(0, out.degree(v) - t)
-    elif kind == "random":
-        (max_d,) = args
-        rng = random.Random(seed)
-        for v in out.vertices:
-            out.demand[v] = rng.randint(0, max_d)
+    rng = random.Random(seed)
+    for v in out.vertices:
+        out.demand[v] = demand(number, out.degree(v), rng)
     return out
 
 

@@ -3,8 +3,9 @@
 ``tools/identity_digest.py`` runs the fixpoint on a fixed instance set so
 that two versions of the sources can be compared output for output.  The
 comparison only means something while the set itself stays fixed, so its
-size and content are pinned here.  The tool imports only the standard
-library at module level, so it is loaded here by file path.
+size and content are pinned here, and it must draw on every demand
+profile.  The tool imports only the standard library at module level, so
+it is loaded here by file path.
 """
 
 import hashlib
@@ -12,18 +13,39 @@ import importlib.util
 from pathlib import Path
 
 import vecdom
+import vecdom.selftest
+from vecdom.toolkit import _PROFILES
 
 DIGEST = Path(__file__).resolve().parent.parent / "tools" / "identity_digest.py"
 
 
-def test_identity_set_is_pinned():
+def load_digest():
     spec = importlib.util.spec_from_file_location("identity_digest", DIGEST)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
+    return digest
+
+
+def test_identity_set_is_pinned():
     names = []
     h = hashlib.sha256()
-    for name, inst in digest.identity_set(vecdom):
+    for name, inst in load_digest().identity_set(vecdom):
         names.append(name)
         h.update((name + vecdom.write(inst)).encode())
     assert len(names) == len(set(names)) == 1345
     assert h.hexdigest() == "11f430f39dd0977d76c8ef1c4f0949add488385a4786dd13e0897714c713b4eb"
+
+
+def test_identity_set_uses_every_profile(monkeypatch):
+    used = set()
+    make_special_case = vecdom.make_special_case
+
+    def recording(instance, profile, seed=None):
+        used.add(profile.partition(":")[0].strip().lower())
+        return make_special_case(instance, profile, seed=seed)
+
+    monkeypatch.setattr(vecdom, "make_special_case", recording)
+    monkeypatch.setattr(vecdom.selftest, "make_special_case", recording)
+    for _ in load_digest().identity_set(vecdom):
+        pass
+    assert used == set(_PROFILES) | {"pids"}

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from vecdom import (
     AnnotatedInstance,
+    ParseError,
     ReductionEvent,
     Status,
     UnknownVertexError,
     dominates,
     neighborhood,
+    parse,
     replay,
     validate,
 )
@@ -28,19 +30,19 @@ class TestValidate:
         inst = build(2, [(0, 1), (1, 1)])
         assert any("self-loop at 1" in msg for msg in validate(inst))
 
-    def test_k5_breaks_planar_edge_bound(self):
-        inst = build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-        assert any("3n-6" in msg for msg in validate(inst))
+    def test_k5_is_well_formed_but_parse_refuses_it(self):
+        # The planar edge bound belongs to parse; validate checks only the
+        # instance's own invariants, and embed refuses K5 with a witness.
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        assert validate(build(5, k5)) == []
+        text = "p pvds 5 10 1\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in k5)
+        with pytest.raises(ParseError, match=r"m > 3n-6: 10 edges exceeds planar bound 9"):
+            parse(text)
 
     def test_negative_demand_reported(self):
         inst = build(1)
         inst.demand[0] = -1
         assert any("negative demand" in msg for msg in validate(inst))
-
-    def test_construction_demand_ceiling(self):
-        inst = build(3, [(0, 1)], {0: 3})
-        assert validate(inst) == []
-        assert any("exceeds" in msg for msg in validate(inst, construction=True))
 
 
 class TestDominates:

@@ -414,6 +414,20 @@ class TestRunFixpoint:
         assert len(full.events) == 23
         assert list(map(astuple, capped.events)) == list(map(astuple, full.events))
 
+    def test_round_cap_flag_is_conservative(self):
+        # The cap is checked before a round runs, so a run capped at round 1
+        # reports a hit although its second round would fire nothing: same
+        # events and kernel as the uncapped run, only the terminal checks
+        # are skipped.  Here both stay OPEN, so no answer is lost.
+        full = run_fixpoint(corpus_instance(138))
+        capped = run_fixpoint(corpus_instance(138), FixpointOptions(max_rounds=1))
+        assert full.rounds == 2 and not full.max_rounds_hit
+        assert capped.rounds == 1 and capped.max_rounds_hit
+        assert capped.final_status is full.final_status is Status.OPEN
+        assert len(full.events) == 1
+        assert list(map(astuple, capped.events)) == list(map(astuple, full.events))
+        assert capped.final_instance == full.final_instance
+
     def test_budget_never_increases_and_potential_bounds_events(self):
         for seed in range(60):
             inst = corpus_instance(seed)

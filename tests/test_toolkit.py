@@ -190,6 +190,40 @@ class TestMakeSpecialCase:
         make_special_case(base, "r:2")
         assert all(d == 0 for d in base.demand.values())
 
+    @pytest.mark.parametrize("profile, demands", [
+        ("R:2", [2, 2, 2, 2, 2, 2, 2, 2, 2]),
+        (" r : 2 ", [2, 2, 2, 2, 2, 2, 2, 2, 2]),
+        ("alpha: 1/3", [2, 1, 1, 1, 1, 1, 1, 1, 1]),
+        ("alpha:0.5", [2, 2, 2, 1, 1, 1, 1, 2, 1]),
+        ("pids", [2, 2, 2, 1, 1, 1, 1, 2, 1]),
+        ("bdvd:1", [3, 2, 2, 1, 1, 1, 1, 2, 0]),
+        ("random:3", [2, 2, 0, 3, 1, 0, 1, 0, 2]),
+    ])
+    def test_accepted_spellings(self, profile, demands):
+        # Degrees on this graph: 4, 3, 3, 2, 2, 2, 2, 3, 1.
+        inst = make_special_case(generate_planar(9, 0.8, 2), profile, seed=5)
+        assert [inst.demand[v] for v in inst.vertices] == demands
+
+    @pytest.mark.parametrize("profile, message", [
+        ("pids:1", "pids takes no argument"),
+        ("pids: ", "pids takes no argument"),
+        ("alpha:1/0", "profile 'alpha:1/0' needs a number after ':'"),
+        ("r:x", "profile 'r:x' needs a number after ':'"),
+        ("r", "profile 'r' needs a number after ':'"),
+        ("bogus", "unknown profile 'bogus'"),
+        ("", "unknown profile ''"),
+        ("r:-1", "uniform demand must be non-negative"),
+        ("alpha:0", "alpha must lie in (0, 1]"),
+        ("alpha:1.5", "alpha must lie in (0, 1]"),
+        ("alpha:-1", "alpha must lie in (0, 1]"),
+        ("bdvd:-2", "target degree must be non-negative"),
+        ("random:-1", "maximum demand must be non-negative"),
+    ])
+    def test_refused_strings(self, profile, message):
+        with pytest.raises(ValueError) as exc:
+            make_special_case(generate_planar(9, 0.8, 2), profile, seed=5)
+        assert str(exc.value) == message
+
 
 class TestKernelReport:
     def test_worst_case_region_measures_fifteen(self):
