@@ -43,11 +43,14 @@ print("path", top, "types read forward:", classify_path(inst, top, 0, 4),
 # One index per embedding serves every anchor pair, keeping at most 512
 # typed paths per pair (the fixpoint's default cap).
 index = RegionIndex(inst, embed(inst), 512)
-paths = index.paths(0, 4)
-print(f"{len(paths)} typed paths between 0 and 4; the two four-edge boundary arcs:")
-for p in paths:
-    if len(p.vertices) == 5 and set(p.vertices) <= {0, 1, 2, 3, 4, 5, 6, 7}:
-        print("  ", p.vertices, "type", p.path_type)
+# The index keeps each typed path's interior; its length fixes the type.
+interiors = index.interiors(0, 4)
+print(f"{len(interiors)} typed paths between 0 and 4; the two four-edge boundary arcs:")
+for inner in interiors:
+    path = (0, *inner, 4)
+    if len(path) == 5 and set(path) <= {0, 1, 2, 3, 4, 5, 6, 7}:
+        (path_type,) = classify_path(inst, path, 0, 4) | classify_path(inst, path[::-1], 4, 0)
+        print("  ", path, "type", path_type)
 
 # -- the region and its vertex classes ------------------------------------------
 

@@ -11,9 +11,7 @@ else.
 
 from .instance import (
     AnnotatedInstance,
-    FORCE,
     InvalidInstanceError,
-    KERNEL_BOUND,
     ReductionEvent,
     Status,
     UnknownVertexError,
@@ -35,7 +33,6 @@ from .regions import (
     CandidateRegion,
     MalformedPathError,
     RegionIndex,
-    TypedPath,
     rule6,
     rule7,
     rule8,

@@ -146,7 +146,6 @@ def _cmd_selftest(args) -> int:
     checked, failures = run_selftest(
         count=args.count,
         seed0=args.seed,
-        oracle_limit=args.oracle_limit,
         progress=lambda done: print(f"checked {done}/{args.count} instances", file=sys.stderr),
     )
     for msg in failures:
@@ -206,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the rule-soundness property suite")
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

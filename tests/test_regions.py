@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from vecdom import (
     AnnotatedInstance,
     MalformedPathError,
-    TypedPath,
     UnknownVertexError,
     dominates,
     embed,
@@ -36,6 +35,12 @@ def cap_probe_instance():
 
 def index_of(inst, cap=512):
     return RegionIndex(inst, embed(inst), cap)
+
+
+def path_types(inst, a1, a2, inner):
+    """The types of the path ``a1, *inner, a2`` read from either end."""
+    path = (a1, *inner, a2)
+    return classify_path(inst, path, a1, a2) | classify_path(inst, path[::-1], a2, a1)
 
 
 class TestClassifyPath:
@@ -65,43 +70,43 @@ class TestClassifyPath:
 
 
 class TestEnumerateBoundaryPaths:
-    """Typed paths of one anchor pair, read through ``RegionIndex.paths``."""
+    """Typed-path interiors of one anchor pair, read through ``RegionIndex.interiors``."""
 
     def test_plain_adjacency_is_not_typed(self):
         inst = build(2, [(0, 1)])
-        assert index_of(inst).paths(0, 1) == []
+        assert index_of(inst).interiors(0, 1) == []
 
     def test_two_common_neighbors_two_type_one_paths(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        paths = index_of(inst).paths(0, 1)
-        assert len(paths) == 2
-        assert all(p.path_type == 1 for p in paths)
+        interiors = index_of(inst).interiors(0, 1)
+        assert len(interiors) == 2
+        assert all(path_types(inst, 0, 1, inner) == {1} for inner in interiors)
 
     def test_worst_case_boundary_paths_found_both_ways(self):
         inst = worst_case_region_instance()
-        paths = index_of(inst).paths(0, 4)
-        four_edge = {p.vertices for p in paths if len(p.vertices) == 5}
-        assert (0, 1, 2, 3, 4) in four_edge   # typed only when read from anchor 4
-        assert (0, 7, 6, 5, 4) in four_edge
-        assert all(p.path_type == 2 for p in paths if len(p.vertices) == 5)
+        interiors = index_of(inst).interiors(0, 4)
+        four_edge = {inner for inner in interiors if len(inner) == 3}
+        assert (1, 2, 3) in four_edge   # typed only when read from anchor 4
+        assert (7, 6, 5) in four_edge
+        assert all(path_types(inst, 0, 4, inner) == {2} for inner in four_edge)
 
     def test_deterministic_order(self):
         inst = generate_planar(12, 0.9, 3)
         a, b = inst.vertices[0], inst.vertices[5]
-        assert index_of(inst).paths(a, b) == index_of(inst).paths(a, b)
+        assert index_of(inst).interiors(a, b) == index_of(inst).interiors(a, b)
 
     def test_negative_cap_refused(self):
         inst = cap_probe_instance()
-        paths = index_of(inst).paths(0, 2)
-        assert len(paths) == 14
-        assert index_of(inst, 13).paths(0, 2) == paths[:13]
+        interiors = index_of(inst).interiors(0, 2)
+        assert len(interiors) == 14
+        assert index_of(inst, 13).interiors(0, 2) == interiors[:13]
         with pytest.raises(ValueError):
             index_of(inst, -1)
 
     @pytest.mark.parametrize("pair", [(99, 0), (0, 99)])
     def test_unknown_anchor_refused(self, pair):
         index = index_of(cap_probe_instance())
-        for query in (index.paths, index.capped, index.regions):
+        for query in (index.interiors, index.capped, index.regions):
             with pytest.raises(UnknownVertexError):
                 query(*pair)
         with pytest.raises(UnknownVertexError):
@@ -110,27 +115,24 @@ class TestEnumerateBoundaryPaths:
     @pytest.mark.parametrize("pair", [(1, 0), (0, 0)])
     def test_unordered_pair_refused(self, pair):
         index = index_of(cap_probe_instance())
-        for query in (index.paths, index.capped, index.regions):
+        for query in (index.interiors, index.capped, index.regions):
             with pytest.raises(MalformedPathError):
                 query(*pair)
 
 
-def brute_typed_paths(inst, a1, a2):
-    """Every vertex sequence of 2-4 edges from a1 to a2 that classify_path
-    accepts from either end, in (len, path) order."""
+def brute_typed_interiors(inst, a1, a2):
+    """The interior of every vertex sequence of 2-4 edges from a1 to a2 that
+    classify_path accepts from either end, in (len, path) order."""
     others = [v for v in inst.vertices if v not in (a1, a2)]
     typed = []
     for length in (1, 2, 3):
         for inner in itertools.permutations(others, length):
-            path = (a1, *inner, a2)
             try:
-                types = classify_path(inst, path, a1, a2)
+                if path_types(inst, a1, a2, inner):
+                    typed.append(inner)
             except MalformedPathError:
                 continue
-            types |= classify_path(inst, path[::-1], a2, a1)
-            if types:
-                typed.append(TypedPath(a1, a2, inner, min(types)))
-    return sorted(typed, key=lambda p: (len(p.vertices), p.vertices))
+    return sorted(typed, key=lambda inner: (len(inner), inner))
 
 
 def seeded_instance_with_forbidden(seed):
@@ -152,8 +154,8 @@ class TestRegionIndex:
             index = RegionIndex(inst, embed(inst), cap)
             phase_caps = False
             for a1, a2 in itertools.combinations(inst.vertices, 2):
-                expected = brute_typed_paths(inst, a1, a2)
-                assert index.paths(a1, a2) == expected[:cap], (seed, a1, a2)
+                expected = brute_typed_interiors(inst, a1, a2)
+                assert index.interiors(a1, a2) == expected[:cap], (seed, a1, a2)
                 assert index.capped(a1, a2) == (len(expected) > cap)
                 assert (a2 in index.far_ends(a1)) == bool(expected)
                 if not {a1, a2} & inst.forbidden:
@@ -163,6 +165,16 @@ class TestRegionIndex:
             _, caps_hit = _region_phase(phase_inst, RegionIndex(phase_inst, embed(phase_inst), cap))
             assert caps_hit == phase_caps, seed
         assert any_capped == (cap < 512)
+
+    def test_interior_length_fixes_the_type(self):
+        # One, two or three interior vertices: type 1, 3 or 2, and only that.
+        expected = {1: {1}, 2: {3}, 3: {2}}
+        for seed in range(6):
+            inst = seeded_instance_with_forbidden(seed)
+            index = index_of(inst)
+            for a1, a2 in itertools.combinations(inst.vertices, 2):
+                for inner in index.interiors(a1, a2):
+                    assert path_types(inst, a1, a2, inner) == expected[len(inner)], (seed, inner)
 
     def test_regions_match_the_single_pair_enumeration(self):
         inst = seeded_instance_with_forbidden(4)
@@ -208,7 +220,7 @@ class TestEnumerateCandidateRegions:
         region = regions[0]
         assert len(region.interior) == 15
         assert region.crosslinks  # the three central vertices
-        assert len(region.closed_vertices) == 23
+        assert len(region.boundary | region.interior) == 23
 
     def test_anchors_dominate_interior(self):
         for seed in range(25):

@@ -68,6 +68,16 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def digest_line(vecdom, name: str, instance) -> str:
+    """The digest line of one instance: ``name``, the sha256 of its kernel
+    and of its event log, and its stats line.  ``instance`` is not changed."""
+    report = vecdom.run_fixpoint(instance.copy())
+    kernel = vecdom.write(vecdom.kernel_of(report))
+    events = "\n".join(map(event_line, report.events))
+    stats = vecdom.format_stats(vecdom.kernel_report(instance, report))
+    return f"{name} {sha(kernel)} {sha(events)} {stats}\n"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/identity_digest.py SRC OUT", file=sys.stderr)
@@ -77,14 +87,7 @@ def main(argv: list[str]) -> int:
     import vecdom
 
     start = time.perf_counter()
-    lines = []
-    for name, inst in identity_set(vecdom):
-        original = inst.copy()
-        report = vecdom.run_fixpoint(inst)
-        kernel = vecdom.write(vecdom.kernel_of(report))
-        events = "\n".join(map(event_line, report.events))
-        stats = vecdom.format_stats(vecdom.kernel_report(original, report))
-        lines.append(f"{name} {sha(kernel)} {sha(events)} {stats}\n")
+    lines = [digest_line(vecdom, name, inst) for name, inst in identity_set(vecdom)]
     with open(out, "w") as fh:
         fh.writelines(lines)
     print(f"{len(lines)} instances in {time.perf_counter() - start:.1f} s -> {out}")
