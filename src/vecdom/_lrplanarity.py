@@ -1,0 +1,407 @@
+"""The left-right planarity test on plain dicts and lists.
+
+This is a port of the non-recursive ``LRPlanarity`` of networkx 3.6.1
+(``networkx/algorithms/planarity.py``), which implements Ulrik Brandes,
+"The Left-Right Planarity Test" (2009).  It keeps networkx's order of
+work step for step, so for the same vertex order and adjacency order it
+certifies the same graphs and returns the same clockwise rotation at
+every vertex, starting from the same neighbour, as
+``nx.check_planarity(G)[1].neighbors_cw_order(v)``; ``kuratowski_edges``
+keeps the edge order of ``networkx.algorithms.planarity.get_counterexample``.
+
+What differs is only the representation:
+
+- the oriented graph is one list of successors per vertex, in the order
+  the orientation DFS oriented them, instead of an ``nx.DiGraph``;
+- a conflict pair is a list ``[left_low, left_high, right_low,
+  right_high]`` owned by that pair alone (networkx's ``ConflictPair``
+  shares its default ``Interval`` objects between instances);
+- the embedding keeps ``cw``/``ccw`` links per vertex plus the leftmost
+  neighbour that ``PlanarEmbedding.add_half_edge`` tracks, instead of a
+  ``PlanarEmbedding``.
+
+Edges are tuples ``(v, w)`` oriented from ``v`` to ``w``.
+
+The ported code is covered by networkx's license:
+
+    Copyright (c) 2004-2025, NetworkX Developers
+    Aric Hagberg <hagberg@lanl.gov>
+    Dan Schult <dschult@colgate.edu>
+    Pieter Swart <swart@lanl.gov>
+    All rights reserved.
+
+    Redistribution and use in source and binary forms, with or without
+    modification, are permitted provided that the following conditions are
+    met:
+
+      * Redistributions of source code must retain the above copyright
+        notice, this list of conditions and the following disclaimer.
+
+      * Redistributions in binary form must reproduce the above
+        copyright notice, this list of conditions and the following
+        disclaimer in the documentation and/or other materials provided
+        with the distribution.
+
+      * Neither the name of the NetworkX Developers nor the names of its
+        contributors may be used to endorse or promote products derived
+        from this software without specific prior written permission.
+
+    THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+    "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+    LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+    A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+    OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+    SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+    LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+    DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+    THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+    (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+    OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from __future__ import annotations
+
+
+def lr_rotation(vertices, adjacency) -> dict | None:
+    """Clockwise rotation of every vertex of a planar graph, or ``None``.
+
+    ``vertices`` is the vertex order and ``adjacency`` maps each vertex to
+    its neighbours in order; the graph must have no self-loops.  Returns
+    ``None`` when the graph is not planar.
+    """
+    state = _lr_test(vertices, adjacency)
+    if state is None:
+        return None
+    return _embedding(vertices, *state)
+
+
+def kuratowski_edges(vertices, adjacency) -> list[tuple[int, int]]:
+    """The edges of a Kuratowski subgraph of a non-planar graph, sorted.
+
+    Tries to delete every edge in turn, vertex by vertex in adjacency
+    order, and keeps it deleted when the rest stays non-planar; the edges
+    that must stay are the witness.
+    """
+    # Dicts keep the order networkx's graph has: an edge put back goes to
+    # the end of both its endpoints' adjacency, which decides the order
+    # in which the remaining edges are tried.
+    adj = {v: dict.fromkeys(adjacency[v]) for v in vertices}
+    witness = set()
+    for u in vertices:
+        for v in list(adj[u]):
+            del adj[u][v], adj[v][u]
+            if _lr_test(vertices, {x: list(nbrs) for x, nbrs in adj.items()}) is not None:
+                adj[u][v] = adj[v][u] = None
+                witness.add((u, v) if u < v else (v, u))
+    return sorted(witness)
+
+
+def _lr_test(vertices, adjacency):
+    """Orientation and testing phases; ``None`` when the graph is not planar.
+
+    Otherwise returns what the embedding phase reads: the DFS roots, tree
+    parent edges, oriented successors, nesting depths, ``ref`` and ``side``.
+    """
+    n = len(vertices)
+    if n > 2 and sum(map(len, adjacency.values())) // 2 > 3 * n - 6:
+        return None
+
+    # Orientation: DFS orientation, lowpoints and nesting depths.
+    height = {}
+    parent_edge = {}
+    lowpt = {}
+    lowpt2 = {}
+    nesting = {}
+    succ = {v: [] for v in vertices}
+    roots = []
+    ind = {}  # next adjacency index of a vertex the DFS will come back to
+    for root in vertices:
+        if root in height:
+            continue
+        height[root] = 0
+        parent_edge[root] = None
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            nbrs = adjacency[v]
+            i = ind.get(v)
+            back_from_child = i is not None
+            if i is None:
+                i = 0
+            while i < len(nbrs):
+                w = nbrs[i]
+                vw = (v, w)
+                if back_from_child:
+                    back_from_child = False
+                else:
+                    if vw in lowpt or (w, v) in lowpt:
+                        i += 1
+                        continue  # the edge was already oriented
+                    succ[v].append(w)
+                    lowpt[vw] = lowpt2[vw] = hv
+                    hw = height.get(w)
+                    if hw is None:  # tree edge
+                        parent_edge[w] = vw
+                        height[w] = hv + 1
+                        ind[v] = i
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[vw] = hw  # back edge
+                # nesting depth, chordal edges one deeper
+                low = lowpt[vw]
+                nesting[vw] = 2 * low + (lowpt2[vw] < hv)
+                # lowpoints of the parent edge
+                if e is not None:
+                    le = lowpt[e]
+                    if low < le:
+                        lowpt2[e] = min(le, lowpt2[vw])
+                        lowpt[e] = low
+                    elif low > le:
+                        lowpt2[e] = min(lowpt2[e], low)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+                i += 1
+
+    # Testing: constraints between return edges as a stack of conflict pairs.
+    ordered = {v: sorted(succ[v], key=lambda w: nesting[(v, w)]) for v in vertices}
+    S = []
+    stack_bottom = {}
+    lowpt_edge = {}
+    ref = {}
+    side = {}
+
+    def conflicting(low, high, lei):
+        return (low is not None or high is not None) and lowpt[high] > lei
+
+    def add_constraints(ei, e):
+        P = [None, None, None, None]
+        le = lowpt[e]
+        bottom = stack_bottom[ei]
+        # merge the return edges of ei into P's right interval
+        while True:
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > le:
+                if P[2] is None and P[3] is None:  # topmost interval
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom:
+                break
+        # merge the conflicting return edges of earlier siblings into P's left
+        lei = lowpt[ei]
+        top = S[-1]
+        while conflicting(top[0], top[1], lei) or conflicting(top[2], top[3], lei):
+            Q = S.pop()
+            if conflicting(Q[2], Q[3], lei):
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if conflicting(Q[2], Q[3], lei):
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:  # topmost interval
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+            top = S[-1]
+        if P[0] is not None or P[1] is not None or P[2] is not None or P[3] is not None:
+            S.append(P)
+        return True
+
+    def lowest(P):
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e):
+        u = e[0]
+        hu = height[u]
+        # drop the conflict pairs whose return edges all end at u
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:  # trim the intervals of one more pair
+            P = S[-1]
+            while P[1] is not None and P[1][1] == u:
+                P[1] = ref.get(P[1])
+            if P[1] is None and P[0] is not None:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and P[3][1] == u:
+                P[3] = ref.get(P[3])
+            if P[3] is None and P[2] is not None:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        # the side of e is the side of a highest return edge
+        if lowpt[e] < hu:
+            top = S[-1]
+            hl, hr = top[1], top[3]
+            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    ind = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            nbrs = ordered[v]
+            i = ind.get(v)
+            back_from_child = i is not None
+            if i is None:
+                i = 0
+            descended = False
+            while i < len(nbrs):
+                w = nbrs[i]
+                ei = (v, w)
+                if back_from_child:
+                    back_from_child = False
+                else:
+                    stack_bottom[ei] = S[-1] if S else None
+                    if ei == parent_edge[w]:  # tree edge
+                        ind[v] = i
+                        stack.append(v)
+                        stack.append(w)
+                        descended = True
+                        break
+                    lowpt_edge[ei] = ei  # back edge
+                    S.append([None, None, ei, ei])
+                # integrate new return edges
+                if lowpt[ei] < hv:
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                i += 1
+            if not descended and e is not None:
+                remove_back_edges(e)
+    return roots, parent_edge, succ, nesting, ref, side
+
+
+def _embedding(vertices, roots, parent_edge, succ, nesting, ref, side):
+    """Resolve sides, then build the rotation of every vertex."""
+
+    def sign(e):
+        chain = []
+        r = ref.get(e)
+        while r is not None:
+            chain.append(e)
+            ref[e] = None
+            e = r
+            r = ref.get(e)
+        s = side.get(e, 1)
+        for f in reversed(chain):
+            s *= side.get(f, 1)
+            side[f] = s
+        return s
+
+    for v in vertices:
+        for w in succ[v]:
+            vw = (v, w)
+            nesting[vw] = sign(vw) * nesting[vw]
+
+    # Each vertex's oriented edges in nesting order, linked into a cycle.
+    cw = {}
+    ccw = {}
+    leftmost = {}
+    ordered = {}
+    for v in vertices:
+        nbrs = ordered[v] = sorted(succ[v], key=lambda w: nesting[(v, w)])
+        cwv = cw[v] = {}
+        ccwv = ccw[v] = {}
+        prev = None
+        for w in nbrs:
+            if prev is None:
+                cwv[w] = ccwv[w] = leftmost[v] = w
+            else:
+                nxt = cwv[prev]
+                cwv[w] = nxt
+                ccwv[w] = prev
+                ccwv[nxt] = w
+                cwv[prev] = w
+            prev = w
+
+    # Insert the other half of every edge at its target.
+    left_ref = {}
+    right_ref = {}
+    ind = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            nbrs = ordered[v]
+            i = ind.get(v, 0)
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
+                ei = (v, w)
+                cww = cw[w]
+                ccww = ccw[w]
+                if ei == parent_edge[w]:  # tree edge: v becomes w's leftmost
+                    if cww:
+                        c = leftmost[w]
+                        r = ccww[c]
+                        cww[v] = c
+                        ccww[v] = r
+                        cww[r] = v
+                        ccww[c] = v
+                    else:
+                        cww[v] = ccww[v] = v
+                    leftmost[w] = v
+                    left_ref[v] = right_ref[v] = w
+                    ind[v] = i
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side.get(ei, 1) == 1:  # just clockwise of right_ref[w]
+                    c = right_ref[w]
+                    r = cww[c]
+                    cww[v] = r
+                    ccww[v] = c
+                    ccww[r] = v
+                    cww[c] = v
+                else:  # just counterclockwise of left_ref[w]
+                    c = left_ref[w]
+                    r = ccww[c]
+                    cww[v] = c
+                    ccww[v] = r
+                    cww[r] = v
+                    ccww[c] = v
+                    if c == leftmost[w]:
+                        leftmost[w] = v
+                    left_ref[w] = v
+
+    rotation = {}
+    for v in vertices:
+        cwv = cw[v]
+        if not cwv:
+            rotation[v] = ()
+            continue
+        start = leftmost[v]
+        out = [start]
+        cur = cwv[start]
+        while cur != start:
+            out.append(cur)
+            cur = cwv[cur]
+        rotation[v] = tuple(out)
+    return rotation

@@ -86,9 +86,12 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.method == "bb" and args.oracle_limit is not None:
+        raise VecdomError("--oracle-limit applies only to --method brute")
     instance = _load_instance(args.input)
     if args.method == "brute":
-        result = solve_brute(instance, args.oracle_limit)
+        limit = ORACLE_LIMIT if args.oracle_limit is None else args.oracle_limit
+        result = solve_brute(instance, limit)
     else:
         result = solve_bb(instance)
     if result.answer:
@@ -180,7 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide an instance exactly")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=("bb", "brute"), default="bb")
-    p.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT)
+    p.add_argument(
+        "--oracle-limit", type=int, help=f"largest n for --method brute (default {ORACLE_LIMIT})"
+    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a witness file against an instance")

@@ -1,7 +1,9 @@
 """Combinatorial planar embeddings.
 
-A rotation system (the cyclic order of neighbors around each vertex) fixes
-a planar embedding without coordinates.  Faces fall out of a standard dart
+``embed`` certifies planarity with the left-right planarity test of
+``vecdom._lrplanarity`` and returns the embedding it finds.  A rotation
+system (the cyclic order of neighbors around each vertex) fixes a planar
+embedding without coordinates.  Faces fall out of a standard dart
 traversal, and the two sides of any simple cycle can then be separated
 purely combinatorially: two faces lie on the same side exactly when they
 can be glued along edges that do not belong to the cycle.
@@ -9,8 +11,7 @@ can be glued along edges that do not belong to the cycle.
 
 from __future__ import annotations
 
-import networkx as nx
-
+from ._lrplanarity import kuratowski_edges, lr_rotation
 from .instance import AnnotatedInstance, InvalidInstanceError, VecdomError, validate
 
 
@@ -136,21 +137,19 @@ class RotationSystem:
 def embed(instance: AnnotatedInstance) -> RotationSystem:
     """Certify planarity and return a deterministic combinatorial embedding.
 
-    Vertices and edges are fed to the planarity test in sorted order, so a
-    fixed input always yields the same rotation system.  Raises
-    ``NonPlanarError`` with a witness subgraph otherwise.
+    Vertices and adjacency lists are fed to the planarity test in sorted
+    order, so a fixed input always yields the same rotation system, the
+    one networkx's ``check_planarity`` returns for the graph built in that
+    order.  Raises ``NonPlanarError`` with a Kuratowski subgraph otherwise.
     """
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    G = nx.Graph()
-    G.add_nodes_from(instance.vertices)
-    G.add_edges_from(instance.edges())
-    ok, embedding = nx.check_planarity(G, counterexample=False)
-    if not ok:
-        witness = nx.algorithms.planarity.get_counterexample(G)
-        raise NonPlanarError(sorted(tuple(sorted(e)) for e in witness.edges()))
-    rotation = {v: tuple(embedding.neighbors_cw_order(v)) for v in instance.vertices}
+    vertices = instance.vertices
+    adjacency = {v: sorted(instance.neighbors(v)) for v in vertices}
+    rotation = lr_rotation(vertices, adjacency)
+    if rotation is None:
+        raise NonPlanarError(kuratowski_edges(vertices, adjacency))
     return RotationSystem(rotation)
 
 

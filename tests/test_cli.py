@@ -60,6 +60,14 @@ class TestSolve:
         assert cli_main(["solve", "--input", yes_file, "--method", "brute"]) == 0
         assert capsys.readouterr().out.startswith("YES")
 
+    def test_oracle_limit_needs_brute(self, yes_file, capsys):
+        assert cli_main(["solve", "--input", yes_file, "--oracle-limit", "1"]) == 2
+        assert "--method brute" in capsys.readouterr().err
+        brute = ["solve", "--input", yes_file, "--method", "brute", "--oracle-limit"]
+        assert cli_main(brute + ["1"]) == 2
+        assert "oracle limit 1" in capsys.readouterr().err
+        assert cli_main(brute + ["3"]) == 0
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli_main(["solve", "--input", str(tmp_path / "absent.pvds")]) == 2
 
