@@ -11,6 +11,7 @@ import sys
 from contextlib import contextmanager
 
 from .instance import VecdomError
+from .planarity import embed
 from .rules import FixpointOptions, run_fixpoint
 from .selftest import run_selftest
 from .solver import ORACLE_LIMIT, solve_bb, solve_brute, verify_solution
@@ -89,6 +90,9 @@ def _cmd_solve(args) -> int:
     if args.method == "bb" and args.oracle_limit is not None:
         raise VecdomError("--oracle-limit applies only to --method brute")
     instance = _load_instance(args.input)
+    # The planarity precondition of kernelize and stats: a non-planar
+    # input is an input error whichever solver would decide it.
+    embed(instance)
     if args.method == "brute":
         limit = ORACLE_LIMIT if args.oracle_limit is None else args.oracle_limit
         result = solve_brute(instance, limit)

@@ -92,80 +92,175 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     Pruning uses the exact budget plus a degree-style lower bound: one
     added vertex can discharge at most its own residual demand plus one
     unit per unsatisfied neighbor.
+
+    The search runs on the vertices relabelled 0..n-1 in id order, so
+    ties and candidate order are those of the ids.  It keeps its state
+    incrementally instead of recomputing it at every node: each vertex's
+    residual demand (its demand minus its chosen neighbors), whether it
+    is unsatisfied (not chosen, residual demand positive), and how many
+    of its neighbors are unsatisfied and how many are still selectable
+    (neither chosen nor banned), plus the unsatisfied count and the total
+    residual demand.  Choosing a candidate and banning a tried one update
+    these along the candidate's adjacency, and backtracking undoes the
+    update exactly.  A node costs one pass over the vertices; the search
+    tree, node count and witness are those of a search that recomputes
+    everything at each node.  A self-loop makes a vertex its own
+    neighbor, as in the instance's adjacency.
     """
-    adj = instance._adj
-    demand = instance.demand
-    vertices = sorted(adj)
     budget = instance.budget
-    counter = [0]
+    nodes = 0
 
     def tick() -> None:
-        counter[0] += 1
-        if node_budget is not None and counter[0] > node_budget:
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
             raise NodeBudgetError(f"exceeded node budget {node_budget}")
 
-    if budget < 0:
+    # A root that cannot branch decides without the search state: a
+    # negative budget, nothing left to satisfy, or nothing left to spend.
+    # Most solves of small kernels end here.
+    satisfied = all(d <= 0 for d in instance.demand.values())
+    if budget <= 0 or satisfied:
         tick()
-        return SolveResult(False, None, counter[0])
+        if budget >= 0 and satisfied:
+            return SolveResult(True, frozenset(), nodes)
+        return SolveResult(False, None, nodes)
 
-    chosen: set[int] = set()
-    banned: set[int] = set(instance.forbidden)
+    ids = sorted(instance._adj)
+    n = len(ids)
+    index = {v: i for i, v in enumerate(ids)}
+    adj = [sorted(map(index.__getitem__, instance._adj[v])) for v in ids]
+    res = [instance.demand[v] for v in ids]
+    # The state of an empty choice with nothing banned and nothing
+    # unsatisfied; the forbidden and demanding vertices enter it below,
+    # through the same updates the search makes.
+    chosen = [False] * n
+    banned = [False] * n
+    unsat = [False] * n
+    n_unsat = 0
+    deficit = 0
+    n_unsat_nbrs = [0] * n
+    n_selectable_nbrs = [len(nbrs) for nbrs in adj]
+    stack: list[int] = []
 
-    def residual(v: int) -> int:
-        return demand[v] - len(adj[v] & chosen)
+    def leave_unsat(v: int) -> None:
+        nonlocal n_unsat
+        unsat[v] = False
+        n_unsat -= 1
+        for u in adj[v]:
+            n_unsat_nbrs[u] -= 1
+
+    def enter_unsat(v: int) -> None:
+        nonlocal n_unsat
+        unsat[v] = True
+        n_unsat += 1
+        for u in adj[v]:
+            n_unsat_nbrs[u] += 1
+
+    def choose(c: int) -> None:
+        nonlocal deficit
+        chosen[c] = True
+        stack.append(c)
+        if unsat[c]:
+            deficit -= res[c]
+            leave_unsat(c)
+        # A self-loop can bring back a candidate banned at this level.
+        selectable = not banned[c]
+        for u in adj[c]:
+            if selectable:
+                n_selectable_nbrs[u] -= 1
+            res[u] -= 1
+            if unsat[u]:
+                deficit -= 1
+                if not res[u]:
+                    leave_unsat(u)
+
+    def unchoose(c: int) -> None:
+        nonlocal deficit
+        selectable = not banned[c]
+        for u in adj[c]:
+            if selectable:
+                n_selectable_nbrs[u] += 1
+            res[u] += 1
+            if not chosen[u] and res[u] > 0:
+                deficit += 1
+                if res[u] == 1:
+                    enter_unsat(u)
+        chosen[c] = False
+        stack.pop()
+        if res[c] > 0:
+            deficit += res[c]
+            enter_unsat(c)
+
+    def set_banned(c: int, value: bool) -> None:
+        banned[c] = value
+        step = -1 if value else 1
+        for u in adj[c]:
+            n_selectable_nbrs[u] += step
+
+    for v, vid in enumerate(ids):
+        if vid in instance.forbidden:
+            set_banned(v, True)
+        if res[v] > 0:
+            deficit += res[v]
+            enter_unsat(v)
 
     def search() -> frozenset[int] | None:
         tick()
-        unsat = [v for v in vertices if v not in chosen and residual(v) > 0]
-        if not unsat:
-            return frozenset(chosen)
-        remaining = budget - len(chosen)
+        if not n_unsat:
+            return frozenset(ids[c] for c in stack)
+        remaining = budget - len(stack)
         if remaining <= 0:
             return None
 
-        # Feasibility and branching choice in one pass.
-        branch_v = None
+        # Feasibility, branching choice and the best single gain in one
+        # pass.  The branch key (fewest ways to satisfy, then smallest
+        # vertex) is packed into one integer, slack * n + v.
         branch_key = None
-        for v in unsat:
-            options = [u for u in adj[v] if u not in chosen and u not in banned]
-            selectable = v not in banned
-            if not selectable and len(options) < residual(v):
-                return None
-            key = (len(options) + (1 if selectable else 0) - residual(v), v)
-            if branch_key is None or key < branch_key:
-                branch_key = key
-                branch_v = v
-
-        deficit = sum(residual(v) for v in unsat)
-        unsat_set = set(unsat)
         best_gain = 0
-        for c in vertices:
-            if c in chosen or c in banned:
+        for v in range(n):
+            if chosen[v]:
                 continue
-            gain = (residual(c) if c in unsat_set else 0) + len(adj[c] & unsat_set)
-            if gain > best_gain:
-                best_gain = gain
+            if unsat[v]:
+                r = res[v]
+                options = n_selectable_nbrs[v]
+                if banned[v]:
+                    if options < r:
+                        return None
+                    key = (options - r) * n + v
+                else:
+                    key = (options + 1 - r) * n + v
+                    if r + n_unsat_nbrs[v] > best_gain:
+                        best_gain = r + n_unsat_nbrs[v]
+                if branch_key is None or key < branch_key:
+                    branch_key = key
+            elif not banned[v] and n_unsat_nbrs[v] > best_gain:
+                best_gain = n_unsat_nbrs[v]
         if best_gain == 0:
             return None
         if (deficit + best_gain - 1) // best_gain > remaining:
             return None
 
-        candidates = ([branch_v] if branch_v not in banned else []) + sorted(
-            u for u in adj[branch_v] if u not in chosen and u not in banned
-        )
+        branch_v = branch_key % n
+        candidates = ([branch_v] if not banned[branch_v] else []) + [
+            u for u in adj[branch_v] if not chosen[u] and not banned[u]
+        ]
         tried: list[int] = []
         answer = None
         for c in candidates:
-            chosen.add(c)
+            choose(c)
             answer = search()
-            chosen.discard(c)
+            unchoose(c)
             if answer is not None:
                 break
-            banned.add(c)
-            tried.append(c)
+            # A self-loop lists the branch vertex twice; the second try
+            # finds it banned already.
+            if not banned[c]:
+                set_banned(c, True)
+                tried.append(c)
         for c in tried:
-            banned.discard(c)
+            set_banned(c, False)
         return answer
 
     witness = search()
-    return SolveResult(witness is not None, witness, counter[0])
+    return SolveResult(witness is not None, witness, nodes)

@@ -273,22 +273,38 @@ K33 = AnnotatedInstance(range(6), [(u, v) for u in range(3) for v in range(3, 6)
 @example(K33)
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_instances_never_raise(tmp_path_factory, inst):
-    """Input errors end in exit 2, and a readable planar instance never does."""
+    """Input errors, non-planar input among them, end in exit 2, and a
+    readable planar instance never does."""
     base = tmp_path_factory.getbasetemp()
     source, kernel = base / "fuzz.pvds", base / "fuzz.kernel.pvds"
     text = write(inst)
     source.write_text(text)
     try:
         embed(parse(text))
-        readable = planar = True
-    except ParseError:
-        readable = planar = False
-    except NonPlanarError:
-        readable, planar = True, False
+        planar = True
+    except (ParseError, NonPlanarError):
+        planar = False
     ok = 0 if planar else 2
     assert cli_main(["kernelize", "--input", str(source), "--output", str(kernel)]) == ok
     assert cli_main(["stats", "--input", str(source)]) == ok
-    assert cli_main(["solve", "--input", str(source)]) in ((0, 1) if readable else (2,))
+    answers = (0, 1) if planar else (2,)
+    assert cli_main(["solve", "--input", str(source)]) in answers
+    assert cli_main(["solve", "--input", str(source), "--method", "brute"]) in answers
+
+
+@pytest.mark.parametrize("command", [
+    ["stats"], ["solve"], ["solve", "--method", "brute"],
+])
+def test_non_planar_input_is_refused_alike(command, tmp_path, capsys):
+    """K3,3 fits the 3n-6 edge bound, so it parses; every command that
+    decides or reduces it exits 2 with kernelize's message."""
+    source = tmp_path / "k33.pvds"
+    source.write_text(write(K33))
+    assert cli_main(["kernelize", "--input", str(source)]) == 2
+    refusal = capsys.readouterr()
+    assert refusal.out == "" and "not planar" in refusal.err
+    assert cli_main([command[0], "--input", str(source), *command[1:]]) == 2
+    assert capsys.readouterr() == refusal
 
 
 def test_python_dash_m_runs_the_driver(yes_file):

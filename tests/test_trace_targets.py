@@ -8,6 +8,7 @@ file path.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -26,3 +27,11 @@ def test_every_trace_target_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert tracing.TARGETS and missing == []
+
+
+def test_cli_solver_takes_a_node_budget():
+    # ``perfbench/run.py``'s ``bound_solver`` binds ``node_budget`` on the
+    # name the CLI calls; without the parameter every workload fails.
+    from vecdom import cli
+
+    assert "node_budget" in inspect.signature(cli.solve_bb).parameters
