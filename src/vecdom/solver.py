@@ -99,13 +99,13 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     residual demand (its demand minus its chosen neighbors), whether it
     is unsatisfied (not chosen, residual demand positive), and how many
     of its neighbors are unsatisfied and how many are still selectable
-    (neither chosen nor banned), plus the unsatisfied count and the total
-    residual demand.  Choosing a candidate and banning a tried one update
-    these along the candidate's adjacency, and backtracking undoes the
-    update exactly.  A node costs one pass over the vertices; the search
-    tree, node count and witness are those of a search that recomputes
-    everything at each node.  A self-loop makes a vertex its own
-    neighbor, as in the instance's adjacency.
+    (neither chosen nor banned), plus the unsatisfied count.  Choosing a
+    candidate and banning a tried one update these along the candidate's
+    adjacency, and backtracking undoes the update exactly.  A node costs
+    one pass over the vertices; the search tree, node count and witness
+    are those of a search that recomputes everything at each node.  A
+    self-loop makes a vertex its own neighbor, as in the instance's
+    adjacency.
     """
     budget = instance.budget
     nodes = 0
@@ -116,14 +116,8 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if node_budget is not None and nodes > node_budget:
             raise NodeBudgetError(f"exceeded node budget {node_budget}")
 
-    # A root that cannot branch decides without the search state: a
-    # negative budget, nothing left to satisfy, or nothing left to spend.
-    # Most solves of small kernels end here.
-    satisfied = all(d <= 0 for d in instance.demand.values())
-    if budget <= 0 or satisfied:
+    if budget < 0:
         tick()
-        if budget >= 0 and satisfied:
-            return SolveResult(True, frozenset(), nodes)
         return SolveResult(False, None, nodes)
 
     ids = sorted(instance._adj)
@@ -138,7 +132,6 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     banned = [False] * n
     unsat = [False] * n
     n_unsat = 0
-    deficit = 0
     n_unsat_nbrs = [0] * n
     n_selectable_nbrs = [len(nbrs) for nbrs in adj]
     stack: list[int] = []
@@ -158,11 +151,9 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             n_unsat_nbrs[u] += 1
 
     def choose(c: int) -> None:
-        nonlocal deficit
         chosen[c] = True
         stack.append(c)
         if unsat[c]:
-            deficit -= res[c]
             leave_unsat(c)
         # A self-loop can bring back a candidate banned at this level.
         selectable = not banned[c]
@@ -170,26 +161,20 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             if selectable:
                 n_selectable_nbrs[u] -= 1
             res[u] -= 1
-            if unsat[u]:
-                deficit -= 1
-                if not res[u]:
-                    leave_unsat(u)
+            if unsat[u] and not res[u]:
+                leave_unsat(u)
 
     def unchoose(c: int) -> None:
-        nonlocal deficit
         selectable = not banned[c]
         for u in adj[c]:
             if selectable:
                 n_selectable_nbrs[u] += 1
             res[u] += 1
-            if not chosen[u] and res[u] > 0:
-                deficit += 1
-                if res[u] == 1:
-                    enter_unsat(u)
+            if res[u] == 1 and not chosen[u]:
+                enter_unsat(u)
         chosen[c] = False
         stack.pop()
         if res[c] > 0:
-            deficit += res[c]
             enter_unsat(c)
 
     def set_banned(c: int, value: bool) -> None:
@@ -202,7 +187,6 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if vid in instance.forbidden:
             set_banned(v, True)
         if res[v] > 0:
-            deficit += res[v]
             enter_unsat(v)
 
     def search() -> frozenset[int] | None:
@@ -213,16 +197,19 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if remaining <= 0:
             return None
 
-        # Feasibility, branching choice and the best single gain in one
-        # pass.  The branch key (fewest ways to satisfy, then smallest
-        # vertex) is packed into one integer, slack * n + v.
+        # Feasibility, branching choice, total residual demand and the
+        # best single gain in one pass.  The branch key (fewest ways to
+        # satisfy, then smallest vertex) is packed into one integer,
+        # slack * n + v.
         branch_key = None
+        deficit = 0
         best_gain = 0
         for v in range(n):
             if chosen[v]:
                 continue
             if unsat[v]:
                 r = res[v]
+                deficit += r
                 options = n_selectable_nbrs[v]
                 if banned[v]:
                     if options < r:
