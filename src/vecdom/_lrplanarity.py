@@ -62,19 +62,6 @@ The ported code is covered by networkx's license:
 from __future__ import annotations
 
 
-def lr_rotation(vertices, adjacency) -> dict | None:
-    """Clockwise rotation of every vertex of a planar graph, or ``None``.
-
-    ``vertices`` is the vertex order and ``adjacency`` maps each vertex to
-    its neighbours in order; the graph must have no self-loops.  Returns
-    ``None`` when the graph is not planar.
-    """
-    state = _lr_test(vertices, adjacency)
-    if state is None:
-        return None
-    return _embedding(vertices, *state)
-
-
 def kuratowski_edges(vertices, adjacency) -> list[tuple[int, int]]:
     """The edges of a Kuratowski subgraph of a non-planar graph, sorted.
 

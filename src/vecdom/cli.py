@@ -7,6 +7,7 @@ verification, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 
@@ -164,6 +165,10 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+# Built once per process: parse_args keeps no state between calls, and each
+# command's func looks up what it calls (solve_bb, run_fixpoint, ...) in this
+# module at call time, so patching those names still takes effect.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vecdom",
@@ -220,9 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

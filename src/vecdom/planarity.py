@@ -1,7 +1,8 @@
 """Combinatorial planar embeddings.
 
 ``embed`` certifies planarity with the left-right planarity test of
-``vecdom._lrplanarity`` and returns the embedding it finds.  A rotation
+``vecdom._lrplanarity`` and returns the embedding it finds, built when it
+is first read: most callers only need the certificate.  A rotation
 system (the cyclic order of neighbors around each vertex) fixes a planar
 embedding without coordinates.  Faces fall out of a standard dart
 traversal, and the two sides of any simple cycle can then be separated
@@ -11,7 +12,7 @@ can be glued along edges that do not belong to the cycle.
 
 from __future__ import annotations
 
-from ._lrplanarity import kuratowski_edges, lr_rotation
+from ._lrplanarity import _embedding, _lr_test, kuratowski_edges
 from .instance import AnnotatedInstance, InvalidInstanceError, VecdomError, validate
 
 
@@ -30,14 +31,44 @@ class StaleEmbeddingError(VecdomError):
     pass
 
 
+# What ``RotationSystem._build`` sets: read before the build, any of them builds it.
+_BUILT = frozenset({
+    "rotation", "_index", "faces", "face_of", "component_of", "component_vertices",
+    "outer_face_of_component", "face_count",
+})
+
+
 class RotationSystem:
     """Planar embedding as per-vertex cyclic neighbor orders, with derived faces.
 
     Faces are tuples of darts (directed edges); every dart belongs to
-    exactly one face.  Immutable after construction.
+    exactly one face.  Immutable.  ``RotationSystem(rotation)`` builds
+    everything at once; ``embed`` returns one that builds its rotation and
+    faces when any of them is first read.  ``describes`` and ``edge_set``
+    read only the vertex and edge sets, which are known from the start.
     """
 
     def __init__(self, rotation: dict[int, tuple[int, ...]]):
+        self._build(rotation)
+        self._adjacency = self.rotation
+
+    @classmethod
+    def _deferred(cls, adjacency: dict[int, list[int]], make_rotation) -> RotationSystem:
+        """The embedding of the graph ``adjacency``, whose rotation
+        ``make_rotation()`` gives on first read."""
+        rs = cls.__new__(cls)
+        rs._adjacency = adjacency
+        rs._make_rotation = make_rotation
+        return rs
+
+    def __getattr__(self, name):
+        # Reached only for attributes not set yet.
+        if name in _BUILT and "_make_rotation" in self.__dict__:
+            self._build(self.__dict__.pop("_make_rotation")())
+            return getattr(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def _build(self, rotation: dict[int, tuple[int, ...]]) -> None:
         self.rotation = {v: tuple(nbrs) for v, nbrs in sorted(rotation.items())}
         self._index = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in self.rotation.items()}
         self.faces = self._trace_faces()
@@ -125,11 +156,12 @@ class RotationSystem:
         return {c: fi for c, (key, fi) in best.items()}
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(u, v) for u in self.rotation for v in self.rotation[u] if u < v}
+        adjacency = self._adjacency
+        return {(u, v) for u in adjacency for v in adjacency[u] if u < v}
 
     def describes(self, instance: AnnotatedInstance) -> bool:
         """Whether this embedding still matches the instance's vertices and edges."""
-        if set(self.rotation) != set(instance.vertex_set()):
+        if self._adjacency.keys() != instance.vertex_set():
             return False
         return self.edge_set() == set(instance.edges())
 
@@ -141,16 +173,18 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     order, so a fixed input always yields the same rotation system, the
     one networkx's ``check_planarity`` returns for the graph built in that
     order.  Raises ``NonPlanarError`` with a Kuratowski subgraph otherwise.
+    The test runs here; the embedding phase and the faces wait until the
+    rotation system is first read, and are skipped if it never is.
     """
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
     vertices = instance.vertices
     adjacency = {v: sorted(instance.neighbors(v)) for v in vertices}
-    rotation = lr_rotation(vertices, adjacency)
-    if rotation is None:
+    state = _lr_test(vertices, adjacency)
+    if state is None:
         raise NonPlanarError(kuratowski_edges(vertices, adjacency))
-    return RotationSystem(rotation)
+    return RotationSystem._deferred(adjacency, lambda: _embedding(vertices, *state))
 
 
 def _walk_side(rs: RotationSystem, boundary, cycle_darts, start: int, other: int, keep):

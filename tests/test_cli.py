@@ -219,6 +219,40 @@ def test_unknown_subcommand_is_usage_error():
     assert cli_main(["frobnicate"]) == 2
 
 
+class TestOneParserPerProcess:
+    """cli_main parses with one parser per process; no call leaves state for the next."""
+
+    def test_refused_brute_call_leaves_plain_solve_on_bb(self, yes_file, monkeypatch, capsys):
+        brute = ["solve", "--input", yes_file, "--method", "brute", "--oracle-limit", "1"]
+        assert cli_main(brute) == 2
+        capsys.readouterr()
+        monkeypatch.setattr(vecdom.cli, "solve_brute", lambda *a, **k: pytest.fail("brute ran"))
+        assert cli_main(["solve", "--input", yes_file]) == 0
+        instance = parse(YES_INSTANCE)
+        witness = " ".join(str(v + 1) for v in sorted(vecdom.solve_bb(instance).witness))
+        assert capsys.readouterr().out == f"YES {witness}\n"
+
+    def test_no_region_rules_does_not_stick(self, tmp_path, capsys):
+        n = 203  # the demand-2 cycle of TestStats: only the certificate decides it
+        cycle = AnnotatedInstance(range(n), [(i, (i + 1) % n) for i in range(n)],
+                                  {v: 2 for v in range(n)}, budget=2)
+        path = tmp_path / "cycle.pvds"
+        path.write_text(write(cycle))
+        stats = ["stats", "--input", str(path)]
+        assert cli_main(stats) == 0
+        default = capsys.readouterr().out
+        assert cli_main(stats + ["--no-region-rules"]) == 0
+        assert capsys.readouterr().out != default
+        assert cli_main(stats) == 0
+        assert capsys.readouterr().out == default
+        assert "status=no" in default.split()
+
+    def test_usage_error_does_not_stick(self, yes_file, capsys):
+        assert cli_main(["frobnicate"]) == 2
+        assert cli_main(["solve", "--input", yes_file]) == 0
+        assert capsys.readouterr().out.startswith("YES")
+
+
 class TestBadNumbers:
     """A bad value on the command line is an input error: exit 2 and an
     ``error:`` line, never a traceback, and never silently accepted."""

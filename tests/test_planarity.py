@@ -7,7 +7,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vecdom import AnnotatedInstance, NonPlanarError, NotACycleError, cycle_sides, embed
+import vecdom.planarity
+from vecdom import (
+    AnnotatedInstance,
+    NonPlanarError,
+    NotACycleError,
+    RotationSystem,
+    cycle_sides,
+    embed,
+)
 from vecdom.toolkit import generate_planar
 
 from conftest import build
@@ -84,6 +92,74 @@ class TestEmbed:
         inst = build(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
         with pytest.raises(NonPlanarError):
             embed(inst)
+
+
+def seeded_graphs():
+    """Connected and disconnected planar graphs, with isolated vertices and
+    lone edges among them, and the smallest cases on their own."""
+    for seed in range(15):
+        a = generate_planar(5 + seed % 11, 0.5 + 0.1 * (seed % 6), seed)
+        yield a
+        b = generate_planar(3 + seed % 6, 1.0 - 0.1 * (seed % 4), 100 + seed)
+        shift = a.n
+        lone = shift + b.n
+        vertices = a.vertices + [shift + v for v in b.vertices] + [lone, lone + 1, lone + 2]
+        edges = a.edges() + [(shift + u, shift + v) for u, v in b.edges()] + [(lone, lone + 1)]
+        yield AnnotatedInstance(vertices, edges, {}, budget=0)
+    yield build(2, [(0, 1)])
+    yield build(4, [(0, 1), (2, 3)])
+    yield build(3)
+
+
+EMBEDDING_FIELDS = (
+    "rotation", "faces", "face_of", "component_of", "component_vertices",
+    "outer_face_of_component", "face_count",
+)
+
+
+class TestEmbeddingOnFirstRead:
+    def test_same_embedding_as_one_built_at_once(self):
+        for inst in seeded_graphs():
+            eager = RotationSystem(embed(inst).rotation)
+            for name in EMBEDDING_FIELDS:
+                # Each field read first, on an embedding not built yet.
+                assert getattr(embed(inst), name) == getattr(eager, name), (inst.n, name)
+            assert embed(inst).edge_set() == eager.edge_set() == set(inst.edges())
+
+    def test_built_once_and_only_when_read(self, monkeypatch):
+        built = []
+        real = vecdom.planarity._embedding
+        monkeypatch.setattr(
+            vecdom.planarity, "_embedding", lambda *a: built.append(1) or real(*a)
+        )
+        inst = generate_planar(30, 0.8, seed=4)
+        rs = embed(inst)
+        assert rs.describes(inst) and rs.edge_set() == set(inst.edges())
+        assert built == []
+        for name in EMBEDDING_FIELDS:
+            getattr(rs, name)
+        assert built == [1]
+
+    def test_describes_answers_alike_before_and_after_the_first_read(self):
+        for inst in seeded_graphs():
+            fewer_edges = inst.copy()
+            if inst.m:
+                fewer_edges.delete_edge(*inst.edges()[0])
+            fewer_vertices = inst.copy()
+            fewer_vertices.delete_vertex(inst.vertices[-1])
+            others = (inst, fewer_edges, fewer_vertices)
+            rs = embed(inst)
+            before = [rs.describes(other) for other in others]
+            rs.faces
+            after = [rs.describes(other) for other in others]
+            eager = [RotationSystem(rs.rotation).describes(other) for other in others]
+            assert before == after == eager == [True, inst.m == 0, False], inst.n
+
+    def test_unknown_attribute_still_raises(self):
+        rs = embed(build(3, [(0, 1), (1, 2)]))
+        with pytest.raises(AttributeError):
+            rs.no_such_field
+        assert rs.face_count == 1
 
 
 class TestFaces:
