@@ -130,30 +130,70 @@ def rule3(instance: AnnotatedInstance) -> list[ReductionEvent]:
     return events
 
 
+def _common_closed_neighborhood(
+    instance: AnnotatedInstance, xs: set[int], within: set[int] | None = None
+) -> set[int]:
+    """The vertices of ``within``, all by default, that lie in ``N[x]`` for
+    every ``x`` of the non-empty ``xs``, as a new set.
+
+    Each step intersects with the smaller side, so it costs at most the
+    vertices still left, and the scan stops once none are.
+    """
+    if within is None:
+        start = min(xs, key=instance.degree)
+        common = instance.neighbors(start) | {start}
+    else:
+        common = set(within)
+    for x in xs:
+        if not common:
+            break
+        kept = x in common
+        common &= instance.neighbors(x)
+        if kept:
+            common.add(x)
+    return common
+
+
 def rule4(instance: AnnotatedInstance) -> list[ReductionEvent]:
     """Strip redundant edges at zero-demand vertices.
 
     If some selectable witness ``a`` sees all of ``N(v)``, any solution
     leaning on ``v`` could use ``a`` instead, so the edges from ``v`` to
     demand-1 neighbors, and to ``a`` itself, carry no information.
+
+    ``N(v) ⊆ N[a]`` holds exactly when ``a`` lies in the common closed
+    neighborhood ``⋂_{u ∈ N(v)} N[u]``, so the witnesses of ``v`` are that
+    set's selectable vertices other than ``v``, tried in id order as a scan
+    over every vertex would.  An event at ``v`` deletes only edges at
+    ``v``: ``N(v)`` shrinks and its remaining vertices keep their
+    neighborhoods, so the set is recomputed after each event and the scan
+    resumes past the last witness.  Once ``N(v)`` is empty there is
+    nothing left to strip.
     """
     events = []
+    demand, forbidden = instance.demand, instance.forbidden
     for v in instance.vertices:
-        if instance.demand[v] != 0:
+        if demand[v] != 0:
             continue
-        for a in instance.vertices:
-            if a == v or a in instance.forbidden:
-                continue
-            nv = instance.neighbors(v)
-            if not nv <= (instance.neighbors(a) | {a}):
-                continue
-            doomed = sorted(u for u in nv if instance.demand[u] == 1)
-            if a in nv and a not in doomed:
-                doomed.append(a)
-            if not doomed:
-                continue
+        nv = instance.neighbors(v)
+        last = None
+        while nv:
+            ones = {u for u in nv if demand[u] == 1}
+            # Without demand-1 neighbors only the edge to ``a`` can go.
+            a = min(
+                (
+                    a for a in _common_closed_neighborhood(instance, nv)
+                    if a != v and a not in forbidden
+                    and (last is None or a > last) and (ones or a in nv)
+                ),
+                default=None,
+            )
+            if a is None:
+                break
+            doomed = ones | {a} if a in nv else ones
             removed = frozenset((v, u) if v <= u else (u, v) for u in doomed)
             events.append(apply(instance, ReductionEvent(rule_id=4, removed_edges=removed)))
+            last = a
     return events
 
 
@@ -167,21 +207,30 @@ def rule5(instance: AnnotatedInstance) -> list[ReductionEvent]:
     scan moves on to the next vertex; the witness itself may be a later
     vertex, which the scan then skips.  Overspending the budget decides
     the instance NO and ends the scan.
+
+    Two necessary conditions pick the candidates before any
+    ``neighborhood`` is computed.  A neighbor of demand two or more can
+    only be the witness itself, so two of them rule ``v`` out and one is
+    the only candidate.  And every vertex of ``N(v)`` other than ``a``
+    lies in ``N[a]``, so ``a`` lies in ``⋂_{u ∈ N(v)} N[u]``.  Candidates
+    are tried in id order and the first that passes the full test is
+    forced, the witness the scan over all of ``N(v)`` would find.
     """
     events = []
+    demand, forbidden = instance.demand, instance.forbidden
     for v in instance.vertices:
         if instance.status is not Status.OPEN:
             break
-        if not instance.has_vertex(v) or instance.demand[v] != 1:
+        if not instance.has_vertex(v) or demand[v] != 1:
             continue
-        for a in sorted(instance.neighbors(v)):
-            if a in instance.forbidden:
-                continue
+        nv = instance.neighbors(v)
+        high = {u for u in nv if demand[u] >= 2}
+        if len(high) > 1:
+            continue
+        candidates = _common_closed_neighborhood(instance, nv, (high or nv) - forbidden)
+        for a in sorted(candidates):
             closed_a = instance.neighbors(a) | {a}
-            if all(
-                instance.demand[u] <= 1 and neighborhood(instance, u) <= closed_a
-                for u in sorted((instance.neighbors(v) | {v}) - {a})
-            ):
+            if all(neighborhood(instance, u) <= closed_a for u in sorted((nv | {v}) - {a})):
                 events.append(force_into_solution(instance, a, rule_id=5))
                 break
     return events
@@ -252,18 +301,24 @@ def rule11(instance: AnnotatedInstance) -> list[ReductionEvent]:
 def rule12(instance: AnnotatedInstance) -> list[ReductionEvent]:
     """Zero the demand of a 1-vertex whose closed neighborhood swallows some
     demanding blue vertex's neighborhood: whatever serves the blue vertex
-    serves it too."""
+    serves it too.
+
+    ``N(v) ⊆ N[u]`` holds exactly when ``u`` lies in ``⋂_{x ∈ N(v)} N[x]``,
+    so the blue ``v``'s candidates are that set's vertices other than
+    ``v``, in id order.  The rule changes only demands, so the set is
+    computed once per ``v``, and a candidate's demand is read when the
+    scan reaches it.
+    """
     events = []
+    demand = instance.demand
     for v in instance.vertices:
-        if v not in instance.forbidden or instance.demand[v] < 1:
+        if v not in instance.forbidden or demand[v] < 1:
             continue
         nv = instance.neighbors(v)
         if not nv:
             continue
-        for u in instance.vertices:
-            if u == v or instance.demand[u] != 1:
-                continue
-            if nv <= (instance.neighbors(u) | {u}):
+        for u in sorted(_common_closed_neighborhood(instance, nv) - {v}):
+            if demand[u] == 1:
                 events.append(apply(instance, ReductionEvent(rule_id=12, demand_deltas={u: -1})))
     return events
 

@@ -77,3 +77,23 @@ def test_identity_slice_outputs_are_pinned():
             count += 1
     assert count == 1076
     assert h.hexdigest() == "3d7691afb65eb8e1bf034cef32a2305906c64c7b3ebe17e8e6c52aabe6703703"
+
+
+def test_local_sparse_outputs_are_pinned():
+    """What the fixpoint makes of ``r1-300/s/k60``, s 0-4, stays as it was.
+
+    These density-0.8 ``r:1`` graphs at n=300 are the shape of the
+    benchmark's local-sparse workload, where rules 4 and 5 fire most
+    (12-16 and 45-55 times a run here), and the slice above holds none of
+    them.  The sha256 covers each instance's ``digest_line``.
+    """
+    digest = load_digest()
+    wanted = {f"r1-300/{s}/k60" for s in range(5)}
+    h = hashlib.sha256()
+    count = 0
+    for name, inst in digest.identity_set(vecdom):
+        if name in wanted:
+            h.update(digest.digest_line(vecdom, name, inst).encode())
+            count += 1
+    assert count == 5
+    assert h.hexdigest() == "0d8e8117cda2f6b5dce87d0ad4359e2010792bbbf731f9c5996bceb601416851"

@@ -1,5 +1,6 @@
 """Reduction rules 1-5 and 9-13, the fixpoint engine, and event replay."""
 
+import random
 from dataclasses import astuple
 
 import pytest
@@ -9,7 +10,9 @@ from vecdom import (
     FixpointOptions,
     InvalidInstanceError,
     NonPlanarError,
+    ReductionEvent,
     Status,
+    neighborhood,
     potential,
     replay,
     rule1,
@@ -26,6 +29,8 @@ from vecdom import (
     solve_brute,
     validate,
 )
+from vecdom.instance import apply, force_into_solution
+from vecdom.rules import _LOCAL_RULES
 from vecdom.selftest import corpus_instance, oracle_answer
 from vecdom.toolkit import generate_planar, make_special_case
 
@@ -619,3 +624,119 @@ class TestRuleSoundnessSweep:
         for ev in report.events:
             replay(mirror, [ev])
             assert oracle_answer(mirror) == before
+
+
+# The pairwise scans rules 4, 5 and 12 made before they drew their
+# candidates from common closed neighborhoods, kept as the oracle the
+# candidate scans must match event for event.
+
+def pairwise_rule4(instance):
+    events = []
+    for v in instance.vertices:
+        if instance.demand[v] != 0:
+            continue
+        for a in instance.vertices:
+            if a == v or a in instance.forbidden:
+                continue
+            nv = instance.neighbors(v)
+            if not nv <= (instance.neighbors(a) | {a}):
+                continue
+            doomed = sorted(u for u in nv if instance.demand[u] == 1)
+            if a in nv and a not in doomed:
+                doomed.append(a)
+            if not doomed:
+                continue
+            removed = frozenset((v, u) if v <= u else (u, v) for u in doomed)
+            events.append(apply(instance, ReductionEvent(rule_id=4, removed_edges=removed)))
+    return events
+
+
+def pairwise_rule5(instance):
+    events = []
+    for v in instance.vertices:
+        if instance.status is not Status.OPEN:
+            break
+        if not instance.has_vertex(v) or instance.demand[v] != 1:
+            continue
+        for a in sorted(instance.neighbors(v)):
+            if a in instance.forbidden:
+                continue
+            closed_a = instance.neighbors(a) | {a}
+            if all(
+                instance.demand[u] <= 1 and neighborhood(instance, u) <= closed_a
+                for u in sorted((instance.neighbors(v) | {v}) - {a})
+            ):
+                events.append(force_into_solution(instance, a, rule_id=5))
+                break
+    return events
+
+
+def pairwise_rule12(instance):
+    events = []
+    for v in instance.vertices:
+        if v not in instance.forbidden or instance.demand[v] < 1:
+            continue
+        nv = instance.neighbors(v)
+        if not nv:
+            continue
+        for u in instance.vertices:
+            if u == v or instance.demand[u] != 1:
+                continue
+            if nv <= (instance.neighbors(u) | {u}):
+                events.append(apply(instance, ReductionEvent(rule_id=12, demand_deltas={u: -1})))
+    return events
+
+
+PAIRWISE = {4: pairwise_rule4, 5: pairwise_rule5, 12: pairwise_rule12}
+
+
+def scan_instances():
+    """Seeded ``r:1``, ``random:2`` and ``bdvd:3`` graphs at n = 30-300 and
+    corpus seeds, each with a random forbidden set."""
+    for i in range(24):
+        rng = random.Random(i)
+        n = rng.randint(30, 300)
+        profile = ("r:1", "random:2", "bdvd:3")[i % 3]
+        inst = make_special_case(generate_planar(n, rng.choice([0.6, 0.8, 1.0]), i), profile, seed=i)
+        inst.budget = rng.randint(1, n // 4)
+        inst.forbidden = {v for v in inst.vertices if rng.random() < 0.15}
+        yield f"{profile}/n{n}/{i}", inst
+    for seed in range(0, 600, 3):
+        inst = corpus_instance(seed)
+        rng = random.Random(seed)
+        inst.forbidden = {v for v in inst.vertices if rng.random() < 0.2}
+        yield f"corpus/{seed}", inst
+
+
+class TestCandidateScansMatchPairwiseScans:
+    """Rules 4, 5 and 12 emit the events their pairwise scans would, in order.
+
+    Each rule is called on the raw instance, where the fixpoint never
+    calls it, and then on every state the local rules pass through,
+    always on two copies, one per scan.
+    """
+
+    @staticmethod
+    def check(name, instance, rid):
+        reference = instance.copy()
+        expected = [astuple(ev) for ev in PAIRWISE[rid](reference)]
+        got = [astuple(ev) for ev in _LOCAL_RULES[rid](instance)]
+        assert got == expected, f"rule {rid} on {name}"
+        assert instance == reference, f"rule {rid} on {name}"
+        return len(got)
+
+    def test_events_and_instances_match(self):
+        fired = dict.fromkeys(PAIRWISE, 0)
+        for name, inst in scan_instances():
+            for rid in PAIRWISE:
+                fired[rid] += self.check(name, inst.copy(), rid)
+            batch = True
+            while batch and inst.status is Status.OPEN:
+                batch = []
+                for rid, rule in _LOCAL_RULES.items():
+                    if rid in PAIRWISE:
+                        fired[rid] += self.check(name, inst.copy(), rid)
+                    batch.extend(rule(inst))
+                    if inst.status is not Status.OPEN:
+                        break
+        assert min(fired.values()) > 100, fired
