@@ -48,13 +48,7 @@ def _bad_values_are_input_errors():
 def _fixpoint_options(args) -> FixpointOptions:
     with _bad_values_are_input_errors():
         return FixpointOptions(
-            # On unless --no-region-rules is given; FixpointOptions refuses
-            # an explicit "on" together with that flag.
-            kernel_certificate=(
-                args.kernel_certificate == "on"
-                if args.kernel_certificate
-                else not args.no_region_rules
-            ),
+            kernel_certificate={"on": True, "off": False}.get(args.kernel_certificate),
             enable_region_rules=not args.no_region_rules,
             max_paths_per_pair=args.max_paths_per_pair,
         )
@@ -149,13 +143,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.count < 0:
-        raise VecdomError("--count must be non-negative")
-    checked, failures = run_selftest(
-        count=args.count,
-        seed0=args.seed,
-        progress=lambda done: print(f"checked {done}/{args.count} instances", file=sys.stderr),
-    )
+    with _bad_values_are_input_errors():
+        checked, failures = run_selftest(
+            count=args.count,
+            seed0=args.seed,
+            progress=lambda done: print(f"checked {done}/{args.count} instances", file=sys.stderr),
+        )
     for msg in failures:
         print(f"FAIL {msg}")
     if failures:

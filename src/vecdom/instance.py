@@ -72,10 +72,11 @@ def _edge(u: int, v: int) -> tuple[int, int]:
 class AnnotatedInstance:
     """Mutable graph + demand vector + budget + forbidden set.
 
-    The constructor is deliberately permissive about demands and
-    self-loops so that :func:`validate` can report problems; it only
-    refuses edges whose endpoints do not exist, since those cannot be
-    represented at all.
+    The graph is simple by construction: the constructor refuses a
+    self-loop, which never counts toward a demand, and an edge whose
+    endpoints do not exist; repeated edges collapse into one.  It is
+    deliberately permissive about demands so that :func:`validate` can
+    report problems.
     """
 
     __slots__ = ("_adj", "_m", "demand", "budget", "forbidden", "status")
@@ -94,6 +95,8 @@ class AnnotatedInstance:
         for u, v in edges:
             if u not in self._adj or v not in self._adj:
                 raise UnknownVertexError(f"edge ({u}, {v}) references a missing vertex")
+            if u == v:
+                raise InvalidInstanceError([f"self-loop at {v}"])
             self._add_edge(u, v)
         self.demand: dict[int, int] = {v: 0 for v in self._adj}
         for v, d in (demand or {}).items():
@@ -151,11 +154,6 @@ class AnnotatedInstance:
     # -- mutation ------------------------------------------------------
 
     def _add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            if u not in self._adj[u]:
-                self._adj[u].add(u)
-                self._m += 1
-            return
         if v not in self._adj[u]:
             self._adj[u].add(v)
             self._adj[v].add(u)
@@ -172,8 +170,7 @@ class AnnotatedInstance:
         """Remove ``v`` with its incident edges."""
         nbrs = self.neighbors(v)
         for u in nbrs:
-            if u != v:
-                self._adj[u].discard(v)
+            self._adj[u].discard(v)
         self._m -= len(nbrs)
         del self._adj[v]
         del self.demand[v]
@@ -221,7 +218,8 @@ def validate(instance: AnnotatedInstance) -> list[str]:
 
     Planarity is not an invariant here: ``parse`` refuses files above the
     3n-6 edge bound, and ``embed`` refuses any non-planar graph with a
-    witness.
+    witness.  The constructor builds no self-loop and no asymmetric
+    adjacency, so those checks guard only an adjacency written directly.
     """
     out = []
     adj = instance._adj
@@ -296,7 +294,7 @@ def force_into_solution(instance: AnnotatedInstance, v: int, rule_id: int | str 
     the instance NO; the event records the decision.
     """
     demand = instance.demand
-    deltas = {u: -1 for u in sorted(instance.neighbors(v)) if u != v and demand[u] > 0}
+    deltas = {u: -1 for u in sorted(instance.neighbors(v)) if demand[u] > 0}
     decides_no = instance.status is Status.OPEN and (
         v in instance.forbidden or instance.budget < 1
     )
@@ -315,11 +313,11 @@ def apply(instance: AnnotatedInstance, event: ReductionEvent) -> ReductionEvent:
     or vertex the event names but the instance lacks raises
     :class:`UnknownVertexError`; the instance may then be partly changed.
     """
-    for u, v in sorted(event.removed_edges):
+    for u, v in event.removed_edges:
         instance.delete_edge(u, v)
-    for v in sorted(event.removed_vertices):
+    for v in event.removed_vertices:
         instance.delete_vertex(v)
-    for v, delta in sorted(event.demand_deltas.items()):
+    for v, delta in event.demand_deltas.items():
         if v not in instance.demand:
             raise UnknownVertexError(f"demand change for missing vertex {v}")
         instance.demand[v] = max(0, instance.demand[v] + delta)

@@ -47,7 +47,12 @@ KERNEL_FACTOR = 101
 
 @dataclass
 class FixpointOptions:
-    kernel_certificate: bool = True
+    """How ``run_fixpoint`` runs.
+
+    ``kernel_certificate`` defaults to ``enable_region_rules``, which it needs.
+    """
+
+    kernel_certificate: bool | None = None
     enable_region_rules: bool = True
     max_rounds: int | None = None
     max_paths_per_pair: int = 512
@@ -57,7 +62,9 @@ class FixpointOptions:
             raise ValueError("max_paths_per_pair must be non-negative")
         if self.max_rounds is not None and self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
-        if self.kernel_certificate and not self.enable_region_rules:
+        if self.kernel_certificate is None:
+            self.kernel_certificate = self.enable_region_rules
+        elif self.kernel_certificate and not self.enable_region_rules:
             raise ValueError(
                 "the kernel-size certificate requires the region rules; "
                 "disable both or neither"

@@ -125,8 +125,10 @@ def run_selftest(count: int = 200, seed0: int = 0, progress=None) -> tuple[int, 
     The corpus has n <= 14, inside the oracle's default limit, so every
     instance is checked against brute force.  Returns the number of
     instances checked and a list of failure descriptions (empty on
-    success).
+    success).  A negative ``count`` raises ``ValueError``.
     """
+    if count < 0:
+        raise ValueError("count must be non-negative")
     failures: list[str] = []
     for i, seed in enumerate(range(seed0, seed0 + count)):
         record = evaluate_instance(seed)

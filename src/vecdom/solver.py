@@ -103,9 +103,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     candidate and banning a tried one update these along the candidate's
     adjacency, and backtracking undoes the update exactly.  A node costs
     one pass over the vertices; the search tree, node count and witness
-    are those of a search that recomputes everything at each node.  A
-    self-loop makes a vertex its own neighbor, as in the instance's
-    adjacency.
+    are those of a search that recomputes everything at each node.
     """
     budget = instance.budget
     nodes = 0
@@ -155,20 +153,15 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         stack.append(c)
         if unsat[c]:
             leave_unsat(c)
-        # A self-loop can bring back a candidate banned at this level.
-        selectable = not banned[c]
         for u in adj[c]:
-            if selectable:
-                n_selectable_nbrs[u] -= 1
+            n_selectable_nbrs[u] -= 1
             res[u] -= 1
             if unsat[u] and not res[u]:
                 leave_unsat(u)
 
     def unchoose(c: int) -> None:
-        selectable = not banned[c]
         for u in adj[c]:
-            if selectable:
-                n_selectable_nbrs[u] += 1
+            n_selectable_nbrs[u] += 1
             res[u] += 1
             if res[u] == 1 and not chosen[u]:
                 enter_unsat(u)
@@ -240,11 +233,8 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             unchoose(c)
             if answer is not None:
                 break
-            # A self-loop lists the branch vertex twice; the second try
-            # finds it banned already.
-            if not banned[c]:
-                set_banned(c, True)
-                tried.append(c)
+            set_banned(c, True)
+            tried.append(c)
         for c in tried:
             set_banned(c, False)
         return answer

@@ -20,7 +20,7 @@ from vecdom import (
     solve_brute,
     write,
 )
-from vecdom.selftest import corpus_instance
+from vecdom.selftest import corpus_instance, run_selftest
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 NO_INSTANCE = "p pvds 2 1 0\nd 1 1\ne 1 2\n"
@@ -213,6 +213,10 @@ class TestSelftest:
     def test_small_run_passes(self, capsys):
         assert cli_main(["selftest", "--count", "25", "--seed", "0"]) == 0
         assert "25 instances sound" in capsys.readouterr().out
+
+    def test_library_refuses_a_negative_count(self):
+        with pytest.raises(ValueError):
+            run_selftest(count=-3)
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -51,6 +51,21 @@ def test_identity_set_uses_every_profile(monkeypatch):
     assert used == set(_PROFILES) | {"pids"}
 
 
+def test_identity_set_outputs_are_pinned():
+    """What the fixpoint makes of every identity-set instance stays as it was.
+
+    The sha256 covers each instance's ``digest_line``: its kernel, event log
+    and stats line.  A change that alters these outputs on purpose updates
+    the pin and lists the changed lines in CHANGES.md; the tool locates
+    which lines differ.
+    """
+    digest = load_digest()
+    h = hashlib.sha256()
+    for name, inst in digest.identity_set(vecdom):
+        h.update(digest.digest_line(vecdom, name, inst).encode())
+    assert h.hexdigest() == "ab0aad551113e9a27fdb895f12dcb1b38d2f71ebcb35938b2a9ca28cc603fe37"
+
+
 def in_slice(name):
     """Corpus seeds 0-999, every ``pids-20`` graph, ``mixed/i`` for i % 8 == 0,
     and ``mixed/47``, the one identity-set run where rule 8 fires."""

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from vecdom import (
     AnnotatedInstance,
+    InvalidInstanceError,
     ParseError,
     ReductionEvent,
     Status,
@@ -15,10 +16,34 @@ from vecdom import (
     replay,
     validate,
 )
+from vecdom.cli import cli_main
 from vecdom.instance import force_into_solution
 from vecdom.toolkit import generate_planar
 
 from conftest import build
+
+
+# A loop at file vertex 2 (id 1), on line 4.
+LOOP_TEXT = "p pvds 3 2 1\nd 1 1\ne 1 2\ne 2 2\n"
+
+
+@pytest.mark.parametrize("entry", ["AnnotatedInstance", "parse", "kernelize", "solve"])
+def test_self_loop_refused_at_every_entry(entry, tmp_path, capsys):
+    # A vertex's demand counts only neighbors in the solution, so a loop
+    # never counts; every way in refuses one.
+    if entry == "AnnotatedInstance":
+        with pytest.raises(InvalidInstanceError) as err:
+            AnnotatedInstance(range(3), [(0, 1), (1, 1)], {0: 1}, budget=1)
+        assert err.value.violations == ["self-loop at 1"]
+    elif entry == "parse":
+        with pytest.raises(ParseError, match="self-loop") as err:
+            parse(LOOP_TEXT)
+        assert err.value.line == 4
+    else:
+        path = tmp_path / "loop.pvds"
+        path.write_text(LOOP_TEXT)
+        assert cli_main([entry, "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestValidate:
@@ -27,7 +52,10 @@ class TestValidate:
         assert validate(inst) == []
 
     def test_self_loop_reported(self):
-        inst = build(2, [(0, 1), (1, 1)])
+        # The constructor refuses loops, so only one written into the
+        # adjacency directly can reach validate.
+        inst = build(2, [(0, 1)])
+        inst._adj[1].add(1)
         assert any("self-loop at 1" in msg for msg in validate(inst))
 
     def test_k5_is_well_formed_but_parse_refuses_it(self):

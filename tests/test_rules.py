@@ -374,13 +374,16 @@ class TestRunFixpoint:
         assert err.value.witness_edges
 
     def test_self_loop_refused_as_invalid(self):
-        inst = build(3, [(0, 1), (1, 2), (1, 1)], {0: 1}, k=1)
         with pytest.raises(InvalidInstanceError):
-            run_fixpoint(inst)
+            build(3, [(0, 1), (1, 2), (1, 1)], {0: 1}, k=1)
 
     def test_certificate_requires_region_rules(self):
         with pytest.raises(ValueError):
             FixpointOptions(kernel_certificate=True, enable_region_rules=False)
+
+    def test_certificate_follows_region_rules_by_default(self):
+        assert FixpointOptions().kernel_certificate is True
+        assert FixpointOptions(enable_region_rules=False).kernel_certificate is False
 
     def test_negative_path_cap_refused(self):
         with pytest.raises(ValueError):

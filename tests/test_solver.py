@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vecdom import (
+    InvalidInstanceError,
     NodeBudgetError,
     OracleLimitError,
     solve_bb,
     solve_brute,
-    validate,
     verify_solution,
 )
 from vecdom.toolkit import generate_planar, make_special_case
@@ -152,21 +152,24 @@ class TestSolveBB:
                 if result.answer:
                     assert verify_solution(inst, result.witness)
 
-    @pytest.mark.parametrize("edges, demand, expected", [
+    @pytest.mark.parametrize("edges, loops, demand, expected", [
         ([(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4),
-          (3, 4), (0, 0), (3, 3), (4, 4)],
-         {1: 1, 3: 2, 4: 1, 5: 1}, (True, [3, 5], 5)),
-        ([(0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (0, 0),
-          (5, 5)],
-         {0: 2, 1: 2, 3: 1, 4: 2, 5: 2}, (False, None, 4)),
+          (3, 4)], [(0, 0), (3, 3), (4, 4)],
+         {1: 1, 3: 2, 4: 1, 5: 1}, (True, [0, 4], 4)),
+        ([(0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], [(0, 0), (5, 5)],
+         {0: 2, 1: 2, 3: 1, 4: 2, 5: 2}, (False, None, 1)),
     ])
-    def test_self_loops_keep_their_search(self, edges, demand, expected):
-        # validate() reports a self-loop, but the API builds such instances
-        # and solve_bb decides them: a loop makes a vertex its own
-        # neighbor.  Without the loops both searches differ.
+    def test_loops_refused_loop_free_graph_decided(self, edges, loops, demand, expected):
+        # A loop never counts toward a demand, so the instance refuses one;
+        # the graph without its loops has the same answer from both solvers.
+        with pytest.raises(InvalidInstanceError, match="self-loop at 0"):
+            build(6, edges + loops, demand, k=2)
         inst = build(6, edges, demand, k=2)
-        assert any("self-loop" in v for v in validate(inst))
-        assert _outcome(solve_bb(inst)) == expected
+        result = solve_bb(inst)
+        assert _outcome(result) == expected
+        assert solve_brute(inst).answer == expected[0]
+        if result.answer:
+            assert verify_solution(inst, result.witness)
 
 
 class TestVerifySolution:
