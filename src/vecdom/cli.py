@@ -1,7 +1,8 @@
 """Command-line driver: kernelize, solve, verify, generate, stats, selftest.
 
 Exit codes: 0 on success (and YES answers), 1 on NO or failed
-verification, 2 on input errors.
+verification, 2 on input errors and on any other failure that gives no
+answer (``main`` prints its traceback to stderr).
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from contextlib import contextmanager
 
 from .instance import VecdomError
 from .planarity import embed
@@ -36,22 +36,12 @@ def _load_instance(path: str):
     return parse(_read(path))
 
 
-@contextmanager
-def _bad_values_are_input_errors():
-    """Report a library's ValueError about a command-line value as an input error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise VecdomError(str(exc)) from None
-
-
 def _fixpoint_options(args) -> FixpointOptions:
-    with _bad_values_are_input_errors():
-        return FixpointOptions(
-            kernel_certificate={"on": True, "off": False}.get(args.kernel_certificate),
-            enable_region_rules=not args.no_region_rules,
-            max_paths_per_pair=args.max_paths_per_pair,
-        )
+    return FixpointOptions(
+        kernel_certificate={"on": True, "off": False}.get(args.kernel_certificate),
+        enable_region_rules=not args.no_region_rules,
+        max_paths_per_pair=args.max_paths_per_pair,
+    )
 
 
 def _witness_text(instance, witness) -> str:
@@ -128,10 +118,9 @@ def _cmd_verify(args) -> int:
 def _cmd_generate(args) -> int:
     if args.k < 0:
         raise VecdomError("--k must be non-negative")
-    with _bad_values_are_input_errors():
-        instance = generate_planar(args.n, args.density, args.seed)
-        if args.profile:
-            instance = make_special_case(instance, args.profile, seed=args.seed)
+    instance = generate_planar(args.n, args.density, args.seed)
+    if args.profile:
+        instance = make_special_case(instance, args.profile, seed=args.seed)
     instance.budget = args.k
     _write_output(write(instance), args.output)
     return 0
@@ -143,12 +132,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    with _bad_values_are_input_errors():
-        checked, failures = run_selftest(
-            count=args.count,
-            seed0=args.seed,
-            progress=lambda done: print(f"checked {done}/{args.count} instances", file=sys.stderr),
-        )
+    checked, failures = run_selftest(
+        count=args.count,
+        seed0=args.seed,
+        progress=lambda done: print(f"checked {done}/{args.count} instances", file=sys.stderr),
+    )
     for msg in failures:
         print(f"FAIL {msg}")
     if failures:
@@ -224,10 +212,21 @@ def cli_main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (VecdomError, OSError) as exc:
+    # The library raises ValueError for a value it cannot take (a bad
+    # command-line number, a file that is not UTF-8): an input error too.
+    except (VecdomError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    """The ``vecdom`` script and ``python -m vecdom``: a crash exits 2, since 1
+    means NO.  :func:`cli_main` lets exceptions through to in-process callers."""
+    try:
+        code = cli_main(sys.argv[1:])
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        code = 2
+    sys.exit(code)

@@ -94,9 +94,6 @@ def classify_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> set[in
     return set()
 
 
-_NO_PATHS = ((), (), ())
-
-
 class RegionIndex:
     """Typed-path interiors and candidate regions of every anchor pair of one embedding.
 
@@ -130,7 +127,7 @@ class RegionIndex:
             and self.rs.describes(instance)
         )
 
-    def _from(self, a1: int) -> dict:
+    def _from(self, a1: int) -> dict[int, list[tuple[int, ...]]]:
         """Interiors of the typed paths from ``a1`` to every vertex above it.
 
         One depth-first search over the sorted neighbor lists walks the
@@ -139,9 +136,10 @@ class RegionIndex:
         type 3 needs a vertex of demand at most one next to an anchor; type
         2 needs a zero-demand middle, inner ends off the far anchors and a
         demand-1 inner end.  A path that cannot become typed is not
-        extended.  The result maps each far anchor to three lists (two-,
-        three- and four-edge interiors), each in lexicographic order, so
-        concatenated they follow ``(len, path)``.
+        extended.  The search emits the interiors of each length in
+        lexicographic order, so a stable sort by length leaves each far
+        anchor's list in ``(len, path)`` order; the far anchors are keys in
+        increasing order.
         """
         found = self._found.get(a1)
         if found is not None:
@@ -150,21 +148,14 @@ class RegionIndex:
         adj = self.instance._adj
         nbrs = self._nbrs
         around_a1 = adj[a1]
-        found = self._found[a1] = {}
-
-        def bucket(v):
-            lists = found.get(v)
-            if lists is None:
-                lists = found[v] = ([], [], [])
-            return lists
-
+        paths: dict[int, list[tuple[int, ...]]] = {}
         for x in nbrs[a1]:
             around_x = adj[x]
             for y in nbrs[x]:
                 if y == a1:
                     continue
                 if y > a1:
-                    bucket(y)[0].append((x,))
+                    paths.setdefault(y, []).append((x,))
                 type3 = d[x] <= 1 or d[y] <= 1
                 deep = d[y] == 0
                 if not (type3 or deep):
@@ -173,26 +164,24 @@ class RegionIndex:
                     if z == a1 or z == x:
                         continue
                     if type3 and z > a1:
-                        bucket(z)[1].append((x, y))
+                        paths.setdefault(z, []).append((x, y))
                     if not deep or z in around_a1 or (d[x] != 1 and d[z] != 1):
                         continue
                     # Excluding the neighbors of x also excludes a1 and y.
                     for w in nbrs[z]:
                         if w > a1 and w != x and w not in around_x:
-                            bucket(w)[2].append((x, y, z))
+                            paths.setdefault(w, []).append((x, y, z))
+        found = self._found[a1] = {a2: sorted(paths[a2], key=len) for a2 in sorted(paths)}
         return found
 
-    def _check(self, *anchors: int) -> None:
-        for a in anchors:
+    def _paths(self, a1: int, a2: int) -> list[tuple[int, ...]]:
+        """All of the pair's typed-path interiors, in ``(len, path)`` order."""
+        for a in (a1, a2):
             if not self.instance.has_vertex(a):
                 raise UnknownVertexError(f"unknown vertex {a}")
-
-    def _by_length(self, a1: int, a2: int):
-        """The pair's two-, three- and four-edge typed-path interiors."""
-        self._check(a1, a2)
         if not a1 < a2:
             raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
-        return self._from(a1).get(a2, _NO_PATHS)
+        return self._from(a1).get(a2, [])
 
     def interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
         """The interiors of the pair's typed paths, in ``(len, path)`` order,
@@ -203,18 +192,18 @@ class RegionIndex:
         type (see :func:`classify_path`): one vertex for type 1, two for
         type 3, three for type 2.
         """
-        interiors = [inner for group in self._by_length(a1, a2) for inner in group]
-        return interiors[: self.max_paths]
+        return self._paths(a1, a2)[: self.max_paths]
 
     def far_ends(self, a1: int) -> list[int]:
-        """The vertices above ``a1`` that at least one typed path joins to it."""
-        self._check(a1)
-        return sorted(self._from(a1))
+        """The vertices above ``a1`` that at least one typed path joins to it,
+        in increasing order."""
+        if not self.instance.has_vertex(a1):
+            raise UnknownVertexError(f"unknown vertex {a1}")
+        return list(self._from(a1))
 
     def capped(self, a1: int, a2: int) -> bool:
         """Whether the cap cut the pair's typed paths."""
-        by_length = self._by_length(a1, a2)
-        return sum(map(len, by_length)) > self.max_paths
+        return len(self._paths(a1, a2)) > self.max_paths
 
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
         """The pair's inclusion-maximal candidate regions.

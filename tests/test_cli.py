@@ -290,6 +290,16 @@ class TestBadNumbers:
     def test_selftest_negative_count(self, capsys):
         self.check(["selftest", "--count", "-3"], capsys)
 
+    @pytest.mark.parametrize("command", ["kernelize", "stats", "solve", "verify"])
+    def test_file_that_is_not_utf8(self, command, yes_file, tmp_path, capsys):
+        bad = tmp_path / "bad.pvds"
+        bad.write_bytes(b"p pvds 1 0 0\n\xff\n")
+        if command == "verify":
+            argv = ["verify", "--input", yes_file, "--witness", str(bad)]
+        else:
+            argv = [command, "--input", str(bad)]
+        self.check(argv, capsys)
+
 
 @st.composite
 def small_instances(draw):
@@ -343,6 +353,26 @@ def test_non_planar_input_is_refused_alike(command, tmp_path, capsys):
     assert refusal.out == "" and "not planar" in refusal.err
     assert cli_main([command[0], "--input", str(source), *command[1:]]) == 2
     assert capsys.readouterr() == refusal
+
+
+def test_crash_exits_2_from_main_only(yes_file, monkeypatch, capsys):
+    """A crash is no answer: ``main`` exits 2 with the traceback on stderr,
+    while ``cli_main`` lets it through to in-process callers."""
+
+    def crash(instance):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(vecdom.cli, "solve_bb", crash)
+    with pytest.raises(RuntimeError):
+        cli_main(["solve", "--input", yes_file])
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["vecdom", "solve", "--input", yes_file])
+    with pytest.raises(SystemExit) as exit_:
+        vecdom.cli.main()
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: solver crashed" in captured.err
 
 
 def test_python_dash_m_runs_the_driver(yes_file):

@@ -348,17 +348,23 @@ class TestRunFixpoint:
         final = report.final_instance
         assert (final.n, final.m, final.budget) == (0, 0, 0)
 
-    def test_kernel_certificate_fires_on_big_rigid_cycle(self):
-        # demand-2 cycle admits no rule, so size alone decides NO
-        n = 203
-        inst = build(n, [(i, (i + 1) % n) for i in range(n)], {v: 2 for v in range(n)}, k=2)
-        report = run_fixpoint(inst)
-        assert report.final_status is Status.DECIDED_NO
-        assert report.rule_fire_counts == {"kernel_bound": 1}
+    @pytest.mark.parametrize("n, fires", [(202, False), (203, True)])
+    def test_kernel_certificate_fires_on_big_rigid_cycle(self, n, fires):
+        # demand-2 cycle admits no rule, so size alone decides NO, and only
+        # once n exceeds KERNEL_FACTOR * k = 101 * 2
+        def cycle():
+            return build(n, [(i, (i + 1) % n) for i in range(n)], {v: 2 for v in range(n)}, k=2)
+
+        report = run_fixpoint(cycle())
+        if fires:
+            assert report.final_status is Status.DECIDED_NO
+            assert report.rule_fire_counts == {"kernel_bound": 1}
+        else:
+            assert report.final_status is Status.OPEN
+            assert report.events == []
         from vecdom import solve_bb
 
-        assert not solve_bb(build(n, [(i, (i + 1) % n) for i in range(n)],
-                                  {v: 2 for v in range(n)}, k=2)).answer
+        assert not solve_bb(cycle()).answer
 
     def test_certificate_off_leaves_open(self):
         n = 203
