@@ -132,7 +132,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     n_unsat = 0
     n_unsat_nbrs = [0] * n
     n_selectable_nbrs = [len(nbrs) for nbrs in adj]
-    stack: list[int] = []
+    picked: list[int] = []
 
     def leave_unsat(v: int) -> None:
         nonlocal n_unsat
@@ -150,7 +150,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
 
     def choose(c: int) -> None:
         chosen[c] = True
-        stack.append(c)
+        picked.append(c)
         if unsat[c]:
             leave_unsat(c)
         for u in adj[c]:
@@ -166,7 +166,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             if res[u] == 1 and not chosen[u]:
                 enter_unsat(u)
         chosen[c] = False
-        stack.pop()
+        picked.pop()
         if res[c] > 0:
             enter_unsat(c)
 
@@ -182,13 +182,12 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if res[v] > 0:
             enter_unsat(v)
 
-    def search() -> frozenset[int] | None:
-        tick()
-        if not n_unsat:
-            return frozenset(ids[c] for c in stack)
-        remaining = budget - len(stack)
+    def branch() -> list[int]:
+        """The candidates to branch on at the current node, or [] when
+        the node is infeasible or pruned."""
+        remaining = budget - len(picked)
         if remaining <= 0:
-            return None
+            return []
 
         # Feasibility, branching choice, total residual demand and the
         # best single gain in one pass.  The branch key (fewest ways to
@@ -206,7 +205,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
                 options = n_selectable_nbrs[v]
                 if banned[v]:
                     if options < r:
-                        return None
+                        return []
                     key = (options - r) * n + v
                 else:
                     key = (options + 1 - r) * n + v
@@ -217,27 +216,41 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             elif not banned[v] and n_unsat_nbrs[v] > best_gain:
                 best_gain = n_unsat_nbrs[v]
         if best_gain == 0:
-            return None
+            return []
         if (deficit + best_gain - 1) // best_gain > remaining:
-            return None
+            return []
 
         branch_v = branch_key % n
-        candidates = ([branch_v] if not banned[branch_v] else []) + [
+        return ([branch_v] if not banned[branch_v] else []) + [
             u for u in adj[branch_v] if not chosen[u] and not banned[u]
         ]
-        tried: list[int] = []
-        answer = None
-        for c in candidates:
-            choose(c)
-            answer = search()
-            unchoose(c)
-            if answer is not None:
-                break
-            set_banned(c, True)
-            tried.append(c)
-        for c in tried:
-            set_banned(c, False)
-        return answer
 
-    witness = search()
-    return SolveResult(witness is not None, witness, nodes)
+    # The search stack: one frame per chosen vertex, holding the node's
+    # candidates and the index of the one chosen now.  The candidates
+    # before that index are banned in the subtree below it.
+    frames: list[list] = []
+    while True:
+        tick()
+        if not n_unsat:
+            return SolveResult(True, frozenset(ids[c] for c in picked), nodes)
+        candidates = branch()
+        if candidates:
+            frames.append([candidates, 0])
+            choose(candidates[0])
+            continue
+        # A dead end: undo choices until a frame has a candidate left.
+        while frames:
+            frame = frames[-1]
+            candidates, i = frame
+            unchoose(candidates[i])
+            set_banned(candidates[i], True)
+            i += 1
+            if i < len(candidates):
+                frame[1] = i
+                choose(candidates[i])
+                break
+            for c in candidates:
+                set_banned(c, False)
+            frames.pop()
+        else:
+            return SolveResult(False, None, nodes)

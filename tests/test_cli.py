@@ -390,3 +390,19 @@ def test_python_dash_m_runs_the_driver(yes_file):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert usage.returncode == 2
+
+
+def test_python_dash_m_solves_a_deep_search(tmp_path):
+    """1100 isolated demand-1 vertices at k = 1100: the search chooses
+    every vertex, one level each, and still answers YES."""
+    n = 1100
+    path = tmp_path / "isolated.pvds"
+    path.write_text(f"p pvds {n} 0 {n}\n" + "".join(f"d {v} 1\n" for v in range(1, n + 1)))
+    src = str(Path(vecdom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "vecdom", "solve", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("YES")

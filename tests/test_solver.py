@@ -122,6 +122,16 @@ class TestSolveBB:
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == "a967c870c9b11a5a404c7194c3ef9e7fbb2ac57ff6fe4286f28e3173b38b807f"
 
+    def test_deep_search_runs_on_an_explicit_stack(self):
+        # Every isolated demand-1 vertex must choose itself, so the search
+        # goes 1100 choices deep, past Python's default recursion limit.
+        n = 1100
+        inst = build(n, demand={v: 1 for v in range(n)}, k=n)
+        result = solve_bb(inst)
+        assert result.answer
+        assert result.witness == frozenset(range(n))
+        assert result.nodes_explored == n + 1
+
     @pytest.mark.parametrize("seed, k", [(0, 7), (0, 8), (1, 9)])
     def test_node_budget_boundary(self, seed, k):
         inst = _maximal_planar(26, "pids", seed)
