@@ -20,6 +20,12 @@ from .instance import AnnotatedInstance, UnknownVertexError, VecdomError, domina
 ORACLE_LIMIT = 18
 
 
+# The scale of solve_bb's dual bound: each selectable vertex's dual
+# constraint holds DUAL_SCALE units.  Any positive value keeps the bound
+# valid; one with many small divisors floors less.
+DUAL_SCALE = 720720
+
+
 class OracleLimitError(VecdomError):
     pass
 
@@ -89,9 +95,19 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     Branching picks the unsatisfied vertex with the fewest remaining ways
     to satisfy it, then tries the vertex itself followed by each eligible
     neighbor, excluding already-tried candidates from later branches.
-    Pruning uses the exact budget plus a degree-style lower bound: one
-    added vertex can discharge at most its own residual demand plus one
-    unit per unsatisfied neighbor.
+    Pruning uses the exact budget and two lower bounds on the vertices
+    still to add.  The degree bound: one added vertex can discharge at
+    most its own residual demand plus one unit per unsatisfied neighbor.
+    Where that does not prune, a greedy dual bound: a feasible solution
+    of the dual of the residual LP (one covering row per unsatisfied
+    vertex, ``x >= 0`` without the ``x <= 1`` caps), built in one pass
+    over the unsatisfied vertices in branch-key order.  By weak duality
+    its value is at most the LP optimum, hence at most the number of
+    vertices any completion adds.  It is computed in integers scaled by
+    ``DUAL_SCALE``, flooring each dual value; flooring only lowers a
+    value, so the dual stays feasible and the bound valid for any
+    positive scale.  Pruning removes only subtrees without a solution,
+    so answers and witnesses are those of the search without the bounds.
 
     The search runs on the vertices relabelled 0..n-1 in id order, so
     ties and candidate order are those of the ids.  It keeps its state
@@ -102,8 +118,9 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     (neither chosen nor banned), plus the unsatisfied count.  Choosing a
     candidate and banning a tried one update these along the candidate's
     adjacency, and backtracking undoes the update exactly.  A node costs
-    one pass over the vertices; the search tree, node count and witness
-    are those of a search that recomputes everything at each node.
+    one pass over the vertices and one over the unsatisfied ones.  The
+    search is depth first on an explicit stack of frames, one per chosen
+    vertex, so its depth is not bounded by Python's recursion limit.
     """
     budget = instance.budget
     nodes = 0
@@ -182,6 +199,40 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if res[v] > 0:
             enter_unsat(v)
 
+    def dual_bound_exceeds(order: list[int], remaining: int) -> bool:
+        """Whether the greedy dual bound exceeds ``remaining``.
+
+        The residual LP has a row ``res[v] * x_v + sum(x_u for selectable
+        u in N(v)) >= res[v]`` per unsatisfied vertex v, the ``x_v`` term
+        only if v is selectable.  In its dual, each selectable vertex's
+        column has a slack of ``DUAL_SCALE`` to share among the ``y`` of
+        the rows it appears in, ``res[v]`` times over in its own row.
+        Each unsatisfied vertex in ``order`` raises its ``y_v`` as far as
+        the least slack left in those columns allows.  A banned v has at
+        least one selectable neighbor, whose slack caps ``y_v``.
+        """
+        slack = [DUAL_SCALE] * n
+        limit = remaining * DUAL_SCALE
+        total = 0
+        for key in order:
+            v = key % n
+            r = res[v]
+            y = DUAL_SCALE if banned[v] else slack[v] // r
+            for u in adj[v]:
+                if slack[u] < y and not chosen[u] and not banned[u]:
+                    y = slack[u]
+            if not y:
+                continue
+            total += r * y
+            if total > limit:
+                return True
+            if not banned[v]:
+                slack[v] -= r * y
+            for u in adj[v]:
+                if not chosen[u] and not banned[u]:
+                    slack[u] -= y
+        return False
+
     def branch() -> list[int]:
         """The candidates to branch on at the current node, or [] when
         the node is infeasible or pruned."""
@@ -189,11 +240,11 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if remaining <= 0:
             return []
 
-        # Feasibility, branching choice, total residual demand and the
-        # best single gain in one pass.  The branch key (fewest ways to
-        # satisfy, then smallest vertex) is packed into one integer,
-        # slack * n + v.
-        branch_key = None
+        # Feasibility, the branch keys, total residual demand and the
+        # best single gain in one pass.  The branch key (fewest options
+        # to spare, then smallest vertex) is packed into one integer,
+        # spare * n + v.
+        keys = []
         deficit = 0
         best_gain = 0
         for v in range(n):
@@ -206,21 +257,22 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
                 if banned[v]:
                     if options < r:
                         return []
-                    key = (options - r) * n + v
+                    keys.append((options - r) * n + v)
                 else:
-                    key = (options + 1 - r) * n + v
+                    keys.append((options + 1 - r) * n + v)
                     if r + n_unsat_nbrs[v] > best_gain:
                         best_gain = r + n_unsat_nbrs[v]
-                if branch_key is None or key < branch_key:
-                    branch_key = key
             elif not banned[v] and n_unsat_nbrs[v] > best_gain:
                 best_gain = n_unsat_nbrs[v]
         if best_gain == 0:
             return []
         if (deficit + best_gain - 1) // best_gain > remaining:
             return []
+        keys.sort()
+        if dual_bound_exceeds(keys, remaining):
+            return []
 
-        branch_v = branch_key % n
+        branch_v = keys[0] % n
         return ([branch_v] if not banned[branch_v] else []) + [
             u for u in adj[branch_v] if not chosen[u] and not banned[u]
         ]

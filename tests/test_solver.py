@@ -13,6 +13,7 @@ from vecdom import (
     solve_brute,
     verify_solution,
 )
+from vecdom.selftest import corpus_instance
 from vecdom.toolkit import generate_planar, make_special_case
 
 from conftest import build
@@ -119,8 +120,9 @@ class TestSolveBB:
                 inst.budget = k
                 rows.append((seed, k, *_outcome(solve_bb(inst))))
         assert sum(row[2] for row in rows) == 49
+        assert sum(row[4] for row in rows) == 7758
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "a967c870c9b11a5a404c7194c3ef9e7fbb2ac57ff6fe4286f28e3173b38b807f"
+        assert digest == "31df0d127a58d9aaffce68c6eafd8b7f25aee64b08ef2f3b7b427e81cf9e07d6"
 
     def test_deep_search_runs_on_an_explicit_stack(self):
         # Every isolated demand-1 vertex must choose itself, so the search
@@ -161,6 +163,27 @@ class TestSolveBB:
                 assert result.answer == solve_brute(inst).answer == (k == opt)
                 if result.answer:
                     assert verify_solution(inst, result.witness)
+
+    @pytest.mark.parametrize("with_forbidden", [False, True])
+    def test_agrees_with_oracle_at_the_optimum_on_the_corpus(self, with_forbidden):
+        # An unsound lower bound prunes a feasible node, which shows as a
+        # NO at k = opt; at k = opt - 1 every bound must fail to find one.
+        for seed in range(500):
+            inst = corpus_instance(seed)
+            if with_forbidden:
+                inst.forbidden = {v for v in inst.vertices if (v + seed) % 4 == 0}
+            inst.budget = inst.n
+            best = solve_brute(inst)
+            if not best.answer:
+                assert not solve_bb(inst).answer, seed
+                continue
+            opt = len(best.witness)
+            for k in (opt - 1, opt):
+                inst.budget = k
+                result = solve_bb(inst)
+                assert result.answer == (k == opt), (seed, k)
+                if result.answer:
+                    assert verify_solution(inst, result.witness), (seed, k)
 
     @pytest.mark.parametrize("edges, loops, demand, expected", [
         ([(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4),
