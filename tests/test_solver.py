@@ -167,7 +167,7 @@ class TestSolveBB:
     @pytest.mark.parametrize("with_forbidden", [False, True])
     def test_agrees_with_oracle_at_the_optimum_on_the_corpus(self, with_forbidden):
         # An unsound lower bound prunes a feasible node, which shows as a
-        # NO at k = opt; at k = opt - 1 every bound must fail to find one.
+        # NO at k = opt.
         for seed in range(500):
             inst = corpus_instance(seed)
             if with_forbidden:
