@@ -65,22 +65,74 @@ from __future__ import annotations
 def kuratowski_edges(vertices, adjacency) -> list[tuple[int, int]]:
     """The edges of a Kuratowski subgraph of a non-planar graph, sorted.
 
-    Tries to delete every edge in turn, vertex by vertex in adjacency
-    order, and keeps it deleted when the rest stays non-planar; the edges
-    that must stay are the witness.
+    The edges are decided one at a time, each at its earlier endpoint in
+    ``vertices`` order, in that endpoint's adjacency order: an edge goes
+    when the graph of the edges kept so far and the edges not decided yet,
+    less that edge, stays non-planar, and is kept otherwise.  The kept
+    edges are the witness, the one networkx's ``get_counterexample``
+    returns.
+
+    Deletion keeps a graph planar, so when the graph stays non-planar
+    without a whole block of consecutive undecided edges, each edge of the
+    block goes when its turn comes; a block is therefore tested whole and
+    split in halves only when its removal leaves a planar graph.  That
+    costs a planarity test per block tested, about two per witness edge
+    and level of halving, instead of one per edge.
     """
-    # Dicts keep the order networkx's graph has: an edge put back goes to
-    # the end of both its endpoints' adjacency, which decides the order
-    # in which the remaining edges are tried.
-    adj = {v: dict.fromkeys(adjacency[v]) for v in vertices}
-    witness = set()
-    for u in vertices:
-        for v in list(adj[u]):
-            del adj[u][v], adj[v][u]
-            if _lr_test(vertices, {x: list(nbrs) for x, nbrs in adj.items()}) is not None:
-                adj[u][v] = adj[v][u] = None
-                witness.add((u, v) if u < v else (v, u))
-    return sorted(witness)
+    position = {v: i for i, v in enumerate(vertices)}
+    order = [
+        (u, v) for u in vertices for v in adjacency[u] if position[v] > position[u]
+    ]
+    kept: list[tuple[int, int]] = []
+    blocks = [(0, len(order))]
+    # (len(kept), stop) of the last graph ``kept + order[stop:]`` found
+    # planar.  A block whose first half all went is tested on that graph
+    # again, so it is split without a test.
+    planar = None
+    while blocks:
+        start, stop = blocks.pop()
+        if (len(kept), stop) != planar:
+            if not _is_planar(kept + order[stop:]):
+                continue
+            planar = (len(kept), stop)
+        if stop - start == 1:
+            kept.append(order[start])
+            continue
+        middle = (start + stop) // 2
+        blocks.append((middle, stop))
+        blocks.append((start, middle))
+    return sorted((u, v) if u < v else (v, u) for u, v in kept)
+
+
+def _is_planar(edges) -> bool:
+    """Whether the graph of ``edges`` is planar.
+
+    Vertices of degree at most one are deleted, and a vertex of degree
+    two is suppressed: its two edges become one, dropped when it is there
+    already.  Neither step changes planarity, so the test runs on what is
+    left when no such vertex remains.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    low = [v for v, nbrs in adj.items() if len(nbrs) <= 2]
+    while low:
+        v = low.pop()
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) > 2:
+            continue
+        del adj[v]
+        for u in nbrs:
+            adj[u].discard(v)
+        if len(nbrs) == 2:
+            u, w = nbrs
+            adj[u].add(w)
+            adj[w].add(u)
+        for u in nbrs:
+            if len(adj[u]) <= 2:
+                low.append(u)
+    return _lr_test(list(adj), {v: list(nbrs) for v, nbrs in adj.items()}) is not None
 
 
 def _lr_test(vertices, adjacency):

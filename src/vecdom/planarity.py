@@ -33,8 +33,8 @@ class StaleEmbeddingError(VecdomError):
 
 # What ``RotationSystem._build`` sets: read before the build, any of them builds it.
 _BUILT = frozenset({
-    "rotation", "_index", "faces", "face_of", "component_of", "component_vertices",
-    "outer_face_of_component", "face_count",
+    "rotation", "_index", "faces", "face_of", "_across", "component_of",
+    "component_vertices", "outer_face_of_component", "face_count",
 })
 
 
@@ -76,6 +76,10 @@ class RotationSystem:
         for fi, face in enumerate(self.faces):
             for dart in face:
                 self.face_of[dart] = fi
+        # Per face, each dart (u, v) as (u, the dart, the face of (v, u)).
+        self._across = tuple(
+            tuple((u, (u, v), self.face_of[(v, u)]) for u, v in face) for face in self.faces
+        )
         self.component_of, self.component_vertices = self._components()
         self._check_euler()
         self.outer_face_of_component = self._outer_faces()
@@ -196,14 +200,12 @@ def _walk_side(rs: RotationSystem, boundary, cycle_darts, start: int, other: int
     component, the vertices of every other component join the side.
     Returns ``None`` at the first vertex ``keep`` refuses.
     """
-    faces = rs.faces
-    face_of = rs.face_of
+    across = rs._across
     seen = {start}
     stack = [start]
     inside: set[int] = set()
     while stack:
-        for dart in faces[stack.pop()]:
-            u, v = dart
+        for u, dart, f in across[stack.pop()]:
             if u not in boundary:
                 if u not in inside:
                     if keep is not None and not keep(u):
@@ -211,14 +213,13 @@ def _walk_side(rs: RotationSystem, boundary, cycle_darts, start: int, other: int
                     inside.add(u)
             elif dart in cycle_darts:
                 continue
-            f = face_of[(v, u)]
             if f not in seen:
                 if f == other:
                     raise AssertionError("cycle does not separate the embedding")
                 seen.add(f)
                 stack.append(f)
     # Face ``start`` lies in the cycle's component.
-    comp = rs.component_of[faces[start][0][0]]
+    comp = rs.component_of[across[start][0][0]]
     if rs.outer_face_of_component[comp] in seen:
         for c, members in rs.component_vertices.items():
             if c == comp:
@@ -246,6 +247,12 @@ def cycle_sides(
     ``keep`` is an optional predicate on vertices: a side holding a vertex
     that ``keep`` refuses comes back as ``None``, and its walk stops at the
     first such vertex.
+
+    One pass over the cycle's steps checks that each is an edge of the
+    embedding and collects the cycle's darts in both directions; the
+    walks cross from a face to the next through the face of each dart's
+    reverse, which ``RotationSystem`` keeps per face, so no dart is looked
+    up.
     """
     cycle = tuple(cycle)
     boundary = set(cycle)
@@ -253,13 +260,14 @@ def cycle_sides(
         raise NotACycleError("a simple cycle needs at least three vertices")
     if len(boundary) != len(cycle):
         raise NotACycleError("cycle repeats a vertex")
-    for v in cycle:
-        if v not in rs.rotation:
-            raise NotACycleError(f"cycle vertex {v} is not embedded")
+    index = rs._index
     cycle_darts = set()
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        if v not in rs._index[u]:
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        around = index.get(u)
+        if around is None or v not in around:
+            for w in (u, v):
+                if w not in index:
+                    raise NotACycleError(f"cycle vertex {w} is not embedded")
             raise NotACycleError(f"cycle step ({u}, {v}) is not an edge")
         cycle_darts.add((u, v))
         cycle_darts.add((v, u))

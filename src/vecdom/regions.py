@@ -117,6 +117,7 @@ class RegionIndex:
         self._nbrs = {v: sorted(nbrs) for v, nbrs in instance._adj.items()}
         self._found: dict[int, dict] = {}
         self._regions: dict[tuple[int, int], list[CandidateRegion]] = {}
+        self._demand_nbrs = None
 
     def describes(self, instance: AnnotatedInstance) -> bool:
         """Whether this index still holds for ``instance``: the same object,
@@ -127,8 +128,10 @@ class RegionIndex:
             and self.rs.describes(instance)
         )
 
-    def _from(self, a1: int) -> dict[int, list[tuple[int, ...]]]:
-        """Interiors of the typed paths from ``a1`` to every vertex above it.
+    def _from(self, a1: int) -> dict[int, tuple[list[tuple[int, ...]], bool]]:
+        """The typed paths from ``a1`` to every vertex above it: per far
+        anchor, the interiors in ``(len, path)`` order cut to the cap, and
+        whether the cap cut them.
 
         One depth-first search over the sorted neighbor lists walks the
         simple paths of two to four edges from ``a1`` and types each one
@@ -171,17 +174,30 @@ class RegionIndex:
                     for w in nbrs[z]:
                         if w > a1 and w != x and w not in around_x:
                             paths.setdefault(w, []).append((x, y, z))
-        found = self._found[a1] = {a2: sorted(paths[a2], key=len) for a2 in sorted(paths)}
+        cap = self.max_paths
+        found = self._found[a1] = {}
+        for a2 in sorted(paths):
+            ordered = sorted(paths[a2], key=len)
+            found[a2] = (ordered[:cap], len(ordered) > cap)
         return found
 
-    def _paths(self, a1: int, a2: int) -> list[tuple[int, ...]]:
-        """All of the pair's typed-path interiors, in ``(len, path)`` order."""
+    def _pair(self, a1: int, a2: int) -> tuple[list[tuple[int, ...]], bool]:
+        """The pair's entry of :meth:`_from`, after checking the pair."""
         for a in (a1, a2):
             if not self.instance.has_vertex(a):
                 raise UnknownVertexError(f"unknown vertex {a}")
         if not a1 < a2:
             raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
-        return self._from(a1).get(a2, [])
+        return self._from(a1).get(a2, ([], False))
+
+    def typed_paths(self, a1: int) -> dict[int, tuple[list[tuple[int, ...]], bool]]:
+        """Every pair ``(a1, a2)`` that a typed path joins, in one read: a
+        dict from ``a2``, in increasing order, to the pair's
+        :meth:`interiors` and :meth:`capped`.  The dict is the index's own;
+        callers must not change it."""
+        if not self.instance.has_vertex(a1):
+            raise UnknownVertexError(f"unknown vertex {a1}")
+        return self._from(a1)
 
     def interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
         """The interiors of the pair's typed paths, in ``(len, path)`` order,
@@ -192,18 +208,11 @@ class RegionIndex:
         type (see :func:`classify_path`): one vertex for type 1, two for
         type 3, three for type 2.
         """
-        return self._paths(a1, a2)[: self.max_paths]
-
-    def far_ends(self, a1: int) -> list[int]:
-        """The vertices above ``a1`` that at least one typed path joins to it,
-        in increasing order."""
-        if not self.instance.has_vertex(a1):
-            raise UnknownVertexError(f"unknown vertex {a1}")
-        return list(self._from(a1))
+        return list(self._pair(a1, a2)[0])
 
     def capped(self, a1: int, a2: int) -> bool:
         """Whether the cap cut the pair's typed paths."""
-        return len(self._paths(a1, a2)) > self.max_paths
+        return self._pair(a1, a2)[1]
 
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
         """The pair's inclusion-maximal candidate regions.
@@ -212,24 +221,63 @@ class RegionIndex:
         a simple cycle; each side of that cycle qualifies when the anchors
         dominate all of its strictly interior vertices.  Among qualifying
         regions only those whose closed vertex set is not strictly
-        contained in another's survive.
+        contained in another's survive.  A pair with fewer than two typed
+        paths under the cap closes no cycle and has none.
         """
         key = (a1, a2)
         regions = self._regions.get(key)
         if regions is None:
             regions = self._regions[key] = _regions(
-                self.instance, self.rs, a1, a2, self.interiors(a1, a2)
+                self.instance, self.rs, a1, a2, self._pair(a1, a2)[0]
             )
         return regions
+
+    def may_color(self, a1: int, a2: int) -> bool:
+        """Whether some region of the pair could have a core vertex of
+        positive demand: a vertex ``w`` off the anchors with demand at least
+        one such that ``w`` and each of its neighbors off the anchors have
+        demand at most their number of adjacent anchors.
+
+        Only the graph and demands are read, not the typed paths, so a pair
+        that fails needs no region built to know that rules 6-8 color
+        nothing in it; :func:`vecdom.rules._region_phase` gives the proof.
+        """
+        d = self.instance.demand
+        by_demand = self._demand_nbrs
+        if by_demand is None:
+            # Per vertex: its neighbors of demand 1, of demand 2, and of
+            # positive demand.
+            by_demand = self._demand_nbrs = {
+                v: (
+                    {x for x in nbrs if d[x] == 1},
+                    {x for x in nbrs if d[x] == 2},
+                    [x for x in nbrs if d[x]],
+                )
+                for v, nbrs in self._nbrs.items()
+            }
+        ones1, twos1, _ = by_demand[a1]
+        ones2, twos2, _ = by_demand[a2]
+        around1, around2 = self.instance._adj[a1], self.instance._adj[a2]
+        # The candidates for w: demand 1 next to an anchor, demand 2 next to both.
+        for w in ones1 | ones2 | (twos1 & twos2):
+            if w == a1 or w == a2:
+                continue
+            for x in by_demand[w][2]:
+                if x != a1 and x != a2 and d[x] > (x in around1) + (x in around2):
+                    break
+            else:
+                return True
+        return False
 
 
 def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
     adj = instance._adj
     d = instance.demand
     anchors = {a1, a2}
+    around1, around2 = adj[a1], adj[a2]
 
     def keep(w):
-        return d[w] <= len(adj[w] & anchors)
+        return d[w] <= (w in around1) + (w in around2)
 
     sides = set()
     for i, pi in enumerate(interiors):

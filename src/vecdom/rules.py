@@ -95,7 +95,8 @@ class FixpointReport:
     max_rounds_hit: bool = False
     final_instance: AnnotatedInstance | None = None
     # The last region phase's index; ``kernel_report`` reuses it while it
-    # still describes the kernel.
+    # still describes the kernel, and builds there the regions of the pairs
+    # that phase skipped because they could not color.
     region_index: RegionIndex | None = field(default=None, repr=False, compare=False)
 
 
@@ -371,7 +372,8 @@ _LOCAL_RULES = {
 def _region_phase(
     instance: AnnotatedInstance, index: RegionIndex
 ) -> tuple[list[ReductionEvent], bool]:
-    """Run rules 6-8 over all maximal candidate regions of ``index``.
+    """Run rules 6-8 over all maximal candidate regions of ``index`` that
+    can color.
 
     The index must describe the instance.  Coloring never touches the
     graph or demands, so the index serves the whole phase.  Regions are
@@ -379,15 +381,39 @@ def _region_phase(
     the coloring arguments replace solution vertices with those, so they
     must remain selectable.  The cap flag covers the pairs whose anchors
     were both selectable when the phase started.
+
+    A pair's regions are built only when the pair has two typed paths
+    under the cap, since one path closes no cycle, and passes
+    ``index.may_color``: some vertex ``w`` off the anchors has demand at
+    least one, and ``w`` and each of its neighbors off the anchors have
+    demand at most their number of adjacent anchors.  Skipping the other
+    pairs loses no event:
+
+    - a region whose core holds no vertex of positive demand makes rules
+      6, 7 and 8 return nothing, whatever the forbidden set: each exempts
+      every vertex ``u`` with ``dominates({u}, core)``, which then holds;
+    - a core vertex is interior, and so passes the dominance test that
+      regions are built with (demand at most the number of adjacent
+      anchors), which ``cycle_sides`` applies to every vertex of a side.
+      It has no internal-boundary neighbor, and a vertex strictly inside
+      a cycle has its neighbors inside or on the cycle, so every neighbor
+      off the anchors is interior and passes the test too.  A core vertex
+      of positive demand is such a ``w``.
+
+    ``kernel_report`` later builds, on the last phase's index, the regions
+    that phase skipped.
     """
-    pairs = [
-        (a1, a2)
-        for a1 in instance.vertices
-        if a1 not in instance.forbidden
-        for a2 in index.far_ends(a1)
-        if a2 not in instance.forbidden
-    ]
-    caps_hit = any(index.capped(a1, a2) for a1, a2 in pairs)
+    pairs = []
+    caps_hit = False
+    for a1 in instance.vertices:
+        if a1 in instance.forbidden:
+            continue
+        for a2, (interiors, capped) in index.typed_paths(a1).items():
+            if a2 in instance.forbidden:
+                continue
+            caps_hit |= capped
+            if len(interiors) > 1 and index.may_color(a1, a2):
+                pairs.append((a1, a2))
 
     events: list[ReductionEvent] = []
     for a1, a2 in pairs:

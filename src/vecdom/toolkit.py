@@ -242,12 +242,14 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
 
     ``instance`` is the original.  The region count and the largest
     candidate-region interior cover every anchor pair of the kernel,
-    forbidden anchors included, at the run's path cap.  A run that
-    stopped at quiescence hands over the index its last region phase
-    built on that graph, and only the pairs the phase skipped are
-    enumerated here.  A fresh index is built when there is none or when
-    it does not describe the kernel: the run was decided, or the reduced
-    graph or demands changed since the index was built.
+    forbidden anchors included, at the run's path cap; a pair with fewer
+    than two typed paths under the cap has no region and is passed over.
+    A run that stopped at quiescence hands over the index its last region
+    phase built on that graph.  That phase built only the pairs that could
+    color, so the regions of every other pair are built here, once per
+    run.  A fresh index is built when there is none or when it does not
+    describe the kernel: the run was decided, or the reduced graph or
+    demands changed since the index was built.
     """
     kernel = kernel_of(report)
     region_count = 0
@@ -256,7 +258,9 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
     if index is None or not index.describes(kernel):
         index = RegionIndex(kernel, embed(kernel), report.max_paths_per_pair)
     for a1 in kernel.vertices:
-        for a2 in index.far_ends(a1):
+        for a2, (interiors, _) in index.typed_paths(a1).items():
+            if len(interiors) < 2:
+                continue
             regions = index.regions(a1, a2)
             region_count += len(regions)
             for region in regions:

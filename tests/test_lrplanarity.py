@@ -1,5 +1,6 @@
 """The built-in left-right planarity test against networkx as the oracle."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import vecdom
 from vecdom import AnnotatedInstance, NonPlanarError, embed
+from vecdom._lrplanarity import _is_planar, _lr_test, kuratowski_edges
 from vecdom.toolkit import generate_planar
 
 nx = pytest.importorskip("networkx")
@@ -117,6 +119,69 @@ def test_witness_equals_networkx_counterexample():
             embed(AnnotatedInstance(vertices, edges))
         expected = nx.algorithms.planarity.get_counterexample(nx_graph(vertices, edges))
         assert err.value.witness_edges == sorted(tuple(sorted(e)) for e in expected.edges())
+
+
+def test_stripped_test_agrees_with_networkx():
+    # The witness search tests graphs after deleting vertices of degree at
+    # most one and suppressing those of degree two.
+    planar = 0
+    for seed in range(400):
+        vertices, edges = seeded_graph(seed)
+        expected = nx.check_planarity(nx_graph(vertices, edges))[0]
+        assert _is_planar(edges) == expected, seed
+        planar += expected
+    assert 100 < planar < 350
+
+
+def one_edge_at_a_time(vertices, adjacency):
+    """The Kuratowski witness by one planarity test per edge: try to delete
+    every edge in turn, vertex by vertex in adjacency order, and keep it
+    deleted when the rest stays non-planar.  An edge put back goes to the
+    end of both endpoints' adjacency, as in a networkx graph."""
+    adj = {v: dict.fromkeys(adjacency[v]) for v in vertices}
+    witness = set()
+    for u in vertices:
+        for v in list(adj[u]):
+            del adj[u][v], adj[v][u]
+            if _lr_test(vertices, {x: list(nbrs) for x, nbrs in adj.items()}) is not None:
+                adj[u][v] = adj[v][u] = None
+                witness.add((u, v) if u < v else (v, u))
+    return sorted(witness)
+
+
+def larger_non_planar_inputs():
+    """Planar graphs on 30-200 vertices with one to three chords added,
+    the first six of them that are not planar."""
+    found = 0
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        n = rng.randint(30, 200)
+        base = generate_planar(n, rng.choice((0.8, 1.0)), seed)
+        edges = base.edges()
+        present = set(edges)
+        for _ in range(rng.randint(1, 3)):
+            u, v = sorted(rng.sample(range(n), 2))
+            if (u, v) not in present:
+                present.add((u, v))
+                edges.append((u, v))
+        if not nx.check_planarity(nx_graph(range(n), edges))[0]:
+            yield seed, AnnotatedInstance(range(n), edges)
+            found += 1
+            if found == 6:
+                return
+
+
+def test_witness_by_blocks_equals_the_one_edge_loop():
+    sizes = []
+    for seed, inst in larger_non_planar_inputs():
+        vertices = inst.vertices
+        adjacency = {v: sorted(inst.neighbors(v)) for v in vertices}
+        with pytest.raises(NonPlanarError) as err:
+            embed(inst)
+        assert err.value.witness_edges == one_edge_at_a_time(vertices, adjacency), seed
+        assert kuratowski_edges(vertices, adjacency) == err.value.witness_edges
+        sizes.append(inst.n)
+    assert min(sizes) < 100 and max(sizes) > 150
 
 
 def test_import_does_not_load_networkx():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vecdom import (
     AnnotatedInstance,
+    CandidateRegion,
     MalformedPathError,
     UnknownVertexError,
     dominates,
@@ -19,11 +20,12 @@ from vecdom import (
     run_fixpoint,
     solve_bb,
     FixpointOptions,
+    cycle_sides,
 )
 from vecdom.regions import RegionIndex, classify_path
 from vecdom.rules import _region_phase
 from vecdom.selftest import corpus_instance, oracle_answer
-from vecdom.toolkit import generate_planar, make_special_case
+from vecdom.toolkit import generate_planar, kernel_report, make_special_case
 
 from conftest import build, worst_case_region_instance
 
@@ -110,7 +112,7 @@ class TestEnumerateBoundaryPaths:
             with pytest.raises(UnknownVertexError):
                 query(*pair)
         with pytest.raises(UnknownVertexError):
-            index.far_ends(max(pair))
+            index.typed_paths(max(pair))
 
     @pytest.mark.parametrize("pair", [(1, 0), (0, 0)])
     def test_unordered_pair_refused(self, pair):
@@ -157,7 +159,7 @@ class TestRegionIndex:
                 expected = brute_typed_interiors(inst, a1, a2)
                 assert index.interiors(a1, a2) == expected[:cap], (seed, a1, a2)
                 assert index.capped(a1, a2) == (len(expected) > cap)
-                assert (a2 in index.far_ends(a1)) == bool(expected)
+                assert (a2 in index.typed_paths(a1)) == bool(expected)
                 if not {a1, a2} & inst.forbidden:
                     phase_caps |= len(expected) > cap
             any_capped |= phase_caps
@@ -189,6 +191,171 @@ class TestRegionIndex:
         inst = cap_probe_instance()
         with pytest.raises(ValueError):
             RegionIndex(inst, embed(inst), -1)
+
+
+def all_pairs_regions(instance, rs, a1, a2, interiors):
+    """The pair's maximal candidate regions by one ``cycle_sides`` call per
+    internally disjoint pair of its typed paths, every side kept whose
+    interior the anchors dominate; the reference for ``RegionIndex``."""
+    adj = instance._adj
+    d = instance.demand
+    anchors = {a1, a2}
+
+    def keep(w):
+        return d[w] <= len(adj[w] & anchors)
+
+    sides = set()
+    for i, pi in enumerate(interiors):
+        for pj in interiors[i + 1:]:
+            if set(pi) & set(pj):
+                continue
+            cycle = (a1, *pi, a2, *reversed(pj))
+            for inside in cycle_sides(rs, cycle, keep):
+                if inside is not None:
+                    sides.add((frozenset(cycle) | inside, inside))
+    maximal = sorted(
+        (
+            (closed, inside)
+            for closed, inside in sides
+            if not any(closed < other for other, _ in sides)
+        ),
+        key=lambda item: (sorted(item[0]), sorted(item[1])),
+    )
+    out = []
+    for closed, inside in maximal:
+        boundary = closed - inside
+        internal_boundary = boundary - anchors
+        high_boundary = frozenset(v for v in internal_boundary if d[v] >= 2)
+        fringe = frozenset(v for v in inside if adj[v] & internal_boundary)
+        crosslinks = frozenset(v for v in closed if len(adj[v] & high_boundary) >= 2)
+        out.append(CandidateRegion(
+            a1, a2, boundary, inside, high_boundary, fringe, inside - fringe, crosslinks,
+        ))
+    return out
+
+
+def two_components(seed):
+    """A triangulation and a sparser planar graph side by side, plus an
+    isolated vertex, with random demands."""
+    a = generate_planar(12, 1.0, seed)
+    b = generate_planar(8, 0.9, 50 + seed)
+    vertices = a.vertices + [a.n + v for v in b.vertices] + [a.n + b.n]
+    edges = a.edges() + [(a.n + u, a.n + v) for u, v in b.edges()]
+    inst = AnnotatedInstance(vertices, edges, {}, budget=4)
+    return make_special_case(inst, "random:2", seed=seed)
+
+
+def region_graphs():
+    """Maximal planar ``pids`` graphs at n=20 with the region benchmark's
+    budget, corpus seeds, graphs of two components, and the two drawn
+    region examples."""
+    for seed in range(4):
+        inst = make_special_case(generate_planar(20, 1.0, seed), "pids")
+        inst.budget = max(5, max(inst.demand.values()))
+        yield f"pids-20/{seed}", inst
+    for seed in range(0, 120, 4):
+        yield f"corpus/{seed}", corpus_instance(seed)
+    for seed in range(4):
+        yield f"two-components/{seed}", two_components(seed)
+    yield "worst-case", worst_case_region_instance()
+    yield "k24", k24_instance()
+
+
+CAPS = (0, 1, 2, 512)
+
+
+class TestRegionsAgainstAllPairs:
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_phase_and_report_regions_equal_the_all_pairs_loop(self, cap):
+        shared = regions_seen = 0
+        for name, inst in region_graphs():
+            rs = embed(inst)
+            index = RegionIndex(inst, rs, cap)
+            # The phase builds some pairs and skips the rest; what the stats
+            # then read is built on demand.
+            _region_phase(inst.copy(), index)
+            for a1, a2 in itertools.combinations(inst.vertices, 2):
+                interiors = index.interiors(a1, a2)
+                expected = all_pairs_regions(inst, rs, a1, a2, interiors)
+                typed = index.typed_paths(a1).get(a2, ([], False))[0]
+                assert typed == interiors
+                built = index.regions(a1, a2) if len(typed) > 1 else []
+                assert built == expected, (name, cap, a1, a2)
+                regions_seen += len(expected)
+                shared += any(
+                    set(pi) & set(pj) for pi, pj in itertools.combinations(interiors, 2)
+                )
+        assert (shared > 50) == (cap > 1)
+        assert (regions_seen > 500) == (cap > 1)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_stats_count_the_regions_of_the_all_pairs_loop(self, cap):
+        for name, inst in region_graphs():
+            report = run_fixpoint(inst.copy(), FixpointOptions(max_paths_per_pair=cap))
+            stats = kernel_report(inst, report)
+            kernel = kernel_of(report)
+            rs = embed(kernel)
+            index = RegionIndex(kernel, rs, cap)
+            regions = [
+                region
+                for a1, a2 in itertools.combinations(kernel.vertices, 2)
+                for region in all_pairs_regions(kernel, rs, a1, a2, index.interiors(a1, a2))
+            ]
+            assert stats.region_count_examined == len(regions), (name, cap)
+            assert stats.max_region_interior == max(
+                (len(r.interior) for r in regions), default=0
+            ), (name, cap)
+
+
+def colorable(inst, region):
+    return any(inst.demand[v] for v in region.core)
+
+
+def event_log(events):
+    """Events as comparable tuples; events compare by identity."""
+    return [
+        (ev.rule_id, ev.removed_vertices, ev.removed_edges, sorted(ev.demand_deltas.items()),
+         ev.budget_delta, ev.newly_blue, ev.status_after)
+        for ev in events
+    ]
+
+
+class TestPhaseSkipsOnlyPairsThatCannotColor:
+    def test_every_region_with_a_demanding_core_passes_the_test(self):
+        demanding = refused_with_regions = 0
+        for name, inst in region_graphs():
+            rs = embed(inst)
+            index = RegionIndex(inst, rs, 512)
+            for a1, a2 in itertools.combinations(inst.vertices, 2):
+                regions = all_pairs_regions(inst, rs, a1, a2, index.interiors(a1, a2))
+                if any(colorable(inst, region) for region in regions):
+                    assert index.may_color(a1, a2), (name, a1, a2)
+                    demanding += 1
+                elif regions and not index.may_color(a1, a2):
+                    refused_with_regions += 1
+        assert demanding > 50 and refused_with_regions > 500
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_accepting_every_pair_changes_no_event(self, cap, monkeypatch):
+        colored = 0
+        for name, inst in region_graphs():
+            outcomes = []
+            for accept_all in (False, True):
+                if accept_all:
+                    monkeypatch.setattr(RegionIndex, "may_color", lambda self, a1, a2: True)
+                phase_inst = inst.copy()
+                events, caps_hit = _region_phase(
+                    phase_inst, RegionIndex(phase_inst, embed(phase_inst), cap)
+                )
+                report = run_fixpoint(inst.copy(), FixpointOptions(max_paths_per_pair=cap))
+                outcomes.append((
+                    event_log(events), caps_hit, event_log(report.events), report.caps_hit,
+                    report.final_instance,
+                ))
+            monkeypatch.undo()
+            assert outcomes[0] == outcomes[1], (name, cap)
+            colored += len(outcomes[0][0])
+        assert (colored > 20) == (cap > 1)
 
 
 class TestEnumerateCandidateRegions:

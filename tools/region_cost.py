@@ -1,0 +1,88 @@
+"""What the region phases and the kernel statistics cost on large triangulations.
+
+    python3 tools/region_cost.py SRC
+
+Imports ``vecdom`` from the source directory ``SRC`` (the ``src/`` of a
+checkout) and, for the maximal planar graphs ``generate_planar(1000, 1.0,
+seed)`` with seeds ``SEEDS`` under the profiles ``PROFILES``, runs
+``run_fixpoint`` at k = opt and then ``kernel_report``.  One row per input
+gives the CPU seconds of each, the regions built (calls of
+``vecdom.regions._regions``, one per anchor pair whose regions are built),
+the ``cycle_sides`` calls, both summed over the fixpoint and the report,
+and the stats line.  Run it on two checkouts to compare them: the stats
+lines must match.
+
+The optimum comes from ``tools/solve_reach.optimum`` (HiGHS through
+scipy), which imports scipy only when called, so this module imports only
+the standard library.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+N = 1000
+PROFILES = ("r:2", "pids")
+SEEDS = (0, 1)
+
+
+def load_optimum():
+    path = Path(__file__).resolve().parent / "solve_reach.py"
+    spec = importlib.util.spec_from_file_location("solve_reach", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.optimum
+
+
+def counting(module, name: str, counts: dict):
+    """Replace ``module.name`` by a wrapper that counts its calls in ``counts[name]``."""
+    real = getattr(module, name)
+    counts[name] = 0
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    setattr(module, name, counted)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/region_cost.py SRC", file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[0])
+    import vecdom
+    import vecdom.regions
+
+    optimum = load_optimum()
+    counts: dict[str, int] = {}
+    counting(vecdom.regions, "_regions", counts)
+    counting(vecdom.regions, "cycle_sides", counts)
+    print(f"run_fixpoint at k = opt, then kernel_report, on generate_planar({N}, 1.0, seed)")
+    print("| profile | seed | k | fixpoint s | report s | region builds | cycle_sides | stats |")
+    print("|---|---|---|---|---|---|---|---|")
+    for profile in PROFILES:
+        for seed in SEEDS:
+            instance = vecdom.make_special_case(vecdom.generate_planar(N, 1.0, seed), profile)
+            instance.budget = optimum(instance)
+            for name in counts:
+                counts[name] = 0
+            start = time.process_time()
+            report = vecdom.run_fixpoint(instance.copy())
+            middle = time.process_time()
+            stats = vecdom.kernel_report(instance, report)
+            end = time.process_time()
+            print(
+                f"| {profile} | {seed} | {instance.budget} | {middle - start:.2f} "
+                f"| {end - middle:.2f} | {counts['_regions']:,} | {counts['cycle_sides']:,} "
+                f"| {vecdom.format_stats(stats)} |",
+                flush=True,
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
