@@ -43,8 +43,9 @@ print("path", top, "types read forward:", classify_path(inst, top, 0, 4),
 # One index per embedding serves every anchor pair, keeping at most 512
 # typed paths per pair (the fixpoint's default cap).
 index = RegionIndex(inst, embed(inst), 512)
-# The index keeps each typed path's interior; its length fixes the type.
-interiors = index.interiors(0, 4)
+# typed_paths(0) maps each far anchor to the interiors of its typed paths
+# and whether the cap cut them; an interior's length fixes the type.
+interiors = index.typed_paths(0)[4][0]
 print(f"{len(interiors)} typed paths between 0 and 4; the two four-edge boundary arcs:")
 for inner in interiors:
     path = (0, *inner, 4)

@@ -42,24 +42,21 @@ class RotationSystem:
     """Planar embedding as per-vertex cyclic neighbor orders, with derived faces.
 
     Faces are tuples of darts (directed edges); every dart belongs to
-    exactly one face.  Immutable.  ``RotationSystem(rotation)`` builds
-    everything at once; ``embed`` returns one that builds its rotation and
-    faces when any of them is first read.  ``describes`` and ``edge_set``
-    read only the vertex and edge sets, which are known from the start.
+    exactly one face.  Immutable.  ``embed`` builds every instance, as
+    ``RotationSystem(adjacency, make_rotation)``: the graph's adjacency is
+    known from the start, and the rotation and faces are built from
+    ``make_rotation()`` when any of them is first read.
+
+    ``adjacency`` maps each vertex to its neighbors in increasing order;
+    ``rotation`` maps it to the same neighbors in their cyclic order in
+    the embedding.  ``adjacency`` is shared with its readers, such as
+    ``RegionIndex``, and must not be changed.  ``describes`` reads only
+    ``adjacency``, so it builds nothing.
     """
 
-    def __init__(self, rotation: dict[int, tuple[int, ...]]):
-        self._build(rotation)
-        self._adjacency = self.rotation
-
-    @classmethod
-    def _deferred(cls, adjacency: dict[int, list[int]], make_rotation) -> RotationSystem:
-        """The embedding of the graph ``adjacency``, whose rotation
-        ``make_rotation()`` gives on first read."""
-        rs = cls.__new__(cls)
-        rs._adjacency = adjacency
-        rs._make_rotation = make_rotation
-        return rs
+    def __init__(self, adjacency: dict[int, list[int]], make_rotation):
+        self.adjacency = adjacency
+        self._make_rotation = make_rotation
 
     def __getattr__(self, name):
         # Reached only for attributes not set yet.
@@ -159,15 +156,17 @@ class RotationSystem:
                 best[c] = (key, fi)
         return {c: fi for c, (key, fi) in best.items()}
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        adjacency = self._adjacency
-        return {(u, v) for u in adjacency for v in adjacency[u] if u < v}
-
     def describes(self, instance: AnnotatedInstance) -> bool:
-        """Whether this embedding still matches the instance's vertices and edges."""
-        if self._adjacency.keys() != instance.vertex_set():
+        """Whether this embedding still matches the instance's vertices and
+        edges: the same vertices, and around each the same neighbors."""
+        adj = instance._adj
+        if self.adjacency.keys() != adj.keys():
             return False
-        return self.edge_set() == set(instance.edges())
+        for v, nbrs in self.adjacency.items():
+            around = adj[v]
+            if len(nbrs) != len(around) or not around.issuperset(nbrs):
+                return False
+        return True
 
 
 def embed(instance: AnnotatedInstance) -> RotationSystem:
@@ -177,8 +176,9 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     order, so a fixed input always yields the same rotation system, the
     one networkx's ``check_planarity`` returns for the graph built in that
     order.  Raises ``NonPlanarError`` with a Kuratowski subgraph otherwise.
-    The test runs here; the embedding phase and the faces wait until the
-    rotation system is first read, and are skipped if it never is.
+    The test runs here, on the sorted adjacency lists that become the
+    result's ``adjacency``; the embedding phase and the faces wait until
+    the rotation system is first read, and are skipped if it never is.
     """
     violations = validate(instance)
     if violations:
@@ -188,7 +188,7 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     state = _lr_test(vertices, adjacency)
     if state is None:
         raise NonPlanarError(kuratowski_edges(vertices, adjacency))
-    return RotationSystem._deferred(adjacency, lambda: _embedding(vertices, *state))
+    return RotationSystem(adjacency, lambda: _embedding(vertices, *state))
 
 
 def _walk_side(rs: RotationSystem, boundary, cycle_darts, start: int, other: int, keep):

@@ -97,12 +97,18 @@ def classify_path(instance: AnnotatedInstance, path, a1: int, a2: int) -> set[in
 class RegionIndex:
     """Typed-path interiors and candidate regions of every anchor pair of one embedding.
 
-    This is the one way to reach typed paths and regions.  Pairs are
-    ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each ``a1`` come
-    from one search, run when the first of its pairs is asked for; a
-    pair's regions are built when first asked for.  Both are kept, so a
-    fixpoint run's last region phase and the kernel statistics that follow
-    it share one enumeration.  Regions do not depend on the forbidden set.
+    This is the one way to reach typed paths and regions: a pair's typed
+    paths through :meth:`typed_paths`, its regions through
+    :meth:`regions`.  Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed
+    paths from each ``a1`` come from one search, run when the first of its
+    pairs is asked for; a pair's regions are built when first asked for.
+    Both are kept, so a fixpoint run's last region phase and the kernel
+    statistics that follow it share one enumeration.  Regions do not
+    depend on the forbidden set.
+
+    The searches walk the embedding's sorted adjacency lists
+    (``rs.adjacency``), which equal the instance's because the
+    constructor refuses an embedding that does not describe it.
     """
 
     def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int):
@@ -114,10 +120,9 @@ class RegionIndex:
         self.rs = rs
         self.max_paths = max_paths
         self._demand = dict(instance.demand)
-        self._nbrs = {v: sorted(nbrs) for v, nbrs in instance._adj.items()}
         self._found: dict[int, dict] = {}
         self._regions: dict[tuple[int, int], list[CandidateRegion]] = {}
-        self._demand_nbrs = None
+        self._by_demand = None
 
     def describes(self, instance: AnnotatedInstance) -> bool:
         """Whether this index still holds for ``instance``: the same object,
@@ -149,7 +154,7 @@ class RegionIndex:
             return found
         d = self.instance.demand
         adj = self.instance._adj
-        nbrs = self._nbrs
+        nbrs = self.rs.adjacency
         around_a1 = adj[a1]
         paths: dict[int, list[tuple[int, ...]]] = {}
         for x in nbrs[a1]:
@@ -181,38 +186,22 @@ class RegionIndex:
             found[a2] = (ordered[:cap], len(ordered) > cap)
         return found
 
-    def _pair(self, a1: int, a2: int) -> tuple[list[tuple[int, ...]], bool]:
-        """The pair's entry of :meth:`_from`, after checking the pair."""
-        for a in (a1, a2):
-            if not self.instance.has_vertex(a):
-                raise UnknownVertexError(f"unknown vertex {a}")
-        if not a1 < a2:
-            raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
-        return self._from(a1).get(a2, ([], False))
-
     def typed_paths(self, a1: int) -> dict[int, tuple[list[tuple[int, ...]], bool]]:
-        """Every pair ``(a1, a2)`` that a typed path joins, in one read: a
-        dict from ``a2``, in increasing order, to the pair's
-        :meth:`interiors` and :meth:`capped`.  The dict is the index's own;
-        callers must not change it."""
+        """The typed paths of the pairs ``(a1, a2)``, in one read: a dict
+        from each ``a2`` above ``a1`` that a typed path joins to it, in
+        increasing order, to the pair's interiors and whether the cap cut
+        them.  A pair that no typed path joins has no entry.  The dict and
+        its lists are the index's own; callers must not change them.
+
+        An interior is the tuple of a path's vertices strictly between
+        ``a1`` and ``a2``, read from ``a1``.  A pair's interiors come in
+        ``(len, path)`` order, cut to the cap.  An interior's length fixes
+        the path's type (see :func:`classify_path`): one vertex for type 1,
+        two for type 3, three for type 2.
+        """
         if not self.instance.has_vertex(a1):
             raise UnknownVertexError(f"unknown vertex {a1}")
         return self._from(a1)
-
-    def interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
-        """The interiors of the pair's typed paths, in ``(len, path)`` order,
-        cut to the cap.
-
-        An interior is the tuple of a path's vertices strictly between
-        ``a1`` and ``a2``, read from ``a1``.  Its length fixes the path's
-        type (see :func:`classify_path`): one vertex for type 1, two for
-        type 3, three for type 2.
-        """
-        return list(self._pair(a1, a2)[0])
-
-    def capped(self, a1: int, a2: int) -> bool:
-        """Whether the cap cut the pair's typed paths."""
-        return self._pair(a1, a2)[1]
 
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
         """The pair's inclusion-maximal candidate regions.
@@ -223,13 +212,20 @@ class RegionIndex:
         regions only those whose closed vertex set is not strictly
         contained in another's survive.  A pair with fewer than two typed
         paths under the cap closes no cycle and has none.
+
+        An anchor that is not a vertex raises ``UnknownVertexError``, and
+        then a pair without ``a1 < a2`` raises ``MalformedPathError``.
         """
         key = (a1, a2)
         regions = self._regions.get(key)
         if regions is None:
-            regions = self._regions[key] = _regions(
-                self.instance, self.rs, a1, a2, self._pair(a1, a2)[0]
-            )
+            for a in key:
+                if not self.instance.has_vertex(a):
+                    raise UnknownVertexError(f"unknown vertex {a}")
+            if not a1 < a2:
+                raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
+            interiors = self._from(a1).get(a2, ([], False))[0]
+            regions = self._regions[key] = _regions(self.instance, self.rs, a1, a2, interiors)
         return regions
 
     def may_color(self, a1: int, a2: int) -> bool:
@@ -243,17 +239,17 @@ class RegionIndex:
         nothing in it; :func:`vecdom.rules._region_phase` gives the proof.
         """
         d = self.instance.demand
-        by_demand = self._demand_nbrs
+        by_demand = self._by_demand
         if by_demand is None:
             # Per vertex: its neighbors of demand 1, of demand 2, and of
             # positive demand.
-            by_demand = self._demand_nbrs = {
+            by_demand = self._by_demand = {
                 v: (
                     {x for x in nbrs if d[x] == 1},
                     {x for x in nbrs if d[x] == 2},
                     [x for x in nbrs if d[x]],
                 )
-                for v, nbrs in self._nbrs.items()
+                for v, nbrs in self.rs.adjacency.items()
             }
         ones1, twos1, _ = by_demand[a1]
         ones2, twos2, _ = by_demand[a2]

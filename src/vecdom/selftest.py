@@ -51,7 +51,6 @@ class InstanceRecord:
     brute_answer: bool
     report_on: FixpointReport
     report_off: FixpointReport
-    phi_initial: int
     event_failures: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
@@ -91,7 +90,6 @@ def evaluate_instance(
         brute_answer=brute,
         report_on=report_on,
         report_off=report_off,
-        phi_initial=potential(original),
     )
 
     _check_event_chain(record, oracle_limit)
@@ -103,9 +101,10 @@ def evaluate_instance(
                 f"kernel answer with region rules {label} is {got}, oracle says {brute}"
             )
 
-    if len(report_on.events) > record.phi_initial:
+    phi_initial = potential(original)
+    if len(report_on.events) > phi_initial:
         record.failures.append(
-            f"{len(report_on.events)} events exceed the potential {record.phi_initial}"
+            f"{len(report_on.events)} events exceed the potential {phi_initial}"
         )
 
     replayed = replay(original.copy(), report_on.events)

@@ -147,8 +147,8 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     banned = [False] * n
     unsat = [False] * n
     n_unsat = 0
-    n_unsat_nbrs = [0] * n
-    n_selectable_nbrs = [len(nbrs) for nbrs in adj]
+    unsat_around = [0] * n
+    selectable_around = [len(around) for around in adj]
     picked: list[int] = []
 
     def leave_unsat(v: int) -> None:
@@ -156,14 +156,14 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         unsat[v] = False
         n_unsat -= 1
         for u in adj[v]:
-            n_unsat_nbrs[u] -= 1
+            unsat_around[u] -= 1
 
     def enter_unsat(v: int) -> None:
         nonlocal n_unsat
         unsat[v] = True
         n_unsat += 1
         for u in adj[v]:
-            n_unsat_nbrs[u] += 1
+            unsat_around[u] += 1
 
     def choose(c: int) -> None:
         chosen[c] = True
@@ -171,14 +171,14 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if unsat[c]:
             leave_unsat(c)
         for u in adj[c]:
-            n_selectable_nbrs[u] -= 1
+            selectable_around[u] -= 1
             res[u] -= 1
             if unsat[u] and not res[u]:
                 leave_unsat(u)
 
     def unchoose(c: int) -> None:
         for u in adj[c]:
-            n_selectable_nbrs[u] += 1
+            selectable_around[u] += 1
             res[u] += 1
             if res[u] == 1 and not chosen[u]:
                 enter_unsat(u)
@@ -191,7 +191,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         banned[c] = value
         step = -1 if value else 1
         for u in adj[c]:
-            n_selectable_nbrs[u] += step
+            selectable_around[u] += step
 
     for v, vid in enumerate(ids):
         if vid in instance.forbidden:
@@ -253,17 +253,17 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             if unsat[v]:
                 r = res[v]
                 deficit += r
-                options = n_selectable_nbrs[v]
+                options = selectable_around[v]
                 if banned[v]:
                     if options < r:
                         return []
                     keys.append((options - r) * n + v)
                 else:
                     keys.append((options + 1 - r) * n + v)
-                    if r + n_unsat_nbrs[v] > best_gain:
-                        best_gain = r + n_unsat_nbrs[v]
-            elif not banned[v] and n_unsat_nbrs[v] > best_gain:
-                best_gain = n_unsat_nbrs[v]
+                    if r + unsat_around[v] > best_gain:
+                        best_gain = r + unsat_around[v]
+            elif not banned[v] and unsat_around[v] > best_gain:
+                best_gain = unsat_around[v]
         if best_gain == 0:
             return []
         if (deficit + best_gain - 1) // best_gain > remaining:

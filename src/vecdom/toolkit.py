@@ -196,13 +196,13 @@ def make_special_case(
     max(0, degree - t), so deleting the solution leaves every survivor
     with at most ``t`` neighbors; ``random:<max>`` independent uniform
     demands in 0..max, drawn in vertex order from ``random.Random(seed)``.
-    ``pids`` is the alpha=1/2 case and takes no number.  Names are case
-    blind and blanks around the name and the number are ignored.
+    ``pids`` is the alpha=1/2 case and takes no colon or number.  Names
+    are case blind and blanks around the name and the number are ignored.
     """
-    name, _, arg = profile.partition(":")
+    name, colon, arg = profile.partition(":")
     name = name.strip().lower()
     if name == "pids":
-        if arg:
+        if colon:
             raise ValueError("pids takes no argument")
         name, arg = "alpha", "1/2"
     if name not in _PROFILES:

@@ -12,7 +12,6 @@ from vecdom import (
     AnnotatedInstance,
     NonPlanarError,
     NotACycleError,
-    RotationSystem,
     cycle_sides,
     embed,
 )
@@ -117,14 +116,22 @@ EMBEDDING_FIELDS = (
 )
 
 
+def rotation_edges(rs):
+    return {(u, v) for u, around in rs.rotation.items() for v in around if u < v}
+
+
 class TestEmbeddingOnFirstRead:
     def test_same_embedding_as_one_built_at_once(self):
         for inst in seeded_graphs():
-            eager = RotationSystem(embed(inst).rotation)
+            whole = embed(inst)
+            for name in EMBEDDING_FIELDS:
+                getattr(whole, name)
             for name in EMBEDDING_FIELDS:
                 # Each field read first, on an embedding not built yet.
-                assert getattr(embed(inst), name) == getattr(eager, name), (inst.n, name)
-            assert embed(inst).edge_set() == eager.edge_set() == set(inst.edges())
+                assert getattr(embed(inst), name) == getattr(whole, name), (inst.n, name)
+            assert rotation_edges(embed(inst)) == set(inst.edges())
+            # The adjacency holds the rotation's neighbors, in increasing order.
+            assert embed(inst).adjacency == {v: sorted(whole.rotation[v]) for v in inst.vertices}
 
     def test_built_once_and_only_when_read(self, monkeypatch):
         built = []
@@ -134,7 +141,8 @@ class TestEmbeddingOnFirstRead:
         )
         inst = generate_planar(30, 0.8, seed=4)
         rs = embed(inst)
-        assert rs.describes(inst) and rs.edge_set() == set(inst.edges())
+        assert rs.describes(inst)
+        assert rs.adjacency == {v: sorted(inst.neighbors(v)) for v in inst.vertices}
         assert built == []
         for name in EMBEDDING_FIELDS:
             getattr(rs, name)
@@ -152,8 +160,13 @@ class TestEmbeddingOnFirstRead:
             before = [rs.describes(other) for other in others]
             rs.faces
             after = [rs.describes(other) for other in others]
-            eager = [RotationSystem(rs.rotation).describes(other) for other in others]
-            assert before == after == eager == [True, inst.m == 0, False], inst.n
+            # Read off the rotation: the same vertices and the same edges.
+            same_graph = [
+                other.vertex_set() == rs.rotation.keys()
+                and set(other.edges()) == rotation_edges(rs)
+                for other in others
+            ]
+            assert before == after == same_graph == [True, inst.m == 0, False], inst.n
 
     def test_unknown_attribute_still_raises(self):
         rs = embed(build(3, [(0, 1), (1, 2)]))

@@ -39,6 +39,11 @@ def index_of(inst, cap=512):
     return RegionIndex(inst, embed(inst), cap)
 
 
+def interiors_of(index, a1, a2):
+    """The pair's typed-path interiors, read through ``typed_paths``."""
+    return index.typed_paths(a1).get(a2, ([], False))[0]
+
+
 def path_types(inst, a1, a2, inner):
     """The types of the path ``a1, *inner, a2`` read from either end."""
     path = (a1, *inner, a2)
@@ -72,21 +77,21 @@ class TestClassifyPath:
 
 
 class TestEnumerateBoundaryPaths:
-    """Typed-path interiors of one anchor pair, read through ``RegionIndex.interiors``."""
+    """Typed-path interiors of one anchor pair, read through ``RegionIndex.typed_paths``."""
 
     def test_plain_adjacency_is_not_typed(self):
         inst = build(2, [(0, 1)])
-        assert index_of(inst).interiors(0, 1) == []
+        assert interiors_of(index_of(inst), 0, 1) == []
 
     def test_two_common_neighbors_two_type_one_paths(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        interiors = index_of(inst).interiors(0, 1)
+        interiors = interiors_of(index_of(inst), 0, 1)
         assert len(interiors) == 2
         assert all(path_types(inst, 0, 1, inner) == {1} for inner in interiors)
 
     def test_worst_case_boundary_paths_found_both_ways(self):
         inst = worst_case_region_instance()
-        interiors = index_of(inst).interiors(0, 4)
+        interiors = interiors_of(index_of(inst), 0, 4)
         four_edge = {inner for inner in interiors if len(inner) == 3}
         assert (1, 2, 3) in four_edge   # typed only when read from anchor 4
         assert (7, 6, 5) in four_edge
@@ -95,31 +100,29 @@ class TestEnumerateBoundaryPaths:
     def test_deterministic_order(self):
         inst = generate_planar(12, 0.9, 3)
         a, b = inst.vertices[0], inst.vertices[5]
-        assert index_of(inst).interiors(a, b) == index_of(inst).interiors(a, b)
+        assert interiors_of(index_of(inst), a, b) == interiors_of(index_of(inst), a, b)
 
     def test_negative_cap_refused(self):
         inst = cap_probe_instance()
-        interiors = index_of(inst).interiors(0, 2)
+        interiors = interiors_of(index_of(inst), 0, 2)
         assert len(interiors) == 14
-        assert index_of(inst, 13).interiors(0, 2) == interiors[:13]
+        assert interiors_of(index_of(inst, 13), 0, 2) == interiors[:13]
         with pytest.raises(ValueError):
             index_of(inst, -1)
 
     @pytest.mark.parametrize("pair", [(99, 0), (0, 99)])
     def test_unknown_anchor_refused(self, pair):
         index = index_of(cap_probe_instance())
-        for query in (index.interiors, index.capped, index.regions):
-            with pytest.raises(UnknownVertexError):
-                query(*pair)
+        with pytest.raises(UnknownVertexError):
+            index.regions(*pair)
         with pytest.raises(UnknownVertexError):
             index.typed_paths(max(pair))
 
     @pytest.mark.parametrize("pair", [(1, 0), (0, 0)])
     def test_unordered_pair_refused(self, pair):
         index = index_of(cap_probe_instance())
-        for query in (index.interiors, index.capped, index.regions):
-            with pytest.raises(MalformedPathError):
-                query(*pair)
+        with pytest.raises(MalformedPathError):
+            index.regions(*pair)
 
 
 def brute_typed_interiors(inst, a1, a2):
@@ -157,9 +160,11 @@ class TestRegionIndex:
             phase_caps = False
             for a1, a2 in itertools.combinations(inst.vertices, 2):
                 expected = brute_typed_interiors(inst, a1, a2)
-                assert index.interiors(a1, a2) == expected[:cap], (seed, a1, a2)
-                assert index.capped(a1, a2) == (len(expected) > cap)
-                assert (a2 in index.typed_paths(a1)) == bool(expected)
+                entry = index.typed_paths(a1).get(a2)
+                assert (entry is not None) == bool(expected)
+                interiors, capped = entry or ([], False)
+                assert interiors == expected[:cap], (seed, a1, a2)
+                assert capped == (len(expected) > cap)
                 if not {a1, a2} & inst.forbidden:
                     phase_caps |= len(expected) > cap
             any_capped |= phase_caps
@@ -175,7 +180,7 @@ class TestRegionIndex:
             inst = seeded_instance_with_forbidden(seed)
             index = index_of(inst)
             for a1, a2 in itertools.combinations(inst.vertices, 2):
-                for inner in index.interiors(a1, a2):
+                for inner in interiors_of(index, a1, a2):
                     assert path_types(inst, a1, a2, inner) == expected[len(inner)], (seed, inner)
 
     def test_regions_match_the_single_pair_enumeration(self):
@@ -275,11 +280,9 @@ class TestRegionsAgainstAllPairs:
             # then read is built on demand.
             _region_phase(inst.copy(), index)
             for a1, a2 in itertools.combinations(inst.vertices, 2):
-                interiors = index.interiors(a1, a2)
+                interiors = interiors_of(index, a1, a2)
                 expected = all_pairs_regions(inst, rs, a1, a2, interiors)
-                typed = index.typed_paths(a1).get(a2, ([], False))[0]
-                assert typed == interiors
-                built = index.regions(a1, a2) if len(typed) > 1 else []
+                built = index.regions(a1, a2) if len(interiors) > 1 else []
                 assert built == expected, (name, cap, a1, a2)
                 regions_seen += len(expected)
                 shared += any(
@@ -299,7 +302,7 @@ class TestRegionsAgainstAllPairs:
             regions = [
                 region
                 for a1, a2 in itertools.combinations(kernel.vertices, 2)
-                for region in all_pairs_regions(kernel, rs, a1, a2, index.interiors(a1, a2))
+                for region in all_pairs_regions(kernel, rs, a1, a2, interiors_of(index, a1, a2))
             ]
             assert stats.region_count_examined == len(regions), (name, cap)
             assert stats.max_region_interior == max(
@@ -327,7 +330,7 @@ class TestPhaseSkipsOnlyPairsThatCannotColor:
             rs = embed(inst)
             index = RegionIndex(inst, rs, 512)
             for a1, a2 in itertools.combinations(inst.vertices, 2):
-                regions = all_pairs_regions(inst, rs, a1, a2, index.interiors(a1, a2))
+                regions = all_pairs_regions(inst, rs, a1, a2, interiors_of(index, a1, a2))
                 if any(colorable(inst, region) for region in regions):
                     assert index.may_color(a1, a2), (name, a1, a2)
                     demanding += 1
@@ -547,6 +550,18 @@ class TestEmbeddingFreshness:
         inst.delete_edge(8, 1)
         with pytest.raises(StaleEmbeddingError):
             RegionIndex(inst, rs, 512)
+
+    def test_same_degrees_other_edges_rejected(self):
+        from vecdom import StaleEmbeddingError
+
+        # The 4-cycles 0-1-2-3-0 and 0-2-1-3-0: the same vertices and the
+        # same degrees, but not the same edges.
+        c4 = build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        swapped = build(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        assert embed(c4).describes(c4)
+        assert not embed(c4).describes(swapped)
+        with pytest.raises(StaleEmbeddingError):
+            RegionIndex(swapped, embed(c4), 512)
 
 
 class TestRegionRulesInsideFixpoint:

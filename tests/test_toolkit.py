@@ -207,6 +207,7 @@ class TestMakeSpecialCase:
     @pytest.mark.parametrize("profile, message", [
         ("pids:1", "pids takes no argument"),
         ("pids: ", "pids takes no argument"),
+        ("pids:", "pids takes no argument"),
         ("alpha:1/0", "profile 'alpha:1/0' needs a number after ':'"),
         ("r:x", "profile 'r:x' needs a number after ':'"),
         ("r", "profile 'r' needs a number after ':'"),
