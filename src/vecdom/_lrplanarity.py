@@ -18,7 +18,10 @@ What differs is only the representation:
   shares its default ``Interval`` objects between instances);
 - the embedding keeps ``cw``/``ccw`` links per vertex plus the leftmost
   neighbour that ``PlanarEmbedding.add_half_edge`` tracks, instead of a
-  ``PlanarEmbedding``.
+  ``PlanarEmbedding``;
+- the embedding phase also returns its ``cw`` links and each vertex's
+  DFS root, and resolves sides on copies of ``ref``, ``side`` and the
+  nesting depths, so it can run twice on one test's result.
 
 Edges are tuples ``(v, w)`` oriented from ``v`` to ``w``.
 
@@ -338,7 +341,16 @@ def _lr_test(vertices, adjacency):
 
 
 def _embedding(vertices, roots, parent_edge, succ, nesting, ref, side):
-    """Resolve sides, then build the rotation of every vertex."""
+    """Resolve sides, then build the rotation of every vertex.
+
+    Returns ``rotation``, where ``rotation[v]`` lists ``v``'s neighbours
+    clockwise from the leftmost one; the links ``cw``, where ``cw[v][u]``
+    is the neighbour after ``u`` in it; and the root of each vertex's DFS
+    tree.  The trees are the components, each rooted at its first vertex
+    in ``vertices`` order.  The inputs are left unchanged, so the phase
+    can run on them more than once.
+    """
+    nesting, ref, side = dict(nesting), dict(ref), dict(side)
 
     def sign(e):
         chain = []
@@ -443,4 +455,9 @@ def _embedding(vertices, roots, parent_edge, succ, nesting, ref, side):
             out.append(cur)
             cur = cwv[cur]
         rotation[v] = tuple(out)
-    return rotation
+
+    # ``parent_edge`` holds the vertices in discovery order, each after its parent.
+    root_of = {}
+    for v, e in parent_edge.items():
+        root_of[v] = v if e is None else root_of[e[0]]
+    return rotation, cw, root_of

@@ -31,21 +31,15 @@ class StaleEmbeddingError(VecdomError):
     pass
 
 
-# What ``RotationSystem._build`` sets: read before the build, any of them builds it.
-_BUILT = frozenset({
-    "rotation", "_index", "faces", "face_of", "_across", "component_of",
-    "component_vertices", "outer_face_of_component", "face_count",
-})
-
-
 class RotationSystem:
     """Planar embedding as per-vertex cyclic neighbor orders, with derived faces.
 
     Faces are tuples of darts (directed edges); every dart belongs to
     exactly one face.  Immutable.  ``embed`` builds every instance, as
-    ``RotationSystem(adjacency, make_rotation)``: the graph's adjacency is
-    known from the start, and the rotation and faces are built from
-    ``make_rotation()`` when any of them is first read.
+    ``RotationSystem(adjacency, make_embedding)``: the graph's adjacency
+    is known from the start, and the rotation, faces and components are
+    built from ``make_embedding()``, the planarity test's embedding phase,
+    when any of them is first read.
 
     ``adjacency`` maps each vertex to its neighbors in increasing order;
     ``rotation`` maps it to the same neighbors in their cyclic order in
@@ -54,81 +48,56 @@ class RotationSystem:
     ``adjacency``, so it builds nothing.
     """
 
-    def __init__(self, adjacency: dict[int, list[int]], make_rotation):
+    def __init__(self, adjacency: dict[int, list[int]], make_embedding):
         self.adjacency = adjacency
-        self._make_rotation = make_rotation
+        self._make_embedding = make_embedding
 
     def __getattr__(self, name):
-        # Reached only for attributes not set yet.
-        if name in _BUILT and "_make_rotation" in self.__dict__:
-            self._build(self.__dict__.pop("_make_rotation")())
+        """Build the embedding on the first read of an attribute not set yet.
+
+        Python calls this only for names the instance does not hold, so a
+        read after the build that reaches it names no attribute and
+        raises.  Dunder names never build: ``copy`` and ``pickle`` look
+        them up on instances, and copying an embedding must not build it.
+        """
+        make = None if name.startswith("__") else self.__dict__.pop("_make_embedding", None)
+        if make is not None:
+            self._build(*make())
             return getattr(self, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
-    def _build(self, rotation: dict[int, tuple[int, ...]]) -> None:
-        self.rotation = {v: tuple(nbrs) for v, nbrs in sorted(rotation.items())}
-        self._index = {v: {u: i for i, u in enumerate(nbrs)} for v, nbrs in self.rotation.items()}
-        self.faces = self._trace_faces()
-        self.face_of = {}
-        for fi, face in enumerate(self.faces):
-            for dart in face:
-                self.face_of[dart] = fi
+    def _build(self, rotation, successor, component_of) -> None:
+        # ``successor[v][u]`` is the neighbor after ``u`` in ``rotation[v]``,
+        # so the dart after (u, v) on its face is (v, successor[v][u]).
+        self.rotation = rotation
+        self._successor = successor
+        faces = []
+        face_of = self.face_of = {}
+        for u, around in rotation.items():
+            for v in around:
+                if (u, v) in face_of:
+                    continue
+                walk = []
+                a, b = u, v
+                while (a, b) not in face_of:
+                    face_of[(a, b)] = len(faces)
+                    walk.append((a, b))
+                    a, b = b, successor[b][a]
+                faces.append(tuple(walk))
+        self.faces = tuple(faces)
         # Per face, each dart (u, v) as (u, the dart, the face of (v, u)).
         self._across = tuple(
-            tuple((u, (u, v), self.face_of[(v, u)]) for u, v in face) for face in self.faces
+            tuple((u, (u, v), face_of[(v, u)]) for u, v in face) for face in self.faces
         )
-        self.component_of, self.component_vertices = self._components()
+        self.component_of = component_of
+        groups: dict[int, list[int]] = {}
+        for v in rotation:
+            groups.setdefault(component_of[v], []).append(v)
+        self.component_vertices = {c: tuple(members) for c, members in groups.items()}
         self._check_euler()
         self.outer_face_of_component = self._outer_faces()
         edge_comps = len(self.outer_face_of_component)
         self.face_count = len(self.faces) - edge_comps + 1
-
-    # The successor dart of (u, v) starts at v and leaves toward the
-    # neighbor after u in v's cyclic order; iterating this rule walks the
-    # boundary of one face.
-    def _next_dart(self, u: int, v: int) -> tuple[int, int]:
-        nbrs = self.rotation[v]
-        i = self._index[v][u]
-        return (v, nbrs[(i + 1) % len(nbrs)])
-
-    def _trace_faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        faces = []
-        seen = set()
-        for u in self.rotation:
-            for v in self.rotation[u]:
-                start = (u, v)
-                if start in seen:
-                    continue
-                walk = []
-                dart = start
-                while True:
-                    walk.append(dart)
-                    seen.add(dart)
-                    dart = self._next_dart(*dart)
-                    if dart == start:
-                        break
-                faces.append(tuple(walk))
-        return tuple(faces)
-
-    def _components(self) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
-        comp = {}
-        members = {}
-        for v in self.rotation:
-            if v in comp:
-                continue
-            cid = v
-            stack = [v]
-            comp[v] = cid
-            found = [v]
-            while stack:
-                x = stack.pop()
-                for y in self.rotation[x]:
-                    if y not in comp:
-                        comp[y] = cid
-                        stack.append(y)
-                        found.append(y)
-            members[cid] = tuple(sorted(found))
-        return comp, members
 
     def _check_euler(self) -> None:
         stats: dict[int, list[int]] = {}
@@ -177,8 +146,10 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     one networkx's ``check_planarity`` returns for the graph built in that
     order.  Raises ``NonPlanarError`` with a Kuratowski subgraph otherwise.
     The test runs here, on the sorted adjacency lists that become the
-    result's ``adjacency``; the embedding phase and the faces wait until
-    the rotation system is first read, and are skipped if it never is.
+    result's ``adjacency``; the embedding phase, the faces and the
+    components wait until the rotation system is first read, and are
+    skipped if it never is.  The components are the test's DFS trees,
+    each named by its smallest vertex, its root.
     """
     violations = validate(instance)
     if violations:
@@ -260,13 +231,13 @@ def cycle_sides(
         raise NotACycleError("a simple cycle needs at least three vertices")
     if len(boundary) != len(cycle):
         raise NotACycleError("cycle repeats a vertex")
-    index = rs._index
+    successor = rs._successor
     cycle_darts = set()
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        around = index.get(u)
+        around = successor.get(u)
         if around is None or v not in around:
             for w in (u, v):
-                if w not in index:
+                if w not in successor:
                     raise NotACycleError(f"cycle vertex {w} is not embedded")
             raise NotACycleError(f"cycle step ({u}, {v}) is not an edge")
         cycle_darts.add((u, v))

@@ -60,7 +60,7 @@ def parse(text: str) -> AnnotatedInstance:
                 n, m, k = int(parts[2]), int(parts[3]), int(parts[4])
             except ValueError:
                 raise ParseError("header counts must be integers", ln) from None
-            if n < 0 or m < 0:
+            if n < 0 or m < 0 or k < 0:
                 raise ParseError("negative counts in header", ln)
             continue
         if n is None:

@@ -14,7 +14,7 @@ from vecdom import AnnotatedInstance, NonPlanarError, embed
 from vecdom._lrplanarity import _is_planar, _lr_test, kuratowski_edges
 from vecdom.toolkit import generate_planar
 
-nx = pytest.importorskip("networkx")
+nx = pytest.importorskip("networkx", exc_type=ImportError)
 
 BLOCKS, BLOCK = 8, 250  # 2000 seeded graphs
 

@@ -1,5 +1,6 @@
 """Embeddings: planarity certification, face traversal, cycle sides."""
 
+import copy
 import itertools
 import random
 
@@ -173,6 +174,39 @@ class TestEmbeddingOnFirstRead:
         with pytest.raises(AttributeError):
             rs.no_such_field
         assert rs.face_count == 1
+
+
+class TestBuildRule:
+    def test_copies_build_nothing_and_unknown_names_raise(self, monkeypatch):
+        built = []
+        real = vecdom.planarity._embedding
+        monkeypatch.setattr(
+            vecdom.planarity, "_embedding", lambda *a: built.append(1) or real(*a)
+        )
+        rs = embed(generate_planar(30, 0.8, seed=4))
+        shallow, deep = copy.copy(rs), copy.deepcopy(rs)
+        assert built == []
+        assert shallow.adjacency == deep.adjacency == rs.adjacency
+        assert shallow.faces == deep.faces == rs.faces
+        assert built == [1, 1, 1]
+        # Built now: an unknown name raises and builds nothing more.
+        with pytest.raises(AttributeError):
+            rs.no_such_field
+        assert built == [1, 1, 1]
+
+
+class TestComponents:
+    def test_same_components_as_networkx(self):
+        several = 0
+        for inst in seeded_graphs():
+            rs = embed(inst)
+            graph = nx.Graph(inst.edges())
+            graph.add_nodes_from(inst.vertices)
+            expected = {min(c): tuple(sorted(c)) for c in nx.connected_components(graph)}
+            assert list(rs.component_vertices.items()) == sorted(expected.items()), inst.n
+            assert rs.component_of == {v: c for c, vs in expected.items() for v in vs}, inst.n
+            several += len(expected) >= 3
+        assert several >= 15
 
 
 class TestFaces:

@@ -12,7 +12,7 @@ import pytest
 
 import vecdom
 
-pytest.importorskip("scipy")
+pytest.importorskip("scipy", exc_type=ImportError)
 
 REACH = Path(__file__).resolve().parent.parent / "tools" / "solve_reach.py"
 

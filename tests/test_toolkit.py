@@ -59,6 +59,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("e 1 2\np pvds 2 1 0\n")
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse("c no solution has -1 vertices\np pvds 3 2 -1\ne 1 2\ne 2 3\n")
+        assert err.value.line == 2 and "negative counts in header" in str(err.value)
+
 
 _TOKENS = st.one_of(
     st.sampled_from(["p", "pvds", "d", "f", "e", "c", "x", "-", "1.5", "", "\t"]),

@@ -5,36 +5,32 @@
 Imports ``vecdom`` from the source directory ``SRC`` (the ``src/`` of a
 checkout) and, for the maximal planar graphs ``generate_planar(1000, 1.0,
 seed)`` with seeds ``SEEDS`` under the profiles ``PROFILES``, runs
-``run_fixpoint`` at k = opt and then ``kernel_report``.  One row per input
-gives the CPU seconds of each, the regions built (calls of
-``vecdom.regions._regions``, one per anchor pair whose regions are built),
-the ``cycle_sides`` calls, both summed over the fixpoint and the report,
-and the stats line.  Run it on two checkouts to compare them: the stats
-lines must match.
+``run_fixpoint`` at k = opt and then ``kernel_report``, ``RUNS`` times
+each.  One row per input gives the median CPU seconds of each over those
+runs, the regions built (calls of ``vecdom.regions._regions``, one per
+anchor pair whose regions are built), the ``cycle_sides`` calls, both
+summed over the fixpoint and the report, and the stats line.  The counts
+and the stats line must be the same in every run; the tool exits 1 when
+they are not.  Run it on two checkouts to compare them: the stats lines
+must match.
 
-The optimum comes from ``tools/solve_reach.optimum`` (HiGHS through
-scipy), which imports scipy only when called, so this module imports only
-the standard library.
+The optimum comes from ``optimum`` in the sibling ``solve_reach.py``
+(HiGHS through scipy), which imports scipy only when called, so this
+module imports only the standard library.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import statistics
 import sys
 import time
-from pathlib import Path
+
+from solve_reach import optimum
 
 N = 1000
 PROFILES = ("r:2", "pids")
 SEEDS = (0, 1)
-
-
-def load_optimum():
-    path = Path(__file__).resolve().parent / "solve_reach.py"
-    spec = importlib.util.spec_from_file_location("solve_reach", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.optimum
+RUNS = 3
 
 
 def counting(module, name: str, counts: dict):
@@ -57,7 +53,6 @@ def main(argv: list[str]) -> int:
     import vecdom
     import vecdom.regions
 
-    optimum = load_optimum()
     counts: dict[str, int] = {}
     counting(vecdom.regions, "_regions", counts)
     counting(vecdom.regions, "cycle_sides", counts)
@@ -68,17 +63,29 @@ def main(argv: list[str]) -> int:
         for seed in SEEDS:
             instance = vecdom.make_special_case(vecdom.generate_planar(N, 1.0, seed), profile)
             instance.budget = optimum(instance)
-            for name in counts:
-                counts[name] = 0
-            start = time.process_time()
-            report = vecdom.run_fixpoint(instance.copy())
-            middle = time.process_time()
-            stats = vecdom.kernel_report(instance, report)
-            end = time.process_time()
+            times = []
+            outcomes = set()
+            for _ in range(RUNS):
+                for name in counts:
+                    counts[name] = 0
+                start = time.process_time()
+                report = vecdom.run_fixpoint(instance.copy())
+                middle = time.process_time()
+                stats = vecdom.kernel_report(instance, report)
+                end = time.process_time()
+                times.append((middle - start, end - middle))
+                outcomes.add(
+                    (counts["_regions"], counts["cycle_sides"], vecdom.format_stats(stats))
+                )
+            if len(outcomes) != 1:
+                print(f"{profile} seed {seed}: the runs differ: {sorted(outcomes)}", file=sys.stderr)
+                return 1
+            ((builds, calls, line),) = outcomes
+            fixpoint_s = statistics.median(t for t, _ in times)
+            report_s = statistics.median(t for _, t in times)
             print(
-                f"| {profile} | {seed} | {instance.budget} | {middle - start:.2f} "
-                f"| {end - middle:.2f} | {counts['_regions']:,} | {counts['cycle_sides']:,} "
-                f"| {vecdom.format_stats(stats)} |",
+                f"| {profile} | {seed} | {instance.budget} | {fixpoint_s:.2f} "
+                f"| {report_s:.2f} | {builds:,} | {calls:,} | {line} |",
                 flush=True,
             )
     return 0
