@@ -4,8 +4,9 @@ Builds small planar instances, runs the reduction engine, and checks every
 single event against the exhaustive oracle: replaying the event log one
 step at a time must never change the instance's answer.  Also
 cross-validates the branch-and-bound solver and the end-to-end kernel
-pipeline.  The CLI ``selftest`` subcommand and the acceptance tests both
-run on top of this module.
+pipeline, and verifies each of the solver's YES witnesses on the
+instance it was found for.  The CLI ``selftest`` subcommand and the
+acceptance tests both run on top of this module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .instance import AnnotatedInstance, Status, replay
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
-from .solver import ORACLE_LIMIT, solve_bb, solve_brute
+from .solver import ORACLE_LIMIT, solve_bb, solve_brute, verify_solution
 from .toolkit import generate_planar, kernel_of, make_special_case
 
 # Profile mix used for generated corpora; covers the uniform, ceiling,
@@ -95,10 +96,16 @@ def evaluate_instance(
     _check_event_chain(record, oracle_limit)
 
     for label, report in (("on", report_on), ("off", report_off)):
-        got = solve_bb(kernel_of(report)).answer
-        if got != brute:
+        kernel = kernel_of(report)
+        result = solve_bb(kernel)
+        if result.answer != brute:
             record.failures.append(
-                f"kernel answer with region rules {label} is {got}, oracle says {brute}"
+                f"kernel answer with region rules {label} is {result.answer}, oracle says {brute}"
+            )
+        elif result.answer and not verify_solution(kernel, result.witness):
+            record.failures.append(
+                f"branch-and-bound witness for the kernel with region rules {label} "
+                "does not verify"
             )
 
     phi_initial = potential(original)
@@ -112,8 +119,11 @@ def evaluate_instance(
     if replayed != report_on.final_instance:
         record.failures.append("replaying the event log did not reproduce the kernel")
 
-    if solve_bb(original).answer != brute:
+    result = solve_bb(original)
+    if result.answer != brute:
         record.failures.append("branch-and-bound disagrees with the oracle")
+    elif result.answer and not verify_solution(original, result.witness):
+        record.failures.append("branch-and-bound witness does not verify")
 
     return record
 

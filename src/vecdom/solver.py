@@ -107,7 +107,15 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     ``DUAL_SCALE``, flooring each dual value; flooring only lowers a
     value, so the dual stays feasible and the bound valid for any
     positive scale.  Pruning removes only subtrees without a solution,
-    so answers and witnesses are those of the search without the bounds.
+    so the answers are those of the search without the bounds.
+
+    At the root, once the bounds leave candidates to branch on, one
+    greedy cover is tried first: Chvátal's set-cover greedy on the gains
+    of the degree bound, then a pass that drops picks the others cover.
+    If it needs at most ``budget`` vertices, it is the witness and the
+    root, node 1, decides YES.  Otherwise the search runs as it would
+    without it, so a NO explores the same nodes, and a YES found by the
+    search has the witness the search finds.
 
     The search runs on the vertices relabelled 0..n-1 in id order, so
     ties and candidate order are those of the ids.  It keeps its state
@@ -277,6 +285,45 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             u for u in adj[branch_v] if not chosen[u] and not banned[u]
         ]
 
+    def greedy_cover() -> set[int] | None:
+        """A cover of at most ``budget`` vertices found without search at
+        the root, or None.
+
+        Chooses the selectable vertex of largest gain (``branch``'s gain:
+        its residual demand if unsatisfied, plus its unsatisfied
+        neighbors; ties to the smallest vertex) until every demand is met
+        or ``budget + 1`` vertices are chosen, then undoes the choices.
+        ``branch`` found the root feasible, so while a demand is unmet
+        some selectable vertex has a positive gain.  A met cover then
+        drops each pick, largest vertex first, that the other picks
+        cover: ``excess[v]`` is v's count of picked neighbors minus its
+        demand, so a pick may go when its own excess is not negative and
+        every unpicked neighbor has a unit to spare.
+        """
+        while n_unsat and len(picked) <= budget:
+            best, best_gain = 0, 0
+            for v in range(n):
+                if chosen[v] or banned[v]:
+                    continue
+                gain = unsat_around[v] + res[v] if unsat[v] else unsat_around[v]
+                if gain > best_gain:
+                    best, best_gain = v, gain
+            choose(best)
+        cover = picked[:]
+        met = not n_unsat
+        excess = [-r for r in res]
+        for c in reversed(cover):
+            unchoose(c)
+        if not met:
+            return None
+        kept = set(cover)
+        for c in sorted(cover, reverse=True):
+            if excess[c] >= 0 and all(u in kept or excess[u] > 0 for u in adj[c]):
+                kept.discard(c)
+                for u in adj[c]:
+                    excess[u] -= 1
+        return kept if len(kept) <= budget else None
+
     # The search stack: one frame per chosen vertex, holding the node's
     # candidates and the index of the one chosen now.  The candidates
     # before that index are banned in the subtree below it.
@@ -287,6 +334,12 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             return SolveResult(True, frozenset(ids[c] for c in picked), nodes)
         candidates = branch()
         if candidates:
+            if not frames:
+                # The root, the only node without a frame: a greedy
+                # cover within the budget decides YES here.
+                cover = greedy_cover()
+                if cover is not None:
+                    return SolveResult(True, frozenset(ids[c] for c in cover), nodes)
             frames.append([candidates, 0])
             choose(candidates[0])
             continue

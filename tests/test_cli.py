@@ -14,13 +14,14 @@ from vecdom import (
     AnnotatedInstance,
     NonPlanarError,
     ParseError,
+    SolveResult,
     cli_main,
     embed,
     parse,
     solve_brute,
     write,
 )
-from vecdom.selftest import corpus_instance, run_selftest
+from vecdom.selftest import corpus_instance, evaluate_instance, run_selftest
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 NO_INSTANCE = "p pvds 2 1 0\nd 1 1\ne 1 2\n"
@@ -218,6 +219,24 @@ class TestSelftest:
         with pytest.raises(ValueError):
             run_selftest(count=-3)
 
+    def test_a_witness_that_does_not_verify_is_a_failure(self, monkeypatch):
+        # Every YES keeps its answer but loses its witness.  Seed 23's
+        # input and both its kernels have demands, so all three witness
+        # checks fail.
+        real = vecdom.selftest.solve_bb
+
+        def empty_witness(instance):
+            result = real(instance)
+            witness = frozenset() if result.answer else None
+            return SolveResult(result.answer, witness, result.nodes_explored)
+
+        monkeypatch.setattr(vecdom.selftest, "solve_bb", empty_witness)
+        assert evaluate_instance(23).failures == [
+            "branch-and-bound witness for the kernel with region rules on does not verify",
+            "branch-and-bound witness for the kernel with region rules off does not verify",
+            "branch-and-bound witness does not verify",
+        ]
+
 
 def test_unknown_subcommand_is_usage_error():
     assert cli_main(["frobnicate"]) == 2
@@ -393,11 +412,19 @@ def test_python_dash_m_runs_the_driver(yes_file):
 
 
 def test_python_dash_m_solves_a_deep_search(tmp_path):
-    """1100 isolated demand-1 vertices at k = 1100: the search chooses
-    every vertex, one level each, and still answers YES."""
+    """1100 isolated demand-1 vertices and a five-vertex component of
+    optimum 2 (corpus_instance(1519)) at k = 1102: the root's greedy
+    cover overshoots the budget, so the search chooses every isolated
+    vertex, one level each, and still answers YES."""
     n = 1100
+    edges = [(0, 2), (1, 2), (1, 3), (1, 4), (3, 4)]
+    demand = [1] * n + [0, 1, 2, 2, 1]
     path = tmp_path / "isolated.pvds"
-    path.write_text(f"p pvds {n} 0 {n}\n" + "".join(f"d {v} 1\n" for v in range(1, n + 1)))
+    path.write_text(
+        f"p pvds {n + 5} {len(edges)} {n + 2}\n"
+        + "".join(f"d {v} {d}\n" for v, d in enumerate(demand, start=1))
+        + "".join(f"e {n + 1 + u} {n + 1 + v}\n" for u, v in edges)
+    )
     src = str(Path(vecdom.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
@@ -406,3 +433,4 @@ def test_python_dash_m_solves_a_deep_search(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("YES")
+    assert set(map(int, run.stdout.split()[1:])) >= set(range(1, n + 1))

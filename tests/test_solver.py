@@ -120,19 +120,26 @@ class TestSolveBB:
                 inst.budget = k
                 rows.append((seed, k, *_outcome(solve_bb(inst))))
         assert sum(row[2] for row in rows) == 49
-        assert sum(row[4] for row in rows) == 7758
+        assert sum(row[4] for row in rows if not row[2]) == 3414
+        assert sum(row[4] for row in rows) == 3646
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert digest == "31df0d127a58d9aaffce68c6eafd8b7f25aee64b08ef2f3b7b427e81cf9e07d6"
+        assert digest == "ccd61cbd5d41019e0c76f23d2b008ef6ab021309e8f7b8e78d10dcb45f819c96"
 
     def test_deep_search_runs_on_an_explicit_stack(self):
         # Every isolated demand-1 vertex must choose itself, so the search
         # goes 1100 choices deep, past Python's default recursion limit.
+        # The five-vertex component after them (corpus_instance(1519),
+        # optimum 2) takes the root's greedy cover past the budget, so
+        # the root does not decide and the search runs.
         n = 1100
-        inst = build(n, demand={v: 1 for v in range(n)}, k=n)
+        edges = [(n + u, n + v) for u, v in [(0, 2), (1, 2), (1, 3), (1, 4), (3, 4)]]
+        demand = {v: 1 for v in range(n)} | {n + v: d for v, d in enumerate((0, 1, 2, 2, 1))}
+        inst = build(n + 5, edges, demand, k=n + 2)
         result = solve_bb(inst)
         assert result.answer
-        assert result.witness == frozenset(range(n))
-        assert result.nodes_explored == n + 1
+        assert verify_solution(inst, result.witness)
+        assert result.witness >= frozenset(range(n))
+        assert result.nodes_explored >= n + 1
 
     @pytest.mark.parametrize("seed, k", [(0, 7), (0, 8), (1, 9)])
     def test_node_budget_boundary(self, seed, k):
@@ -188,7 +195,7 @@ class TestSolveBB:
     @pytest.mark.parametrize("edges, loops, demand, expected", [
         ([(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4),
           (3, 4)], [(0, 0), (3, 3), (4, 4)],
-         {1: 1, 3: 2, 4: 1, 5: 1}, (True, [0, 4], 4)),
+         {1: 1, 3: 2, 4: 1, 5: 1}, (True, [0, 3], 1)),
         ([(0, 2), (0, 3), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], [(0, 0), (5, 5)],
          {0: 2, 1: 2, 3: 1, 4: 2, 5: 2}, (False, None, 1)),
     ])
@@ -203,6 +210,53 @@ class TestSolveBB:
         assert solve_brute(inst).answer == expected[0]
         if result.answer:
             assert verify_solution(inst, result.witness)
+
+
+def _wheel(k, forbidden=()):
+    rim = [(i, i % 6 + 1) for i in range(1, 7)]
+    spokes = [(0, v) for v in range(1, 7)]
+    return build(7, rim + spokes, {v: 1 for v in range(7)}, k=k, forbidden=forbidden)
+
+
+class TestRootCover:
+    """The greedy cover and redundancy pass that can decide YES at the
+    root of ``solve_bb``."""
+
+    def test_forbidden_vertex_never_picked(self):
+        inst = _wheel(3, forbidden=[0])
+        result = solve_bb(inst)
+        assert _outcome(result) == (True, [1, 4], 1)
+        assert verify_solution(inst, result.witness)
+
+    def test_redundant_first_pick_dropped(self):
+        # The hub 0 has the largest gain and is picked first; 5 and 6,
+        # picked for the leaves 7 and 8, then cover all its neighbors.
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 2), (6, 3), (6, 4), (5, 7), (6, 8)]
+        demand = {1: 1, 2: 1, 3: 1, 4: 1, 7: 1, 8: 1}
+        inst = build(9, edges, demand, k=2)
+        result = solve_bb(inst)
+        assert _outcome(result) == (True, [5, 6], 1)
+        assert verify_solution(inst, result.witness)
+
+    def test_node_budget_applies_at_the_root(self):
+        inst = _wheel(2)
+        with pytest.raises(NodeBudgetError):
+            solve_bb(inst, node_budget=0)
+        assert _outcome(solve_bb(inst, node_budget=1)) == (True, [0], 1)
+
+    def test_agrees_with_oracle_on_the_corpus(self):
+        at_root = 0
+        for seed in range(1000):
+            inst = corpus_instance(seed)
+            for k in range(5):
+                inst.budget = k
+                result = solve_bb(inst)
+                assert result.answer == solve_brute(inst).answer, (seed, k)
+                if result.answer:
+                    assert verify_solution(inst, result.witness), (seed, k)
+                    at_root += result.nodes_explored == 1
+        # 20 of these 1880 YES answers need no choice at all.
+        assert at_root == 1812
 
 
 class TestVerifySolution:
