@@ -84,6 +84,10 @@ def _cmd_solve(args) -> int:
     else:
         result = solve_bb(instance)
     if result.answer:
+        # Not ``assert``, which -O strips: a witness that fails on the
+        # input is a solver fault, not an input error, so it exits 2.
+        if not verify_solution(instance, result.witness):
+            raise AssertionError(f"{args.method} YES witness does not verify on the input")
         suffix = _witness_text(instance, result.witness)
         print(f"YES {suffix}".rstrip())
         return 0

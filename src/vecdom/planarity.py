@@ -94,36 +94,25 @@ class RotationSystem:
         for v in rotation:
             groups.setdefault(component_of[v], []).append(v)
         self.component_vertices = {c: tuple(members) for c, members in groups.items()}
-        self._check_euler()
-        self.outer_face_of_component = self._outer_faces()
-        edge_comps = len(self.outer_face_of_component)
-        self.face_count = len(self.faces) - edge_comps + 1
-
-    def _check_euler(self) -> None:
-        stats: dict[int, list[int]] = {}
-        for v in self.rotation:
-            c = self.component_of[v]
-            stats.setdefault(c, [0, 0, 0])
-            stats[c][0] += 1
-            stats[c][1] += len(self.rotation[v])
-        for face in self.faces:
-            stats[self.component_of[face[0][0]]][2] += 1
-        for c, (n_c, m2_c, f_c) in stats.items():
-            m_c = m2_c // 2
-            if m_c and n_c - m_c + f_c != 2:
+        # Per component with edges: its face count, and its outer face,
+        # the longest, ties to the one with the smallest dart.
+        face_counts: dict[int, int] = {}
+        outer: dict[int, tuple] = {}
+        for fi, face in enumerate(faces):
+            c = component_of[face[0][0]]
+            face_counts[c] = face_counts.get(c, 0) + 1
+            key = (-len(face), min(face))
+            if c not in outer or key < outer[c][0]:
+                outer[c] = (key, fi)
+        for c, members in self.component_vertices.items():
+            m_c = sum(len(rotation[v]) for v in members) // 2
+            if m_c and len(members) - m_c + face_counts[c] != 2:
                 raise AssertionError(
                     f"embedding violates Euler's formula on component {c}: "
-                    f"V={n_c} E={m_c} F={f_c}"
+                    f"V={len(members)} E={m_c} F={face_counts[c]}"
                 )
-
-    def _outer_faces(self) -> dict[int, int]:
-        best: dict[int, tuple] = {}
-        for fi, face in enumerate(self.faces):
-            c = self.component_of[face[0][0]]
-            key = (-len(face), min(face))
-            if c not in best or key < best[c][0]:
-                best[c] = (key, fi)
-        return {c: fi for c, (key, fi) in best.items()}
+        self.outer_face_of_component = {c: fi for c, (key, fi) in outer.items()}
+        self.face_count = len(faces) - len(outer) + 1
 
     def describes(self, instance: AnnotatedInstance) -> bool:
         """Whether this embedding still matches the instance's vertices and

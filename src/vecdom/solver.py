@@ -85,8 +85,7 @@ def verify_solution(instance: AnnotatedInstance, chosen) -> bool:
         return False
     if len(chosen) > instance.budget:
         return False
-    rest = [v for v in instance.vertex_set() if v not in chosen]
-    return dominates(instance, chosen, rest)
+    return dominates(instance, chosen, instance.vertex_set())
 
 
 def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> SolveResult:
@@ -119,16 +118,16 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
 
     The search runs on the vertices relabelled 0..n-1 in id order, so
     ties and candidate order are those of the ids.  It keeps its state
-    incrementally instead of recomputing it at every node: each vertex's
-    residual demand (its demand minus its chosen neighbors), whether it
-    is unsatisfied (not chosen, residual demand positive), and how many
-    of its neighbors are unsatisfied and how many are still selectable
-    (neither chosen nor banned), plus the unsatisfied count.  Choosing a
-    candidate and banning a tried one update these along the candidate's
-    adjacency, and backtracking undoes the update exactly.  A node costs
-    one pass over the vertices and one over the unsatisfied ones.  The
-    search is depth first on an explicit stack of frames, one per chosen
-    vertex, so its depth is not bounded by Python's recursion limit.
+    incrementally instead of recomputing it at every node: whether each
+    vertex is chosen or banned, its residual demand (its demand minus its
+    chosen neighbors), how many of its neighbors are unsatisfied (not
+    chosen, residual demand positive) and how many are still selectable
+    (neither chosen nor banned), plus the unsatisfied count.  Choosing a candidate and banning a tried one
+    update these along the candidate's adjacency, and backtracking
+    undoes the update exactly.  A node costs one pass over the vertices
+    and one over the unsatisfied ones.  The search is depth first on an
+    explicit stack of frames, one per chosen vertex, so a node's depth
+    is the frame count and is not bounded by Python's recursion limit.
     """
     budget = instance.budget
     nodes = 0
@@ -153,35 +152,30 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     # through the same updates the search makes.
     chosen = [False] * n
     banned = [False] * n
-    unsat = [False] * n
     n_unsat = 0
     unsat_around = [0] * n
     selectable_around = [len(around) for around in adj]
-    picked: list[int] = []
 
     def leave_unsat(v: int) -> None:
         nonlocal n_unsat
-        unsat[v] = False
         n_unsat -= 1
         for u in adj[v]:
             unsat_around[u] -= 1
 
     def enter_unsat(v: int) -> None:
         nonlocal n_unsat
-        unsat[v] = True
         n_unsat += 1
         for u in adj[v]:
             unsat_around[u] += 1
 
     def choose(c: int) -> None:
         chosen[c] = True
-        picked.append(c)
-        if unsat[c]:
+        if res[c] > 0:
             leave_unsat(c)
         for u in adj[c]:
             selectable_around[u] -= 1
             res[u] -= 1
-            if unsat[u] and not res[u]:
+            if not res[u] and not chosen[u]:
                 leave_unsat(u)
 
     def unchoose(c: int) -> None:
@@ -191,7 +185,6 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             if res[u] == 1 and not chosen[u]:
                 enter_unsat(u)
         chosen[c] = False
-        picked.pop()
         if res[c] > 0:
             enter_unsat(c)
 
@@ -244,7 +237,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     def branch() -> list[int]:
         """The candidates to branch on at the current node, or [] when
         the node is infeasible or pruned."""
-        remaining = budget - len(picked)
+        remaining = budget - len(frames)
         if remaining <= 0:
             return []
 
@@ -258,8 +251,8 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         for v in range(n):
             if chosen[v]:
                 continue
-            if unsat[v]:
-                r = res[v]
+            r = res[v]
+            if r > 0:
                 deficit += r
                 options = selectable_around[v]
                 if banned[v]:
@@ -272,8 +265,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
                         best_gain = r + unsat_around[v]
             elif not banned[v] and unsat_around[v] > best_gain:
                 best_gain = unsat_around[v]
-        if best_gain == 0:
-            return []
+        # best_gain > 0: each unsatisfied v is selectable or has a selectable neighbor.
         if (deficit + best_gain - 1) // best_gain > remaining:
             return []
         keys.sort()
@@ -292,37 +284,35 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         Chooses the selectable vertex of largest gain (``branch``'s gain:
         its residual demand if unsatisfied, plus its unsatisfied
         neighbors; ties to the smallest vertex) until every demand is met
-        or ``budget + 1`` vertices are chosen, then undoes the choices.
-        ``branch`` found the root feasible, so while a demand is unmet
-        some selectable vertex has a positive gain.  A met cover then
-        drops each pick, largest vertex first, that the other picks
-        cover: ``excess[v]`` is v's count of picked neighbors minus its
-        demand, so a pick may go when its own excess is not negative and
-        every unpicked neighbor has a unit to spare.
+        or ``budget + 1`` vertices are chosen.  ``branch`` found the root
+        feasible, so while a demand is unmet some selectable vertex has a
+        positive gain.  A met cover then ``unchoose``s each pick, largest
+        vertex first, that the other picks cover: one whose own residual
+        demand is not positive and whose every unchosen neighbor has a
+        unit to spare (a negative residual demand).  The kept picks are
+        then undone too, which restores the root's state exactly, since
+        the state depends only on the chosen and banned sets.
         """
-        while n_unsat and len(picked) <= budget:
+        cover: list[int] = []
+        while n_unsat and len(cover) <= budget:
             best, best_gain = 0, 0
             for v in range(n):
                 if chosen[v] or banned[v]:
                     continue
-                gain = unsat_around[v] + res[v] if unsat[v] else unsat_around[v]
+                gain = unsat_around[v] + res[v] if res[v] > 0 else unsat_around[v]
                 if gain > best_gain:
                     best, best_gain = v, gain
             choose(best)
-        cover = picked[:]
+            cover.append(best)
         met = not n_unsat
-        excess = [-r for r in res]
-        for c in reversed(cover):
+        if met:
+            for c in sorted(cover, reverse=True):
+                if res[c] <= 0 and all(chosen[u] or res[u] < 0 for u in adj[c]):
+                    unchoose(c)
+        kept = {c for c in cover if chosen[c]}
+        for c in kept:
             unchoose(c)
-        if not met:
-            return None
-        kept = set(cover)
-        for c in sorted(cover, reverse=True):
-            if excess[c] >= 0 and all(u in kept or excess[u] > 0 for u in adj[c]):
-                kept.discard(c)
-                for u in adj[c]:
-                    excess[u] -= 1
-        return kept if len(kept) <= budget else None
+        return kept if met and len(kept) <= budget else None
 
     # The search stack: one frame per chosen vertex, holding the node's
     # candidates and the index of the one chosen now.  The candidates
@@ -331,7 +321,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     while True:
         tick()
         if not n_unsat:
-            return SolveResult(True, frozenset(ids[c] for c in picked), nodes)
+            return SolveResult(True, frozenset(ids[c[i]] for c, i in frames), nodes)
         candidates = branch()
         if candidates:
             if not frames:

@@ -394,6 +394,34 @@ def test_crash_exits_2_from_main_only(yes_file, monkeypatch, capsys):
     assert "Traceback" in captured.err and "RuntimeError: solver crashed" in captured.err
 
 
+def _wheel_file(tmp_path):
+    """README's quick-start wheel at k=2: a hub 0 and a rim 1-6, every
+    demand 1."""
+    rim = [(i, i % 6 + 1) for i in range(1, 7)]
+    spokes = [(0, v) for v in range(1, 7)]
+    wheel = AnnotatedInstance(range(7), rim + spokes, {v: 1 for v in range(7)}, budget=2)
+    path = tmp_path / "wheel.pvds"
+    path.write_text(write(wheel))
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["bb", "brute"])
+def test_solve_refuses_a_witness_that_does_not_verify(method, tmp_path, monkeypatch, capsys):
+    """A YES whose witness fails on the input is no answer: ``main`` exits
+    2 with the traceback and prints no ``YES``."""
+    solver = "solve_bb" if method == "bb" else "solve_brute"
+    monkeypatch.setattr(vecdom.cli, solver, lambda *a: SolveResult(True, frozenset(), 1))
+    monkeypatch.setattr(
+        sys, "argv", ["vecdom", "solve", "--input", _wheel_file(tmp_path), "--method", method]
+    )
+    with pytest.raises(SystemExit) as exit_:
+        vecdom.cli.main()
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert "YES" not in captured.out
+    assert "AssertionError" in captured.err
+
+
 def test_python_dash_m_runs_the_driver(yes_file):
     src = str(Path(vecdom.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -240,6 +240,17 @@ class TestFaces:
         components = len(set(rs.component_of.values()))
         assert inst.n - inst.m + rs.face_count == 1 + components
 
+    def test_non_planar_rotation_violates_euler(self):
+        # K4 with every vertex's neighbors in increasing order: a rotation
+        # of genus 1, whose two faces break Euler's formula.
+        rotation = {v: [u for u in range(4) if u != v] for v in range(4)}
+        successor = {v: dict(zip(a, a[1:] + a[:1])) for v, a in rotation.items()}
+        rs = vecdom.planarity.RotationSystem(
+            rotation, lambda: (rotation, successor, dict.fromkeys(rotation, 0))
+        )
+        with pytest.raises(AssertionError, match="component 0: V=4 E=6 F=2"):
+            rs.faces
+
 
 class TestCycleSides:
     def test_triangle_hanging_inside_hexagon(self):

@@ -1,6 +1,7 @@
 """Exact solvers: brute-force oracle, branch and bound, witness checking."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +258,27 @@ class TestRootCover:
                     at_root += result.nodes_explored == 1
         # 20 of these 1880 YES answers need no choice at all.
         assert at_root == 1812
+
+    def test_agrees_with_oracle_with_forbidden_vertices(self):
+        # corpus_instance forbids nothing; here about 30% of the
+        # vertices are forbidden, on random sizes, densities and profiles.
+        solves = yes = 0
+        for seed in range(3000):
+            rng = random.Random(seed)
+            n = rng.randint(1, 12)
+            density = rng.choice([0.5, 0.7, 0.9, 1.0])
+            profile = rng.choice(["random:2", "r:1", "bdvd:1", "pids", "random:3", "r:2"])
+            inst = make_special_case(generate_planar(n, density, seed), profile, seed=seed)
+            inst.forbidden = {v for v in inst.vertices if rng.random() < 0.3}
+            for k in range(5):
+                inst.budget = k
+                result = solve_bb(inst)
+                assert result.answer == solve_brute(inst).answer, (seed, k)
+                if result.answer:
+                    assert verify_solution(inst, result.witness), (seed, k)
+                solves += 1
+                yes += result.answer
+        assert (solves, yes) == (15000, 6413)
 
 
 class TestVerifySolution:
