@@ -45,15 +45,6 @@ class SolveResult:
         return f"SolveResult({tag}, witness={self.witness}, nodes={self.nodes_explored})"
 
 
-def _is_solution(instance: AnnotatedInstance, chosen: set[int]) -> bool:
-    adj = instance._adj
-    demand = instance.demand
-    for v, d in demand.items():
-        if d and v not in chosen and len(adj[v] & chosen) < d:
-            return False
-    return True
-
-
 def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -> SolveResult:
     """Decide by exhaustive enumeration of selectable subsets, smallest first.
 
@@ -69,9 +60,8 @@ def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -
         for size in range(top + 1):
             for combo in itertools.combinations(eligible, size):
                 nodes += 1
-                chosen = set(combo)
-                if _is_solution(instance, chosen):
-                    return SolveResult(True, frozenset(chosen), nodes)
+                if dominates(instance, combo, instance.vertex_set()):
+                    return SolveResult(True, frozenset(combo), nodes)
     return SolveResult(False, None, nodes)
 
 
@@ -88,33 +78,8 @@ def verify_solution(instance: AnnotatedInstance, chosen) -> bool:
     return dominates(instance, chosen, instance.vertex_set())
 
 
-def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> SolveResult:
-    """Decide by branch and bound; same answer contract as ``solve_brute``.
-
-    Branching picks the unsatisfied vertex with the fewest remaining ways
-    to satisfy it, then tries the vertex itself followed by each eligible
-    neighbor, excluding already-tried candidates from later branches.
-    Pruning uses the exact budget and two lower bounds on the vertices
-    still to add.  The degree bound: one added vertex can discharge at
-    most its own residual demand plus one unit per unsatisfied neighbor.
-    Where that does not prune, a greedy dual bound: a feasible solution
-    of the dual of the residual LP (one covering row per unsatisfied
-    vertex, ``x >= 0`` without the ``x <= 1`` caps), built in one pass
-    over the unsatisfied vertices in branch-key order.  By weak duality
-    its value is at most the LP optimum, hence at most the number of
-    vertices any completion adds.  It is computed in integers scaled by
-    ``DUAL_SCALE``, flooring each dual value; flooring only lowers a
-    value, so the dual stays feasible and the bound valid for any
-    positive scale.  Pruning removes only subtrees without a solution,
-    so the answers are those of the search without the bounds.
-
-    At the root, once the bounds leave candidates to branch on, one
-    greedy cover is tried first: Chvátal's set-cover greedy on the gains
-    of the degree bound, then a pass that drops picks the others cover.
-    If it needs at most ``budget`` vertices, it is the witness and the
-    root, node 1, decides YES.  Otherwise the search runs as it would
-    without it, so a NO explores the same nodes, and a YES found by the
-    search has the witness the search finds.
+class _Search:
+    """The state of ``solve_bb``'s search and the moves that change it.
 
     The search runs on the vertices relabelled 0..n-1 in id order, so
     ties and candidate order are those of the ids.  It keeps its state
@@ -122,96 +87,87 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
     vertex is chosen or banned, its residual demand (its demand minus its
     chosen neighbors), how many of its neighbors are unsatisfied (not
     chosen, residual demand positive) and how many are still selectable
-    (neither chosen nor banned), plus the unsatisfied count.  Choosing a candidate and banning a tried one
-    update these along the candidate's adjacency, and backtracking
-    undoes the update exactly.  A node costs one pass over the vertices
-    and one over the unsatisfied ones.  The search is depth first on an
-    explicit stack of frames, one per chosen vertex, so a node's depth
-    is the frame count and is not bounded by Python's recursion limit.
+    (neither chosen nor banned), plus the unsatisfied count.  It depends
+    only on the chosen and banned sets.  ``choose`` and ``set_banned``
+    update it along one adjacency; ``unchoose`` and ``set_banned(c,
+    False)`` undo them exactly.  A node costs one pass over the vertices
+    and one over the unsatisfied ones.
     """
-    budget = instance.budget
-    nodes = 0
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise NodeBudgetError(f"exceeded node budget {node_budget}")
+    def __init__(self, instance: AnnotatedInstance) -> None:
+        self.ids = ids = sorted(instance._adj)
+        self.n = n = len(ids)
+        index = {v: i for i, v in enumerate(ids)}
+        self.adj = adj = [sorted(map(index.__getitem__, instance._adj[v])) for v in ids]
+        self.res = res = [instance.demand[v] for v in ids]
+        # The state of an empty choice with nothing banned and nothing
+        # unsatisfied; the forbidden and demanding vertices enter it below,
+        # through the same updates the search makes.
+        self.chosen = [False] * n
+        self.banned = [False] * n
+        self.n_unsat = 0
+        self.unsat_around = [0] * n
+        self.selectable_around = [len(around) for around in adj]
+        for v, vid in enumerate(ids):
+            if vid in instance.forbidden:
+                self.set_banned(v, True)
+            if res[v] > 0:
+                self._shift_unsat(v, 1)
 
-    if budget < 0:
-        tick()
-        return SolveResult(False, None, nodes)
+    def _shift_unsat(self, v: int, step: int) -> None:
+        """Count ``v`` in (step 1) or out of (step -1) the unsatisfied."""
+        self.n_unsat += step
+        unsat_around = self.unsat_around
+        for u in self.adj[v]:
+            unsat_around[u] += step
 
-    ids = sorted(instance._adj)
-    n = len(ids)
-    index = {v: i for i, v in enumerate(ids)}
-    adj = [sorted(map(index.__getitem__, instance._adj[v])) for v in ids]
-    res = [instance.demand[v] for v in ids]
-    # The state of an empty choice with nothing banned and nothing
-    # unsatisfied; the forbidden and demanding vertices enter it below,
-    # through the same updates the search makes.
-    chosen = [False] * n
-    banned = [False] * n
-    n_unsat = 0
-    unsat_around = [0] * n
-    selectable_around = [len(around) for around in adj]
-
-    def leave_unsat(v: int) -> None:
-        nonlocal n_unsat
-        n_unsat -= 1
-        for u in adj[v]:
-            unsat_around[u] -= 1
-
-    def enter_unsat(v: int) -> None:
-        nonlocal n_unsat
-        n_unsat += 1
-        for u in adj[v]:
-            unsat_around[u] += 1
-
-    def choose(c: int) -> None:
+    def choose(self, c: int) -> None:
+        chosen, res, selectable_around = self.chosen, self.res, self.selectable_around
         chosen[c] = True
         if res[c] > 0:
-            leave_unsat(c)
-        for u in adj[c]:
+            self._shift_unsat(c, -1)
+        for u in self.adj[c]:
             selectable_around[u] -= 1
             res[u] -= 1
             if not res[u] and not chosen[u]:
-                leave_unsat(u)
+                self._shift_unsat(u, -1)
 
-    def unchoose(c: int) -> None:
-        for u in adj[c]:
+    def unchoose(self, c: int) -> None:
+        chosen, res, selectable_around = self.chosen, self.res, self.selectable_around
+        for u in self.adj[c]:
             selectable_around[u] += 1
             res[u] += 1
             if res[u] == 1 and not chosen[u]:
-                enter_unsat(u)
+                self._shift_unsat(u, 1)
         chosen[c] = False
         if res[c] > 0:
-            enter_unsat(c)
+            self._shift_unsat(c, 1)
 
-    def set_banned(c: int, value: bool) -> None:
-        banned[c] = value
+    def set_banned(self, c: int, value: bool) -> None:
+        self.banned[c] = value
         step = -1 if value else 1
-        for u in adj[c]:
+        selectable_around = self.selectable_around
+        for u in self.adj[c]:
             selectable_around[u] += step
 
-    for v, vid in enumerate(ids):
-        if vid in instance.forbidden:
-            set_banned(v, True)
-        if res[v] > 0:
-            enter_unsat(v)
-
-    def dual_bound_exceeds(order: list[int], remaining: int) -> bool:
+    def dual_bound_exceeds(self, order: list[int], remaining: int) -> bool:
         """Whether the greedy dual bound exceeds ``remaining``.
 
         The residual LP has a row ``res[v] * x_v + sum(x_u for selectable
         u in N(v)) >= res[v]`` per unsatisfied vertex v, the ``x_v`` term
-        only if v is selectable.  In its dual, each selectable vertex's
-        column has a slack of ``DUAL_SCALE`` to share among the ``y`` of
-        the rows it appears in, ``res[v]`` times over in its own row.
-        Each unsatisfied vertex in ``order`` raises its ``y_v`` as far as
-        the least slack left in those columns allows.  A banned v has at
-        least one selectable neighbor, whose slack caps ``y_v``.
+        only if v is selectable, and ``x >= 0`` without the ``x <= 1``
+        caps.  In its dual, each selectable vertex's column has a slack
+        of ``DUAL_SCALE`` to share among the ``y`` of the rows it appears
+        in, ``res[v]`` times over in its own row.  Each unsatisfied
+        vertex in ``order`` raises its ``y_v`` as far as the least slack
+        left in those columns allows; a banned v has at least one
+        selectable neighbor, whose slack caps ``y_v``.  By weak duality
+        this feasible dual's value is at most the LP optimum, hence at
+        most the number of vertices any completion adds.  Flooring each
+        ``y_v`` only lowers it, so the dual stays feasible and the bound
+        valid for any positive scale.
         """
+        n, adj, res, chosen, banned = self.n, self.adj, self.res, self.chosen, self.banned
         slack = [DUAL_SCALE] * n
         limit = remaining * DUAL_SCALE
         total = 0
@@ -234,13 +190,20 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
                     slack[u] -= y
         return False
 
-    def branch() -> list[int]:
-        """The candidates to branch on at the current node, or [] when
-        the node is infeasible or pruned."""
-        remaining = budget - len(frames)
+    def branch(self, remaining: int) -> list[int]:
+        """The candidates at a node that may still add ``remaining``
+        vertices, or [] when the node is infeasible or pruned: the
+        unsatisfied vertex with the fewest ways left to satisfy it, if
+        selectable, then its selectable neighbors.  Pruning uses two lower
+        bounds on the vertices still to add: the degree bound (one added
+        vertex discharges at most its own residual demand plus one unit
+        per unsatisfied neighbor) and, where that does not prune,
+        ``dual_bound_exceeds``.
+        """
         if remaining <= 0:
             return []
-
+        n, adj, res, chosen, banned = self.n, self.adj, self.res, self.chosen, self.banned
+        selectable_around, unsat_around = self.selectable_around, self.unsat_around
         # Feasibility, the branch keys, total residual demand and the
         # best single gain in one pass.  The branch key (fewest options
         # to spare, then smallest vertex) is packed into one integer,
@@ -269,7 +232,7 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
         if (deficit + best_gain - 1) // best_gain > remaining:
             return []
         keys.sort()
-        if dual_bound_exceeds(keys, remaining):
+        if self.dual_bound_exceeds(keys, remaining):
             return []
 
         branch_v = keys[0] % n
@@ -277,24 +240,25 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
             u for u in adj[branch_v] if not chosen[u] and not banned[u]
         ]
 
-    def greedy_cover() -> set[int] | None:
-        """A cover of at most ``budget`` vertices found without search at
-        the root, or None.
+    def greedy_cover(self, budget: int) -> set[int] | None:
+        """A cover of at most ``budget`` vertices found without search, or None.
 
         Chooses the selectable vertex of largest gain (``branch``'s gain:
         its residual demand if unsatisfied, plus its unsatisfied
         neighbors; ties to the smallest vertex) until every demand is met
-        or ``budget + 1`` vertices are chosen.  ``branch`` found the root
+        or ``budget + 1`` vertices are chosen.  ``branch`` found the node
         feasible, so while a demand is unmet some selectable vertex has a
         positive gain.  A met cover then ``unchoose``s each pick, largest
         vertex first, that the other picks cover: one whose own residual
         demand is not positive and whose every unchosen neighbor has a
         unit to spare (a negative residual demand).  The kept picks are
-        then undone too, which restores the root's state exactly, since
-        the state depends only on the chosen and banned sets.
+        then undone too, which restores the state exactly, since the
+        state depends only on the chosen and banned sets.
         """
+        n, adj, res, chosen, banned = self.n, self.adj, self.res, self.chosen, self.banned
+        unsat_around = self.unsat_around
         cover: list[int] = []
-        while n_unsat and len(cover) <= budget:
+        while self.n_unsat and len(cover) <= budget:
             best, best_gain = 0, 0
             for v in range(n):
                 if chosen[v] or banned[v]:
@@ -302,34 +266,70 @@ def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> Sol
                 gain = unsat_around[v] + res[v] if res[v] > 0 else unsat_around[v]
                 if gain > best_gain:
                     best, best_gain = v, gain
-            choose(best)
+            self.choose(best)
             cover.append(best)
-        met = not n_unsat
+        met = not self.n_unsat
         if met:
             for c in sorted(cover, reverse=True):
                 if res[c] <= 0 and all(chosen[u] or res[u] < 0 for u in adj[c]):
-                    unchoose(c)
+                    self.unchoose(c)
         kept = {c for c in cover if chosen[c]}
         for c in kept:
-            unchoose(c)
+            self.unchoose(c)
         return kept if met and len(kept) <= budget else None
 
+
+def solve_bb(instance: AnnotatedInstance, node_budget: int | None = None) -> SolveResult:
+    """Decide by branch and bound; same answer contract as ``solve_brute``.
+
+    The state, its moves and its bounds are a ``_Search``.  The search
+    is depth first on an explicit stack of frames, one per chosen
+    vertex, so a node's depth is the frame count and is not bounded by
+    Python's recursion limit.  A node's candidates come from ``branch``
+    given the budget left, and each candidate tried is banned in the
+    later branches.  Pruning removes only subtrees without a solution,
+    so the answers are those of the search without the bounds.  Each
+    node counts against ``node_budget``.
+
+    At the root, once the bounds leave candidates to branch on, one
+    greedy cover is tried first: Chvátal's set-cover greedy on the gains
+    of the degree bound, then a pass that drops picks the others cover.
+    If it needs at most ``budget`` vertices, it is the witness and the
+    root, node 1, decides YES.  Otherwise the search runs as it would
+    without it, so a NO explores the same nodes, and a YES found by the
+    search has the witness the search finds.
+    """
+    budget = instance.budget
+    nodes = 0
+
+    def tick() -> None:
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise NodeBudgetError(f"exceeded node budget {node_budget}")
+
+    if budget < 0:
+        tick()
+        return SolveResult(False, None, nodes)
+
+    search = _Search(instance)
+    choose, unchoose, set_banned = search.choose, search.unchoose, search.set_banned
     # The search stack: one frame per chosen vertex, holding the node's
     # candidates and the index of the one chosen now.  The candidates
     # before that index are banned in the subtree below it.
     frames: list[list] = []
     while True:
         tick()
-        if not n_unsat:
-            return SolveResult(True, frozenset(ids[c[i]] for c, i in frames), nodes)
-        candidates = branch()
+        if not search.n_unsat:
+            return SolveResult(True, frozenset(search.ids[c[i]] for c, i in frames), nodes)
+        candidates = search.branch(budget - len(frames))
         if candidates:
             if not frames:
                 # The root, the only node without a frame: a greedy
                 # cover within the budget decides YES here.
-                cover = greedy_cover()
+                cover = search.greedy_cover(budget)
                 if cover is not None:
-                    return SolveResult(True, frozenset(ids[c] for c in cover), nodes)
+                    return SolveResult(True, frozenset(search.ids[c] for c in cover), nodes)
             frames.append([candidates, 0])
             choose(candidates[0])
             continue

@@ -15,6 +15,7 @@ from vecdom import (
     verify_solution,
 )
 from vecdom.selftest import corpus_instance
+from vecdom.solver import _Search
 from vecdom.toolkit import generate_planar, make_special_case
 
 from conftest import build
@@ -279,6 +280,87 @@ class TestRootCover:
                 solves += 1
                 yes += result.answer
         assert (solves, yes) == (15000, 6413)
+
+
+def _state(search):
+    return (search.chosen, search.banned, search.res, search.unsat_around,
+            search.selectable_around, search.n_unsat)
+
+
+def _state_from_definitions(inst, search, picked, banned_set):
+    """The six names recomputed from the chosen and banned sets alone."""
+    index = {v: i for i, v in enumerate(search.ids)}
+    around = [[index[u] for u in inst.neighbors(v)] for v in search.ids]
+    chosen = [i in picked for i in range(search.n)]
+    banned = [i in banned_set for i in range(search.n)]
+    res = [inst.demand[v] - sum(chosen[u] for u in around[i])
+           for i, v in enumerate(search.ids)]
+    unsat = [not chosen[i] and res[i] > 0 for i in range(search.n)]
+    return (chosen, banned, res, [sum(unsat[u] for u in a) for a in around],
+            [sum(not chosen[u] and not banned[u] for u in a) for a in around], sum(unsat))
+
+
+class TestSearchState:
+    """``solve_bb``'s search state depends only on its chosen and banned
+    sets: the root cover undoes its picks in any order, and the search
+    undoes each choice and ban on backtrack."""
+
+    def test_state_follows_its_definitions_under_any_moves(self):
+        moves = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(1, 14)
+            density = rng.choice([0.5, 0.7, 0.9, 1.0])
+            profile = rng.choice(["random:2", "r:1", "bdvd:1", "pids", "random:3", "r:2"])
+            inst = make_special_case(generate_planar(n, density, seed), profile, seed=seed)
+            inst.forbidden = {v for v in inst.vertices if rng.random() < 0.25}
+            search = _Search(inst)
+            forbidden = {i for i, v in enumerate(search.ids) if v in inst.forbidden}
+            picked, move_banned = set(), set()
+
+            def check():
+                expected = _state_from_definitions(inst, search, picked, forbidden | move_banned)
+                assert _state(search) == expected, seed
+
+            check()
+            fresh = _state(_Search(inst))
+            for _ in range(60):
+                free = [v for v in range(search.n) if v not in picked | forbidden | move_banned]
+                kinds = ["choose", "ban"] * bool(free) + ["unchoose"] * bool(picked)
+                kinds += ["unban"] * bool(move_banned)
+                if not kinds:
+                    break
+                kind = rng.choice(kinds)
+                if kind == "choose":
+                    v = rng.choice(free)
+                    search.choose(v)
+                    picked.add(v)
+                elif kind == "unchoose":
+                    v = rng.choice(sorted(picked))
+                    search.unchoose(v)
+                    picked.discard(v)
+                elif kind == "ban":
+                    v = rng.choice(free)
+                    search.set_banned(v, True)
+                    move_banned.add(v)
+                else:
+                    v = rng.choice(sorted(move_banned))
+                    search.set_banned(v, False)
+                    move_banned.discard(v)
+                moves += 1
+                check()
+            # Undo what the moves left chosen or banned, in a random order.
+            undo = [(picked, v) for v in picked] + [(move_banned, v) for v in move_banned]
+            rng.shuffle(undo)
+            for done, v in undo:
+                if done is picked:
+                    search.unchoose(v)
+                else:
+                    search.set_banned(v, False)
+                done.discard(v)
+                check()
+            assert _state(search) == fresh, seed
+        assert moves == 23520
 
 
 class TestVerifySolution:
