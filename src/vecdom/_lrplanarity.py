@@ -20,8 +20,8 @@ What differs is only the representation:
   neighbour that ``PlanarEmbedding.add_half_edge`` tracks, instead of a
   ``PlanarEmbedding``;
 - the embedding phase also returns its ``cw`` links and each vertex's
-  DFS root, and resolves sides on copies of ``ref``, ``side`` and the
-  nesting depths, so it can run twice on one test's result.
+  DFS root, and signs the nesting depths into a new dict, so it can run
+  twice on one test's result.
 
 Edges are tuples ``(v, w)`` oriented from ``v`` to ``w``.
 
@@ -347,10 +347,9 @@ def _embedding(vertices, roots, parent_edge, succ, nesting, ref, side):
     clockwise from the leftmost one; the links ``cw``, where ``cw[v][u]``
     is the neighbour after ``u`` in it; and the root of each vertex's DFS
     tree.  The trees are the components, each rooted at its first vertex
-    in ``vertices`` order.  The inputs are left unchanged, so the phase
-    can run on them more than once.
+    in ``vertices`` order.  The path compression in ``sign`` is
+    idempotent, so the phase can run on the same inputs more than once.
     """
-    nesting, ref, side = dict(nesting), dict(ref), dict(side)
 
     def sign(e):
         chain = []
@@ -366,10 +365,11 @@ def _embedding(vertices, roots, parent_edge, succ, nesting, ref, side):
             side[f] = s
         return s
 
+    signed = {}
     for v in vertices:
         for w in succ[v]:
             vw = (v, w)
-            nesting[vw] = sign(vw) * nesting[vw]
+            signed[vw] = sign(vw) * nesting[vw]
 
     # Each vertex's oriented edges in nesting order, linked into a cycle.
     cw = {}
@@ -377,7 +377,7 @@ def _embedding(vertices, roots, parent_edge, succ, nesting, ref, side):
     leftmost = {}
     ordered = {}
     for v in vertices:
-        nbrs = ordered[v] = sorted(succ[v], key=lambda w: nesting[(v, w)])
+        nbrs = ordered[v] = sorted(succ[v], key=lambda w: signed[(v, w)])
         cwv = cw[v] = {}
         ccwv = ccw[v] = {}
         prev = None

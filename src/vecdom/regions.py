@@ -311,11 +311,18 @@ def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
 def _color_unless(
     instance: AnnotatedInstance, region: CandidateRegion, rule_id: int, exempt
 ) -> list[ReductionEvent]:
-    """Color, in id order, every interior vertex that is not yet blue and
-    that the rule's test ``exempt`` does not spare."""
+    """The interior scan of rules 6-8, with the conditions they share: color,
+    in id order, every interior vertex not yet blue, unless it alone
+    satisfies the core or the rule's ``exempt`` spares it.  An empty core
+    colors nothing, nor does a forbidden anchor or high-demand boundary
+    vertex: the coloring arguments swap solution vertices for those."""
+    forbidden = instance.forbidden
+    core = region.core
+    if not core or forbidden & {region.a1, region.a2, *region.high_boundary}:
+        return []
     events = []
     for v in sorted(region.interior):
-        if v not in instance.forbidden and not exempt(v):
+        if v not in forbidden and not dominates(instance, {v}, core) and not exempt(v):
             event = ReductionEvent(rule_id=rule_id, newly_blue=frozenset({v}))
             events.append(apply(instance, event))
     return events
@@ -330,26 +337,20 @@ def rule6(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
     been built on the instance's current graph and demands; only the
     forbidden set may have changed since.
     """
-    if not region.core:
-        return []
     adj = instance._adj
-
-    def exempt(u):
-        return bool(adj[u] & region.high_boundary) or dominates(instance, {u}, region.core)
-
-    return _color_unless(instance, region, 6, exempt)
+    return _color_unless(instance, region, 6, lambda u: adj[u] & region.high_boundary)
 
 
 def rule7(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Coloring rule for regions that have crosslinked boundary vertices.
 
     The ``_color_unless`` scan colors every interior vertex except those
-    that are crosslinks, satisfy the core alone, or can cover the core
-    (or an anchor's share of it) together with one suitable partner.  The
-    region must have been built on the instance's current graph and
-    demands.
+    that satisfy the core alone and those that are crosslinks or can
+    cover the core (or an anchor's share of it) together with one
+    suitable partner.  The region must have been built on the instance's
+    current graph and demands.
     """
-    if not region.core or not region.crosslinks:
+    if not region.crosslinks:
         return []
     adj = instance._adj
     near_high = set()
@@ -361,11 +362,10 @@ def rule7(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
     def exempt(w):
         return (
             w in region.crosslinks
-            or dominates(instance, {w}, region.core)
-            or any(dominates(instance, {w, w2}, region.core) for w2 in sorted(near_high))
+            or any(dominates(instance, {w, w2}, region.core) for w2 in near_high)
             or any(
                 dominates(instance, {w, w2}, core_a1) or dominates(instance, {w, w2}, core_a2)
-                for w2 in sorted(region.crosslinks)
+                for w2 in region.crosslinks
             )
         )
 
@@ -383,7 +383,7 @@ def rule8(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
     region must have been built on the instance's current graph and
     demands.
     """
-    if not region.core or region.crosslinks:
+    if region.crosslinks:
         return []
     adj = instance._adj
     near_high = set()
@@ -391,17 +391,15 @@ def rule8(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
         near_high |= adj[y]
 
     def exempt(u):
-        if dominates(instance, {u}, region.core):
-            return True
         partners = set()
-        for y in sorted(adj[u] & region.high_boundary):
+        for y in adj[u] & region.high_boundary:
             partners |= adj[y]
-        if any(dominates(instance, {u, u2}, region.core) for u2 in sorted(partners)):
+        if any(dominates(instance, {u, u2}, region.core) for u2 in partners):
             return True
         for anchor in (region.a1, region.a2):
             if region.high_boundary <= adj[anchor]:
                 rest = region.core - adj[anchor]
-                if any(dominates(instance, {u, u2}, rest) for u2 in sorted(near_high)):
+                if any(dominates(instance, {u, u2}, rest) for u2 in near_high):
                     return True
         return False
 

@@ -247,24 +247,26 @@ def rule5(instance: AnnotatedInstance) -> list[ReductionEvent]:
 def rule9(instance: AnnotatedInstance) -> list[ReductionEvent]:
     """Color a low-demand vertex blue when a selectable witness dominates its
     demanding closed neighborhood and at most one selectable high-demand
-    fallback exists among its other neighbors."""
+    fallback exists among its other neighbors.
+
+    A witness ``w`` sees all of ``neighborhood(v)`` but not itself, so it
+    has demand 0 and the fallbacks, the neighbors of demand at least two,
+    do not depend on it.  As in rules 4, 5 and 12, the witnesses are the
+    selectable neighbors of ``v`` in the common closed neighborhood of
+    ``neighborhood(v)``, outside that set.
+    """
+    demand, forbidden = instance.demand, instance.forbidden
     events = []
     for v in instance.vertices:
-        if v in instance.forbidden or instance.demand[v] > 1:
+        if v in forbidden or demand[v] > 1:
             continue
-        high_closed = neighborhood(instance, v)
-        for w in sorted(instance.neighbors(v)):
-            if w in instance.forbidden:
-                continue
-            if not high_closed <= instance.neighbors(w):
-                continue
-            fallbacks = [z for z in instance.neighbors(v) if z != w and instance.demand[z] >= 2]
-            if len(fallbacks) > 1:
-                continue
-            if any(z in instance.forbidden for z in fallbacks):
-                continue
+        nv = instance.neighbors(v)
+        fallbacks = {z for z in nv if demand[z] >= 2}
+        if len(fallbacks) > 1 or fallbacks & forbidden:
+            continue
+        closed = neighborhood(instance, v)
+        if _common_closed_neighborhood(instance, closed, nv - forbidden) - closed:
             events.append(apply(instance, ReductionEvent(rule_id=9, newly_blue=frozenset({v}))))
-            break
     return events
 
 
@@ -376,11 +378,10 @@ def _region_phase(
     can color.
 
     The index must describe the instance.  Coloring never touches the
-    graph or demands, so the index serves the whole phase.  Regions are
-    skipped when an anchor or a high-demand boundary vertex is forbidden:
-    the coloring arguments replace solution vertices with those, so they
-    must remain selectable.  The cap flag covers the pairs whose anchors
-    were both selectable when the phase started.
+    graph or demands, so the index serves the whole phase.  The rules
+    color nothing in a region with a forbidden anchor, so the phase builds
+    no regions for such a pair.  The cap flag covers the pairs whose
+    anchors were both selectable when the phase started.
 
     A pair's regions are built only when the pair has two typed paths
     under the cap, since one path closes no cycle, and passes
@@ -390,8 +391,8 @@ def _region_phase(
     pairs loses no event:
 
     - a region whose core holds no vertex of positive demand makes rules
-      6, 7 and 8 return nothing, whatever the forbidden set: each exempts
-      every vertex ``u`` with ``dominates({u}, core)``, which then holds;
+      6, 7 and 8 return nothing, whatever the forbidden set: their scan
+      ``_color_unless`` spares every ``u``, as ``dominates({u}, core)`` holds;
     - a core vertex is interior, and so passes the dominance test that
       regions are built with (demand at most the number of adjacent
       anchors), which ``cycle_sides`` applies to every vertex of a side.
@@ -420,8 +421,6 @@ def _region_phase(
         if a1 in instance.forbidden or a2 in instance.forbidden:
             continue
         for region in index.regions(a1, a2):
-            if region.high_boundary & instance.forbidden:
-                continue
             events.extend(rule6(instance, region))
             events.extend(rule7(instance, region))
             events.extend(rule8(instance, region))

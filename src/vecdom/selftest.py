@@ -56,19 +56,19 @@ class InstanceRecord:
     failures: list[str] = field(default_factory=list)
 
 
-def _check_event_chain(record: InstanceRecord, oracle_limit: int) -> None:
-    """Replay the region-rules-on event log step by step against the oracle."""
+def _check_event_chain(record: InstanceRecord, oracle_limit: int) -> AnnotatedInstance:
+    """Replay the region-rules-on event log step by step, asking the oracle
+    until an event flips the answer, and return the replayed instance."""
     working = record.instance.copy()
     expected = record.brute_answer
     for idx, event in enumerate(record.report_on.events):
         replay(working, [event])
-        got = oracle_answer(working, oracle_limit)
-        if got != expected:
+        if not record.event_failures and oracle_answer(working, oracle_limit) != expected:
             record.event_failures.append(
                 f"event {idx} (rule {event.rule_id}) flipped the answer "
-                f"from {expected} to {got}"
+                f"from {expected} to {not expected}"
             )
-            return
+    return working
 
 
 def evaluate_instance(
@@ -93,7 +93,7 @@ def evaluate_instance(
         report_off=report_off,
     )
 
-    _check_event_chain(record, oracle_limit)
+    replayed = _check_event_chain(record, oracle_limit)
 
     for label, report in (("on", report_on), ("off", report_off)):
         kernel = kernel_of(report)
@@ -114,7 +114,6 @@ def evaluate_instance(
             f"{len(report_on.events)} events exceed the potential {phi_initial}"
         )
 
-    replayed = replay(original.copy(), report_on.events)
     replayed.status = report_on.final_status
     if replayed != report_on.final_instance:
         record.failures.append("replaying the event log did not reproduce the kernel")

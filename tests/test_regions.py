@@ -19,6 +19,7 @@ from vecdom import (
     rule8,
     run_fixpoint,
     solve_bb,
+    solve_brute,
     FixpointOptions,
     cycle_sides,
 )
@@ -539,6 +540,46 @@ class TestRule8:
         for region in index_of(inst).regions(0, 1):
             assert rule8(inst, region) == []
         assert not inst.forbidden
+
+
+class TestColoringNeedsSelectableAnchorsAndHighBoundary:
+    """Rules 6-8 color nothing in a region whose anchor or high-demand
+    boundary vertex is blue, so they keep the answer for any forbidden set."""
+
+    def test_blue_anchor_stops_rule6(self):
+        inst = make_special_case(generate_planar(6, 0.85, 2230), "pids")
+        inst.budget = 4
+        region = index_of(inst).regions(2, 3)[1]
+        assert region.interior == {0, 5} and region.core == {0, 5}
+        inst.forbidden = {2}
+        assert solve_brute(inst).answer
+        # Coloring 0 and 5 here would leave no solution of size 4.
+        assert rule6(inst, region) == []
+        assert inst.forbidden == {2}
+
+    def test_rules_keep_the_answer_on_every_region(self):
+        profiles = ("pids", "r:1", "random:2", "bdvd:1")
+        regions = fired = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(5, 11)
+            inst = make_special_case(
+                generate_planar(n, rng.choice((0.8, 0.9, 1.0)), seed), profiles[seed % 4], seed=seed
+            )
+            inst.budget = rng.randint(1, n // 2)
+            index = index_of(inst)
+            for a1, a2 in itertools.combinations(inst.vertices, 2):
+                for region in index.regions(a1, a2):
+                    regions += 1
+                    before = inst.copy()
+                    before.forbidden = {v for v in inst.vertices if rng.random() < 0.25}
+                    after = before.copy()
+                    if rule6(after, region) + rule7(after, region) + rule8(after, region):
+                        fired += 1
+                        assert solve_brute(after).answer == solve_brute(before).answer, (
+                            seed, a1, a2, sorted(before.forbidden)
+                        )
+        assert (regions, fired) == (13984, 737)
 
 
 class TestEmbeddingFreshness:

@@ -749,3 +749,55 @@ class TestCandidateScansMatchPairwiseScans:
                     if inst.status is not Status.OPEN:
                         break
         assert min(fired.values()) > 100, fired
+
+
+# Rule 9 as it was when it tried every selectable neighbor of ``v`` as the
+# witness, kept as the oracle its common-neighborhood test must match.
+def nested_rule9(instance):
+    events = []
+    for v in instance.vertices:
+        if v in instance.forbidden or instance.demand[v] > 1:
+            continue
+        high_closed = neighborhood(instance, v)
+        for w in sorted(instance.neighbors(v)):
+            if w in instance.forbidden:
+                continue
+            if not high_closed <= instance.neighbors(w):
+                continue
+            fallbacks = [z for z in instance.neighbors(v) if z != w and instance.demand[z] >= 2]
+            if len(fallbacks) > 1:
+                continue
+            if any(z in instance.forbidden for z in fallbacks):
+                continue
+            events.append(apply(instance, ReductionEvent(rule_id=9, newly_blue=frozenset({v}))))
+            break
+    return events
+
+
+class TestRule9MatchesNestedScan:
+    """Rule 9 emits the events of its nested scan over witnesses, in order,
+    on the raw instance and on every state the local rules hand it."""
+
+    @staticmethod
+    def check(name, instance):
+        reference = instance.copy()
+        expected = [astuple(ev) for ev in nested_rule9(reference)]
+        got = [astuple(ev) for ev in rule9(instance)]
+        assert got == expected, name
+        assert instance == reference, name
+        return len(got)
+
+    def test_events_and_instances_match(self):
+        fired = 0
+        for name, inst in scan_instances():
+            fired += self.check(name, inst.copy())
+            batch = True
+            while batch and inst.status is Status.OPEN:
+                batch = []
+                for rid, rule in _LOCAL_RULES.items():
+                    if rid == 9:
+                        fired += self.check(name, inst.copy())
+                    batch.extend(rule(inst))
+                    if inst.status is not Status.OPEN:
+                        break
+        assert fired > 100, fired
