@@ -23,7 +23,9 @@ from .toolkit import (
     kernel_report,
     make_special_case,
     parse,
+    parse_witness,
     write,
+    write_witness,
 )
 
 
@@ -32,21 +34,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_instance(path: str):
-    return parse(_read(path))
-
-
 def _fixpoint_options(args) -> FixpointOptions:
     return FixpointOptions(
         kernel_certificate={"on": True, "off": False}.get(args.kernel_certificate),
         enable_region_rules=not args.no_region_rules,
         max_paths_per_pair=args.max_paths_per_pair,
     )
-
-
-def _witness_text(instance, witness) -> str:
-    label = {v: i + 1 for i, v in enumerate(instance.vertices)}
-    return " ".join(str(label[v]) for v in sorted(witness))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -59,7 +52,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _reduce(args):
     """Run the fixpoint on the input file; return its kernel and stats line."""
-    instance = _load_instance(args.input)
+    instance = parse(_read(args.input))
     report = run_fixpoint(instance.copy(), _fixpoint_options(args))
     return kernel_of(report), format_stats(kernel_report(instance, report))
 
@@ -74,7 +67,7 @@ def _cmd_kernelize(args) -> int:
 def _cmd_solve(args) -> int:
     if args.method == "bb" and args.oracle_limit is not None:
         raise VecdomError("--oracle-limit applies only to --method brute")
-    instance = _load_instance(args.input)
+    instance = parse(_read(args.input))
     # The planarity precondition of kernelize and stats: a non-planar
     # input is an input error whichever solver would decide it.
     embed(instance)
@@ -88,31 +81,15 @@ def _cmd_solve(args) -> int:
         # input is a solver fault, not an input error, so it exits 2.
         if not verify_solution(instance, result.witness):
             raise AssertionError(f"{args.method} YES witness does not verify on the input")
-        suffix = _witness_text(instance, result.witness)
-        print(f"YES {suffix}".rstrip())
+        print(f"YES {write_witness(instance, result.witness)}".rstrip())
         return 0
     print("NO")
     return 1
 
 
 def _cmd_verify(args) -> int:
-    instance = _load_instance(args.input)
-    tokens = []
-    for line in _read(args.witness).splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens.extend(line.split())
-    try:
-        file_ids = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise VecdomError(f"witness file must hold vertex ids: {exc}") from None
-    ids = instance.vertices
-    for t in file_ids:
-        if not 1 <= t <= len(ids):
-            raise VecdomError(f"witness vertex {t} out of range 1..{len(ids)}")
-    chosen = {ids[t - 1] for t in file_ids}
-    if verify_solution(instance, chosen):
+    instance = parse(_read(args.input))
+    if verify_solution(instance, parse_witness(_read(args.witness), instance)):
         print("VALID")
         return 0
     print("INVALID")

@@ -70,7 +70,6 @@ class RotationSystem:
         # ``successor[v][u]`` is the neighbor after ``u`` in ``rotation[v]``,
         # so the dart after (u, v) on its face is (v, successor[v][u]).
         self.rotation = rotation
-        self._successor = successor
         faces = []
         face_of = self.face_of = {}
         for u, around in rotation.items():
@@ -208,7 +207,7 @@ def cycle_sides(
     that ``keep`` refuses comes back as ``None``, and its walk stops at the
     first such vertex.
 
-    One pass over the cycle's steps checks that each is an edge of the
+    One pass over the cycle's steps checks that each is a dart of the
     embedding and collects the cycle's darts in both directions; the
     walks cross from a face to the next through the face of each dart's
     reverse, which ``RotationSystem`` keeps per face, so no dart is looked
@@ -220,25 +219,24 @@ def cycle_sides(
         raise NotACycleError("a simple cycle needs at least three vertices")
     if len(boundary) != len(cycle):
         raise NotACycleError("cycle repeats a vertex")
-    successor = rs._successor
+    face_of = rs.face_of
     cycle_darts = set()
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        around = successor.get(u)
-        if around is None or v not in around:
+        if (u, v) not in face_of:
             for w in (u, v):
-                if w not in successor:
+                if w not in rs.adjacency:
                     raise NotACycleError(f"cycle vertex {w} is not embedded")
             raise NotACycleError(f"cycle step ({u}, {v}) is not an edge")
         cycle_darts.add((u, v))
         cycle_darts.add((v, u))
 
     c0, c1 = cycle[0], cycle[1]
-    starts = (rs.face_of[(c0, c1)], rs.face_of[(c1, c0)])
+    starts = (face_of[(c0, c1)], face_of[(c1, c0)])
     if starts[0] == starts[1]:
         raise AssertionError("cycle does not separate the embedding")
     side0 = _walk_side(rs, boundary, cycle_darts, starts[0], starts[1], keep)
     side1 = _walk_side(rs, boundary, cycle_darts, starts[1], starts[0], keep)
     if side0 is not None and side1 is not None:
-        if len(side0) + len(side1) + len(cycle) != len(rs.rotation):
+        if len(side0) + len(side1) + len(cycle) != len(rs.adjacency):
             raise AssertionError("a vertex lies on neither side of the cycle")
     return side0, side1

@@ -225,6 +225,8 @@ class RegionIndex:
             if not a1 < a2:
                 raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
             interiors = self._from(a1).get(a2, ([], False))[0]
+            if len(interiors) < 2:
+                return []
             regions = self._regions[key] = _regions(self.instance, self.rs, a1, a2, interiors)
         return regions
 

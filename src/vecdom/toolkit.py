@@ -1,8 +1,9 @@
-"""Instance files, random planar generators, demand profiles, kernel stats.
+"""Instance and witness files, random planar generators, demand profiles, kernel stats.
 
-The file format is line oriented: one ``p pvds <n> <m> <k>`` header, then
-optional ``d <v> <demand>``, ``f <v>`` and ``e <u> <v>`` lines with
-1-indexed vertices.  ``write`` emits a canonical form (sorted lines, zero
+An instance file has one ``p pvds <n> <m> <k>`` header, then optional
+``d <v> <demand>``, ``f <v>`` and ``e <u> <v>`` lines; a witness file holds
+vertex labels.  Both skip blank and ``c`` lines and label vertices 1..n in
+sorted-id order.  ``write`` emits a canonical form (sorted lines, zero
 demands omitted) so that round-trips are byte stable.
 """
 
@@ -25,6 +26,31 @@ class ParseError(VecdomError):
         self.line = line
 
 
+def _data_lines(text: str):
+    """Yield ``(line number, tokens)`` for each line neither blank nor a ``c`` comment."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("c"):
+            yield ln, parts
+
+
+def _vertex(tok: str, ln: int, n: int) -> int:
+    """The 0-based id of the label ``tok`` on line ``ln`` of a file with
+    ``n`` vertices; ``ParseError`` unless ``tok`` is an integer in 1..n."""
+    try:
+        v = int(tok)
+    except ValueError:
+        raise ParseError(f"bad vertex id {tok!r}", ln) from None
+    if not 1 <= v <= n:
+        raise ParseError(f"vertex {v} out of range 1..{n}", ln)
+    return v - 1
+
+
+def _labels(instance: AnnotatedInstance) -> dict[int, int]:
+    """Each vertex's label, keyed in sorted-id order."""
+    return {v: i + 1 for i, v in enumerate(instance.vertices)}
+
+
 def parse(text: str) -> AnnotatedInstance:
     """Parse an instance file; demands default to zero, vertices to isolated.
 
@@ -36,21 +62,7 @@ def parse(text: str) -> AnnotatedInstance:
     forbidden: set[int] = set()
     edges: list[tuple[int, int]] = []
     edge_seen: set[tuple[int, int]] = set()
-
-    def vertex(tok: str, ln: int) -> int:
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"bad vertex id {tok!r}", ln) from None
-        if not 1 <= v <= n:
-            raise ParseError(f"vertex {v} out of range 1..{n}", ln)
-        return v - 1
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for ln, parts in _data_lines(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate header", ln)
@@ -68,7 +80,7 @@ def parse(text: str) -> AnnotatedInstance:
         if parts[0] == "d":
             if len(parts) != 3:
                 raise ParseError("demand line must be 'd <v> <demand>'", ln)
-            v = vertex(parts[1], ln)
+            v = _vertex(parts[1], ln, n)
             if v in demands:
                 raise ParseError(f"duplicate demand for vertex {v + 1}", ln)
             try:
@@ -81,14 +93,14 @@ def parse(text: str) -> AnnotatedInstance:
         elif parts[0] == "f":
             if len(parts) != 2:
                 raise ParseError("forbidden line must be 'f <v>'", ln)
-            v = vertex(parts[1], ln)
+            v = _vertex(parts[1], ln, n)
             if v in forbidden:
                 raise ParseError(f"duplicate forbidden line for vertex {v + 1}", ln)
             forbidden.add(v)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", ln)
-            u, v = vertex(parts[1], ln), vertex(parts[2], ln)
+            u, v = _vertex(parts[1], ln, n), _vertex(parts[2], ln, n)
             if u == v:
                 raise ParseError("self-loops are not allowed", ln)
             key = (u, v) if u < v else (v, u)
@@ -115,17 +127,30 @@ def write(instance: AnnotatedInstance) -> str:
     generated instances (dense ids) round-trip field for field, and
     reduced instances with deleted ids come out compact.
     """
-    ids = instance.vertices
-    label = {v: i + 1 for i, v in enumerate(ids)}
+    label = _labels(instance)
     lines = [f"p pvds {instance.n} {instance.m} {instance.budget}"]
-    for v in ids:
+    for v, lv in label.items():
         if instance.demand[v]:
-            lines.append(f"d {label[v]} {instance.demand[v]}")
+            lines.append(f"d {lv} {instance.demand[v]}")
     for v in sorted(instance.forbidden):
         lines.append(f"f {label[v]}")
     for u, v in sorted((label[a], label[b]) for a, b in instance.edges()):
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
+
+
+def parse_witness(text: str, instance: AnnotatedInstance) -> set[int]:
+    """The vertices a witness file for ``instance`` names: label t is
+    ``instance.vertices[t - 1]``, the vertex ``write`` labels t."""
+    ids = instance.vertices
+    return {ids[_vertex(tok, ln, len(ids))] for ln, parts in _data_lines(text) for tok in parts}
+
+
+def write_witness(instance: AnnotatedInstance, chosen) -> str:
+    """The labels ``write`` gives the vertices of ``chosen``, in increasing
+    order and separated by spaces."""
+    label = _labels(instance)
+    return " ".join(str(label[v]) for v in sorted(chosen))
 
 
 def trivial_instance(answer: bool) -> AnnotatedInstance:
@@ -242,14 +267,13 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
 
     ``instance`` is the original.  The region count and the largest
     candidate-region interior cover every anchor pair of the kernel,
-    forbidden anchors included, at the run's path cap; a pair with fewer
-    than two typed paths under the cap has no region and is passed over.
-    A run that stopped at quiescence hands over the index its last region
-    phase built on that graph.  That phase built only the pairs that could
-    color, so the regions of every other pair are built here, once per
-    run.  A fresh index is built when there is none or when it does not
-    describe the kernel: the run was decided, or the reduced graph or
-    demands changed since the index was built.
+    forbidden anchors included, at the run's path cap.  A run that stopped
+    at quiescence hands over the index its last region phase built on that
+    graph.  That phase built only the pairs that could color, so the
+    regions of every other pair are built here, once per run.  A fresh
+    index is built when there is none or when it does not describe the
+    kernel: the run was decided, or the reduced graph or demands changed
+    since the index was built.
     """
     kernel = kernel_of(report)
     region_count = 0
@@ -258,9 +282,7 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
     if index is None or not index.describes(kernel):
         index = RegionIndex(kernel, embed(kernel), report.max_paths_per_pair)
     for a1 in kernel.vertices:
-        for a2, (interiors, _) in index.typed_paths(a1).items():
-            if len(interiors) < 2:
-                continue
+        for a2 in index.typed_paths(a1):
             regions = index.regions(a1, a2)
             region_count += len(regions)
             for region in regions:

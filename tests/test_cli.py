@@ -21,6 +21,7 @@ from vecdom import (
     solve_brute,
     write,
 )
+from vecdom.instance import ReductionEvent, apply
 from vecdom.selftest import corpus_instance, evaluate_instance, run_selftest
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
@@ -158,6 +159,16 @@ class TestVerify:
         wit.write_text("9\n")
         assert cli_main(["verify", "--input", yes_file, "--witness", str(wit)]) == 2
 
+    @pytest.mark.parametrize("text, error", [
+        ("1\nx\n", "error: line 2: bad vertex id 'x'"),
+        ("c best found\n4\n", "error: line 2: vertex 4 out of range 1..3"),
+    ])
+    def test_a_bad_witness_file_names_its_line(self, text, error, yes_file, tmp_path, capsys):
+        wit = tmp_path / "witness.txt"
+        wit.write_text(text)
+        assert cli_main(["verify", "--input", yes_file, "--witness", str(wit)]) == 2
+        assert capsys.readouterr().err.strip() == error
+
     def test_solve_output_verifies(self, yes_file, tmp_path, capsys):
         assert cli_main(["solve", "--input", yes_file]) == 0
         out = capsys.readouterr().out.split()
@@ -235,6 +246,29 @@ class TestSelftest:
             "branch-and-bound witness for the kernel with region rules on does not verify",
             "branch-and-bound witness for the kernel with region rules off does not verify",
             "branch-and-bound witness does not verify",
+        ]
+
+    def test_an_unsound_rule_is_caught(self, monkeypatch, capsys):
+        # Rule 2 also zeroes the first positive demand it finds, which can
+        # only turn NO into YES.  Seed 29 is a NO instance, so the event
+        # chain records the flip and both kernels answer wrongly.
+        def zero_first_demand(instance):
+            for v in instance.vertices:
+                d = instance.demand[v]
+                if d > 0:
+                    return [apply(instance, ReductionEvent(rule_id=2, demand_deltas={v: -d}))]
+            return []
+
+        monkeypatch.setitem(vecdom.rules._LOCAL_RULES, 2, zero_first_demand)
+        assert cli_main(["selftest", "--count", "1", "--seed", "29"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL seed 29: event 21 (rule 2) flipped the answer from False to True",
+            "FAIL seed 29: kernel answer with region rules on is True, oracle says False",
+            "FAIL seed 29: kernel answer with region rules off is True, oracle says False",
+            "selftest: 3 failure(s) over 1 instances",
+        ]
+        assert evaluate_instance(29).event_failures == [
+            "event 21 (rule 2) flipped the answer from False to True"
         ]
 
 

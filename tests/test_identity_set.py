@@ -12,6 +12,8 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import vecdom
 import vecdom.selftest
 from vecdom.toolkit import _PROFILES
@@ -51,7 +53,29 @@ def test_identity_set_uses_every_profile(monkeypatch):
     assert used == set(_PROFILES) | {"pids"}
 
 
-def test_identity_set_outputs_are_pinned():
+@pytest.fixture(scope="module")
+def digest_lines():
+    """``(name, digest_line)`` for every identity-set instance, in set order,
+    computed once for the output pins below."""
+    digest = load_digest()
+    return [
+        (name, digest.digest_line(vecdom, name, inst))
+        for name, inst in digest.identity_set(vecdom)
+    ]
+
+
+def hash_lines(lines, wanted=lambda name: True):
+    """The sha256 of the digest lines whose names ``wanted`` accepts, and their count."""
+    h = hashlib.sha256()
+    count = 0
+    for name, line in lines:
+        if wanted(name):
+            h.update(line.encode())
+            count += 1
+    return h.hexdigest(), count
+
+
+def test_identity_set_outputs_are_pinned(digest_lines):
     """What the fixpoint makes of every identity-set instance stays as it was.
 
     The sha256 covers each instance's ``digest_line``: its kernel, event log
@@ -59,11 +83,9 @@ def test_identity_set_outputs_are_pinned():
     the pin and lists the changed lines in CHANGES.md; the tool locates
     which lines differ.
     """
-    digest = load_digest()
-    h = hashlib.sha256()
-    for name, inst in digest.identity_set(vecdom):
-        h.update(digest.digest_line(vecdom, name, inst).encode())
-    assert h.hexdigest() == "ab0aad551113e9a27fdb895f12dcb1b38d2f71ebcb35938b2a9ca28cc603fe37"
+    assert hash_lines(digest_lines) == (
+        "ab0aad551113e9a27fdb895f12dcb1b38d2f71ebcb35938b2a9ca28cc603fe37", 1345
+    )
 
 
 def in_slice(name):
@@ -75,7 +97,7 @@ def in_slice(name):
     return kind in ("corpus", "pids-20")
 
 
-def test_identity_slice_outputs_are_pinned():
+def test_identity_slice_outputs_are_pinned(digest_lines):
     """What the fixpoint makes of 1076 identity-set instances stays as it was.
 
     The sha256 covers each instance's ``digest_line``: its kernel, event log
@@ -83,18 +105,12 @@ def test_identity_slice_outputs_are_pinned():
     A change that alters these outputs on purpose updates the pin and lists
     the changed lines in CHANGES.md; the full set is compared with the tool.
     """
-    digest = load_digest()
-    h = hashlib.sha256()
-    count = 0
-    for name, inst in digest.identity_set(vecdom):
-        if in_slice(name):
-            h.update(digest.digest_line(vecdom, name, inst).encode())
-            count += 1
-    assert count == 1076
-    assert h.hexdigest() == "3d7691afb65eb8e1bf034cef32a2305906c64c7b3ebe17e8e6c52aabe6703703"
+    assert hash_lines(digest_lines, in_slice) == (
+        "3d7691afb65eb8e1bf034cef32a2305906c64c7b3ebe17e8e6c52aabe6703703", 1076
+    )
 
 
-def test_local_sparse_outputs_are_pinned():
+def test_local_sparse_outputs_are_pinned(digest_lines):
     """What the fixpoint makes of ``r1-300/s/k60``, s 0-4, stays as it was.
 
     These density-0.8 ``r:1`` graphs at n=300 are the shape of the
@@ -102,13 +118,7 @@ def test_local_sparse_outputs_are_pinned():
     (12-16 and 45-55 times a run here), and the slice above holds none of
     them.  The sha256 covers each instance's ``digest_line``.
     """
-    digest = load_digest()
     wanted = {f"r1-300/{s}/k60" for s in range(5)}
-    h = hashlib.sha256()
-    count = 0
-    for name, inst in digest.identity_set(vecdom):
-        if name in wanted:
-            h.update(digest.digest_line(vecdom, name, inst).encode())
-            count += 1
-    assert count == 5
-    assert h.hexdigest() == "0d8e8117cda2f6b5dce87d0ad4359e2010792bbbf731f9c5996bceb601416851"
+    assert hash_lines(digest_lines, wanted.__contains__) == (
+        "0d8e8117cda2f6b5dce87d0ad4359e2010792bbbf731f9c5996bceb601416851", 5
+    )

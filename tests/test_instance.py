@@ -15,9 +15,10 @@ from vecdom import (
     parse,
     replay,
     validate,
+    verify_solution,
 )
 from vecdom.cli import cli_main
-from vecdom.instance import force_into_solution
+from vecdom.instance import apply, force_into_solution
 from vecdom.toolkit import generate_planar
 
 from conftest import build
@@ -71,6 +72,40 @@ class TestValidate:
         inst = build(1)
         inst.demand[0] = -1
         assert any("negative demand" in msg for msg in validate(inst))
+
+    @pytest.mark.parametrize("spoil, violation", [
+        (lambda inst: inst._adj[0].add(7), "edge (0, 7) references missing vertex 7"),
+        (lambda inst: inst._adj[0].add(2), "asymmetric adjacency between 0 and 2"),
+        (lambda inst: inst.forbidden.add(9), "forbidden vertex 9 is not in the graph"),
+        (
+            lambda inst: setattr(inst, "status", Status.DECIDED_YES),
+            "status is yes but demands remain or budget is negative",
+        ),
+    ], ids=["missing-neighbour", "asymmetric", "forbidden-outside", "yes-with-demand"])
+    def test_each_broken_invariant_is_reported(self, spoil, violation):
+        inst = build(3, [(0, 1), (1, 2)], {1: 1}, k=1)
+        spoil(inst)
+        assert validate(inst) == [violation]
+
+
+def path3():
+    return build(3, [(0, 1), (1, 2)], {1: 1}, k=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build(2, [(0, 2)]), "edge (0, 2) references a missing vertex"),
+    (lambda: build(2, demand={2: 1}), "demand given for missing vertex 2"),
+    (
+        lambda: apply(path3(), ReductionEvent(rule_id=6, newly_blue=frozenset({5}))),
+        "unknown vertex 5",
+    ),
+    (lambda: dominates(path3(), {0}, [1, 5]), "unknown vertex 5"),
+    (lambda: verify_solution(path3(), {0, 5}), "unknown vertex 5"),
+], ids=["edge", "demand", "apply-color", "dominates-target", "verify_solution"])
+def test_a_missing_vertex_is_refused(call, message):
+    with pytest.raises(UnknownVertexError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestDominates:

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 import vecdom.planarity
 from vecdom import (
     AnnotatedInstance,
+    InvalidInstanceError,
     NonPlanarError,
     NotACycleError,
     cycle_sides,
     embed,
+    run_fixpoint,
 )
 from vecdom.toolkit import generate_planar
 
@@ -317,6 +319,24 @@ class TestCycleSides:
         inst.delete_edge(*inst.edges()[0])
         inst.delete_vertex(inst.vertices[-1])
         embed(inst)
+
+
+def negative_demand():
+    return build(2, [(0, 1)], {1: -1})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: embed(negative_demand()), InvalidInstanceError, "negative demand at 1"),
+    (lambda: run_fixpoint(negative_demand()), InvalidInstanceError, "negative demand at 1"),
+    (lambda: cycle_sides(embed(complete(4)), [0, 1, 2, 1]), NotACycleError,
+     "cycle repeats a vertex"),
+    (lambda: cycle_sides(embed(complete(4)), [0, 1, 7]), NotACycleError,
+     "cycle vertex 7 is not embedded"),
+], ids=["embed", "run_fixpoint", "cycle-repeats", "cycle-not-embedded"])
+def test_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestCycleSidesMatchUnionFind:

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vecdom.regions
 from vecdom import (
     AnnotatedInstance,
     CandidateRegion,
@@ -75,6 +76,17 @@ class TestClassifyPath:
             classify_path(inst, [0, 2, 3], 0, 3)  # 0-2 not an edge
         with pytest.raises(MalformedPathError):
             classify_path(inst, [0, 1, 2], 0, 3)  # wrong endpoint
+
+
+@pytest.mark.parametrize("path, a1, a2, message", [
+    ((0, 1, 2, 1, 3), 0, 3, "path (0, 1, 2, 1, 3) repeats a vertex"),
+    ((0, 1, 0), 0, 0, "path (0, 1, 0) does not run from 0 to 0"),
+])
+def test_classify_path_refuses_a_path_that_is_not_simple(path, a1, a2, message):
+    inst = build(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(MalformedPathError) as err:
+        classify_path(inst, path, a1, a2)
+    assert str(err.value) == message
 
 
 class TestEnumerateBoundaryPaths:
@@ -192,6 +204,23 @@ class TestRegionIndex:
             # An index asked for this pair alone builds the same regions.
             assert index.regions(a1, a2) == RegionIndex(inst, rs, 512).regions(a1, a2)
             assert index.regions(a1, a2) is index.regions(a1, a2)
+
+    def test_a_pair_with_fewer_than_two_typed_paths_builds_nothing(self, monkeypatch):
+        built = []
+        real = vecdom.regions._regions
+        monkeypatch.setattr(
+            vecdom.regions, "_regions", lambda *args: built.append(args[2:4]) or real(*args)
+        )
+        inst = make_special_case(generate_planar(16, 0.7, 3), "random:2", seed=3)
+        index = RegionIndex(inst, embed(inst), 512)
+        sizes = set()
+        for a1, a2 in itertools.combinations(inst.vertices, 2):
+            count = len(interiors_of(index, a1, a2))
+            if count < 2:
+                sizes.add(count)
+                assert index.regions(a1, a2) == []
+        assert sizes == {0, 1}
+        assert built == [] and index._regions == {}
 
     def test_negative_cap_refused(self):
         inst = cap_probe_instance()

@@ -1,6 +1,7 @@
 """File format, generators, demand profiles, kernel statistics."""
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from vecdom import (
     solve_brute,
     write,
 )
+from vecdom.toolkit import parse_witness, write_witness
 
 from conftest import build, worst_case_region_instance
 
@@ -63,6 +65,24 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("c no solution has -1 vertices\np pvds 3 2 -1\ne 1 2\ne 2 3\n")
         assert err.value.line == 2 and "negative counts in header" in str(err.value)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("p pvds 2 0 0\nd x 1\n", 2, "bad vertex id 'x'"),
+        ("p pvds 2 0 0\np pvds 2 0 0\n", 2, "duplicate header"),
+        ("p pvds two 0 0\n", 1, "header counts must be integers"),
+        ("p pvds 2 0 0\nd 1 1\nd 1 2\n", 3, "duplicate demand for vertex 1"),
+        ("p pvds 2 0 0\nd 1 one\n", 2, "demand must be an integer"),
+        ("p pvds 2 0 0\nd 2 -1\n", 2, "negative demand"),
+        ("p pvds 2 0 0\nf 1 2\n", 2, "forbidden line must be 'f <v>'"),
+        ("p pvds 2 0 0\nf 2\nc again\nf 2\n", 4, "duplicate forbidden line for vertex 2"),
+        ("p pvds 2 0 0\ne 1\n", 2, "edge line must be 'e <u> <v>'"),
+        ("p pvds 2 0 0\nx 1\n", 2, "unknown line type 'x'"),
+    ])
+    def test_refusals_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
 
 _TOKENS = st.one_of(
@@ -124,6 +144,54 @@ class TestWrite:
         text = write(inst)
         assert parse(text) == inst
         assert write(parse(text)) == text
+
+
+def kernels_with_holes():
+    """Open kernels of density-0.8 ``r:1`` graphs whose ids skip deleted vertices."""
+    out = []
+    for seed in range(10):
+        inst = make_special_case(generate_planar(40, 0.8, seed), "r:1")
+        inst.budget = 10
+        kernel = kernel_of(run_fixpoint(inst))
+        if kernel.status is Status.OPEN and kernel.vertices[-1] >= kernel.n:
+            out.append(kernel)
+    return out
+
+
+class TestWitnessFiles:
+    def test_round_trip_on_kernels_whose_ids_have_holes(self):
+        kernels = kernels_with_holes()
+        assert len(kernels) == 2
+        for kernel in kernels:
+            for size in range(kernel.n + 1):
+                for chosen in itertools.combinations(kernel.vertices, size):
+                    text = write_witness(kernel, chosen)
+                    assert parse_witness(text, kernel) == set(chosen)
+
+    def test_labels_are_those_write_gives(self):
+        inst = build(5, [(0, 4), (2, 4)], {4: 2})
+        inst.delete_vertex(1)
+        inst.delete_vertex(3)
+        assert write(inst) == "p pvds 3 2 0\nd 3 2\ne 1 3\ne 2 3\n"
+        assert write_witness(inst, {4, 0}) == "1 3"
+        assert parse_witness("3 1\n", inst) == {0, 4}
+
+    def test_blank_and_comment_lines_are_skipped(self):
+        inst = build(5)
+        text = "c chosen by hand\n\n  2 \n   c 9 is no label\n5\t4 2\n"
+        assert parse_witness(text, inst) == {1, 3, 4}
+        assert parse_witness("", inst) == set() and write_witness(inst, ()) == ""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1\nx\n", 2, "bad vertex id 'x'"),
+        ("9\n", 1, "vertex 9 out of range 1..5"),
+        ("c none\n\n2 0\n", 3, "vertex 0 out of range 1..5"),
+    ])
+    def test_a_bad_label_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_witness(text, build(5))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
 
 class TestGeneratePlanar:
