@@ -79,7 +79,7 @@ class AnnotatedInstance:
     report problems.
     """
 
-    __slots__ = ("_adj", "_m", "demand", "budget", "forbidden", "status")
+    __slots__ = ("_adj", "demand", "budget", "forbidden", "status")
 
     def __init__(
         self,
@@ -91,7 +91,6 @@ class AnnotatedInstance:
         status: Status = Status.OPEN,
     ):
         self._adj: dict[int, set[int]] = {int(v): set() for v in vertices}
-        self._m = 0
         for u, v in edges:
             if u not in self._adj or v not in self._adj:
                 raise UnknownVertexError(f"edge ({u}, {v}) references a missing vertex")
@@ -115,7 +114,7 @@ class AnnotatedInstance:
 
     @property
     def m(self) -> int:
-        return self._m
+        return sum(map(len, self._adj.values())) // 2
 
     @property
     def vertices(self) -> list[int]:
@@ -154,24 +153,19 @@ class AnnotatedInstance:
     # -- mutation ------------------------------------------------------
 
     def _add_edge(self, u: int, v: int) -> None:
-        if v not in self._adj[u]:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-            self._m += 1
+        self._adj[u].add(v)
+        self._adj[v].add(u)
 
     def delete_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
             raise UnknownVertexError(f"edge ({u}, {v}) not present")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._m -= 1
 
     def delete_vertex(self, v: int) -> None:
         """Remove ``v`` with its incident edges."""
-        nbrs = self.neighbors(v)
-        for u in nbrs:
+        for u in self.neighbors(v):
             self._adj[u].discard(v)
-        self._m -= len(nbrs)
         del self._adj[v]
         del self.demand[v]
         self.forbidden.discard(v)
@@ -186,7 +180,6 @@ class AnnotatedInstance:
     def copy(self) -> "AnnotatedInstance":
         dup = AnnotatedInstance.__new__(AnnotatedInstance)
         dup._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        dup._m = self._m
         dup.demand = dict(self.demand)
         dup.budget = self.budget
         dup.forbidden = set(self.forbidden)

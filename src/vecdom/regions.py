@@ -133,22 +133,31 @@ class RegionIndex:
             and self.rs.describes(instance)
         )
 
-    def _from(self, a1: int) -> dict[int, tuple[list[tuple[int, ...]], bool]]:
-        """The typed paths from ``a1`` to every vertex above it: per far
-        anchor, the interiors in ``(len, path)`` order cut to the cap, and
-        whether the cap cut them.
+    def typed_paths(self, a1: int) -> dict[int, tuple[list[tuple[int, ...]], bool]]:
+        """The typed paths of the pairs ``(a1, a2)``, in one read: a dict
+        from each ``a2`` above ``a1`` that a typed path joins to it, in
+        increasing order, to the pair's interiors and whether the cap cut
+        them.  A pair that no typed path joins has no entry.  The dict and
+        its lists are the index's own; callers must not change them.
 
-        One depth-first search over the sorted neighbor lists walks the
-        simple paths of two to four edges from ``a1`` and types each one
-        while it grows, read from both ends as :func:`classify_path` would:
-        type 3 needs a vertex of demand at most one next to an anchor; type
-        2 needs a zero-demand middle, inner ends off the far anchors and a
-        demand-1 inner end.  A path that cannot become typed is not
-        extended.  The search emits the interiors of each length in
-        lexicographic order, so a stable sort by length leaves each far
-        anchor's list in ``(len, path)`` order; the far anchors are keys in
-        increasing order.
+        An interior is the tuple of a path's vertices strictly between
+        ``a1`` and ``a2``, read from ``a1``.  A pair's interiors come in
+        ``(len, path)`` order, cut to the cap.  An interior's length fixes
+        the path's type (see :func:`classify_path`): one vertex for type 1,
+        two for type 3, three for type 2.
+
+        One depth-first search over the sorted neighbor lists, run on the
+        first read from ``a1``, walks the simple paths of two to four edges
+        from ``a1`` and types each one while it grows, read from both ends
+        as :func:`classify_path` would: type 3 needs a vertex of demand at
+        most one next to an anchor; type 2 needs a zero-demand middle,
+        inner ends off the far anchors and a demand-1 inner end.  A path
+        that cannot become typed is not extended.  The search emits the
+        interiors of each length in lexicographic order, so a stable sort
+        by length leaves each far anchor's list in ``(len, path)`` order.
         """
+        if not self.instance.has_vertex(a1):
+            raise UnknownVertexError(f"unknown vertex {a1}")
         found = self._found.get(a1)
         if found is not None:
             return found
@@ -186,23 +195,6 @@ class RegionIndex:
             found[a2] = (ordered[:cap], len(ordered) > cap)
         return found
 
-    def typed_paths(self, a1: int) -> dict[int, tuple[list[tuple[int, ...]], bool]]:
-        """The typed paths of the pairs ``(a1, a2)``, in one read: a dict
-        from each ``a2`` above ``a1`` that a typed path joins to it, in
-        increasing order, to the pair's interiors and whether the cap cut
-        them.  A pair that no typed path joins has no entry.  The dict and
-        its lists are the index's own; callers must not change them.
-
-        An interior is the tuple of a path's vertices strictly between
-        ``a1`` and ``a2``, read from ``a1``.  A pair's interiors come in
-        ``(len, path)`` order, cut to the cap.  An interior's length fixes
-        the path's type (see :func:`classify_path`): one vertex for type 1,
-        two for type 3, three for type 2.
-        """
-        if not self.instance.has_vertex(a1):
-            raise UnknownVertexError(f"unknown vertex {a1}")
-        return self._from(a1)
-
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
         """The pair's inclusion-maximal candidate regions.
 
@@ -224,7 +216,7 @@ class RegionIndex:
                     raise UnknownVertexError(f"unknown vertex {a}")
             if not a1 < a2:
                 raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
-            interiors = self._from(a1).get(a2, ([], False))[0]
+            interiors = self.typed_paths(a1).get(a2, ([], False))[0]
             if len(interiors) < 2:
                 return []
             regions = self._regions[key] = _regions(self.instance, self.rs, a1, a2, interiors)
@@ -330,6 +322,14 @@ def _color_unless(
     return events
 
 
+def _around(adj, vertices) -> set[int]:
+    """The union of the neighborhoods of ``vertices``, as a new set."""
+    out = set()
+    for y in vertices:
+        out |= adj[y]
+    return out
+
+
 def rule6(instance: AnnotatedInstance, region: CandidateRegion) -> list[ReductionEvent]:
     """Color interior vertices that neither reach the high-demand boundary nor
     could alone satisfy the core.
@@ -355,9 +355,7 @@ def rule7(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
     if not region.crosslinks:
         return []
     adj = instance._adj
-    near_high = set()
-    for y in region.high_boundary:
-        near_high |= adj[y]
+    near_high = _around(adj, region.high_boundary)
     core_a1 = region.core & adj[region.a1]
     core_a2 = region.core & adj[region.a2]
 
@@ -388,14 +386,10 @@ def rule8(instance: AnnotatedInstance, region: CandidateRegion) -> list[Reductio
     if region.crosslinks:
         return []
     adj = instance._adj
-    near_high = set()
-    for y in region.high_boundary:
-        near_high |= adj[y]
+    near_high = _around(adj, region.high_boundary)
 
     def exempt(u):
-        partners = set()
-        for y in adj[u] & region.high_boundary:
-            partners |= adj[y]
+        partners = _around(adj, adj[u] & region.high_boundary)
         if any(dominates(instance, {u, u2}, region.core) for u2 in partners):
             return True
         for anchor in (region.a1, region.a2):

@@ -91,9 +91,9 @@ class FixpointReport:
     rule_fire_counts: dict
     # The run's path cap from ``FixpointOptions``; ``kernel_report`` counts at it.
     max_paths_per_pair: int
+    final_instance: AnnotatedInstance
     caps_hit: bool = False
     max_rounds_hit: bool = False
-    final_instance: AnnotatedInstance | None = None
     # The last region phase's index; ``kernel_report`` reuses it while it
     # still describes the kernel, and builds there the regions of the pairs
     # that phase skipped because they could not color.
@@ -378,10 +378,12 @@ def _region_phase(
     can color.
 
     The index must describe the instance.  Coloring never touches the
-    graph or demands, so the index serves the whole phase.  The rules
-    color nothing in a region with a forbidden anchor, so the phase builds
-    no regions for such a pair.  The cap flag covers the pairs whose
-    anchors were both selectable when the phase started.
+    graph or demands, so the index serves the whole phase.  The phase is
+    one scan over the pairs in order.  It skips an anchor that was blue
+    when the phase started, and the cap flag covers every other pair.  The
+    rules color nothing in a region with a forbidden anchor, so the phase
+    builds no regions for a pair with an anchor blue now, colored earlier
+    in the same scan included.
 
     A pair's regions are built only when the pair has two typed paths
     under the cap, since one path closes no cycle, and passes
@@ -404,26 +406,27 @@ def _region_phase(
     ``kernel_report`` later builds, on the last phase's index, the regions
     that phase skipped.
     """
-    pairs = []
+    forbidden = instance.forbidden
+    blue_at_start = set(forbidden)
+    events: list[ReductionEvent] = []
     caps_hit = False
     for a1 in instance.vertices:
-        if a1 in instance.forbidden:
+        if a1 in blue_at_start:
             continue
         for a2, (interiors, capped) in index.typed_paths(a1).items():
-            if a2 in instance.forbidden:
+            if a2 in blue_at_start:
                 continue
             caps_hit |= capped
-            if len(interiors) > 1 and index.may_color(a1, a2):
-                pairs.append((a1, a2))
-
-    events: list[ReductionEvent] = []
-    for a1, a2 in pairs:
-        if a1 in instance.forbidden or a2 in instance.forbidden:
-            continue
-        for region in index.regions(a1, a2):
-            events.extend(rule6(instance, region))
-            events.extend(rule7(instance, region))
-            events.extend(rule8(instance, region))
+            if (
+                len(interiors) > 1
+                and a1 not in forbidden
+                and a2 not in forbidden
+                and index.may_color(a1, a2)
+            ):
+                for region in index.regions(a1, a2):
+                    events.extend(rule6(instance, region))
+                    events.extend(rule7(instance, region))
+                    events.extend(rule8(instance, region))
     return events, caps_hit
 
 

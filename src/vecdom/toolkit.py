@@ -134,8 +134,8 @@ def write(instance: AnnotatedInstance) -> str:
             lines.append(f"d {lv} {instance.demand[v]}")
     for v in sorted(instance.forbidden):
         lines.append(f"f {label[v]}")
-    for u, v in sorted((label[a], label[b]) for a, b in instance.edges()):
-        lines.append(f"e {u} {v}")
+    for u, v in instance.edges():
+        lines.append(f"e {label[u]} {label[v]}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ from vecdom import (
     solve_brute,
     FixpointOptions,
     cycle_sides,
+    replay,
 )
 from vecdom.regions import RegionIndex, classify_path
 from vecdom.rules import _region_phase
@@ -609,6 +610,67 @@ class TestColoringNeedsSelectableAnchorsAndHighBoundary:
                             seed, a1, a2, sorted(before.forbidden)
                         )
         assert (regions, fired) == (13984, 737)
+
+
+# Runs ``(n, density, graph seed, profile, k)`` in which rule 7 or rule 8
+# fires, found by a seeded search over n 8-16, densities 0.8-1.0, seven
+# profiles and k 2-4; the instance is
+# ``make_special_case(generate_planar(n, density, seed), profile, seed=seed)``
+# with budget k.  Rule 8 fires in 1 of the identity set's 1345 runs.  The
+# last two rule 7 runs are YES instances that a rule 7 exempting only its
+# crosslinks turns NO.
+RULE7_RUNS = [
+    (9, 0.9, 5, "alpha:1/3", 3),
+    (11, 0.9, 2, "alpha:1/3", 3),
+    (13, 0.9, 0, "alpha:1/3", 3),
+    (16, 0.8, 0, "alpha:1/3", 3),
+    (9, 0.8, 8, "pids", 3),
+    (11, 0.8, 2, "r:2", 3),
+    (14, 1.0, 15, "r:2", 2),
+    (15, 1.0, 2, "r:2", 4),
+    (9, 0.9, 5, "random:2", 3),
+    (11, 0.9, 11, "random:2", 3),
+    (13, 1.0, 5, "random:2", 3),
+    (15, 1.0, 5, "random:2", 4),
+    (14, 0.95, 16, "random:2", 3),
+    (15, 0.85, 16, "random:2", 3),
+]
+RULE8_RUNS = [
+    (9, 0.85, 30, "alpha:1/3", 3),
+    (10, 0.8, 9, "alpha:1/3", 3),
+    (10, 0.9, 0, "alpha:1/3", 4),
+    (10, 0.8, 1820, "alpha:1/3", 2),
+    (11, 0.95, 8, "alpha:1/3", 3),
+    (12, 0.85, 2, "alpha:1/3", 3),
+    (12, 0.85, 6, "bdvd:2", 4),
+    (12, 0.85, 35, "alpha:1/3", 4),
+    (14, 1.0, 12, "random:2", 2),
+    (15, 0.85, 30, "random:2", 3),
+    (16, 0.8, 35, "random:2", 4),
+    (16, 0.85, 17, "alpha:1/3", 4),
+]
+
+
+class TestPinnedRunsOfRules7And8:
+    """Each pinned run still fires its rule, and replaying its event log one
+    event at a time never moves the oracle's answer."""
+
+    @pytest.mark.parametrize(
+        "rule_id, run", [(7, run) for run in RULE7_RUNS] + [(8, run) for run in RULE8_RUNS]
+    )
+    def test_rule_fires_and_every_event_keeps_the_answer(self, rule_id, run):
+        n, density, seed, profile, k = run
+        inst = make_special_case(generate_planar(n, density, seed), profile, seed=seed)
+        inst.budget = k
+        expected = oracle_answer(inst)
+        working = inst.copy()
+        report = run_fixpoint(inst)
+        assert report.rule_fire_counts.get(rule_id, 0) > 0
+        for idx, event in enumerate(report.events):
+            replay(working, [event])
+            assert oracle_answer(working) == expected, f"event {idx} (rule {event.rule_id})"
+        working.status = report.final_status
+        assert working == report.final_instance
 
 
 class TestEmbeddingFreshness:

@@ -610,6 +610,32 @@ class TestStopRule:
         assert checked > 100
 
 
+class TestRegionPhaseCapRule:
+    """The cap flag covers every pair whose anchors were selectable when the
+    phase started, also when the phase colors an anchor before it reaches
+    the pair."""
+
+    def test_an_anchor_colored_during_the_phase_keeps_its_pair_cap(self):
+        from vecdom import embed
+        from vecdom.regions import RegionIndex
+        from vecdom.rules import _region_phase
+
+        inst = corpus_instance(1756)
+        index = RegionIndex(inst, embed(inst), 3)
+        capped = [
+            (a1, a2)
+            for a1 in inst.vertices
+            for a2, (_, cut) in index.typed_paths(a1).items()
+            if cut
+        ]
+        assert capped == [(4, 9)]
+        # A region of the pair (1, 4) colors all seven, 9 among them.
+        events, caps_hit = _region_phase(inst, index)
+        assert [ev.rule_id for ev in events] == [6] * 7
+        assert sorted(v for ev in events for v in ev.newly_blue) == [0, 2, 3, 6, 7, 8, 9]
+        assert caps_hit
+
+
 class TestRuleSoundnessSweep:
     """Master property: one full fixpoint per seed, every event oracle-checked."""
 
