@@ -1,19 +1,21 @@
 """Randomized soundness harness.
 
-Builds small planar instances, runs the reduction engine, and checks every
-single event against the exhaustive oracle: replaying the event log one
-step at a time must never change the instance's answer.  Also
-cross-validates the branch-and-bound solver and the end-to-end kernel
-pipeline, and verifies each of the solver's YES witnesses on the
-instance it was found for.  The CLI ``selftest`` subcommand and the
-acceptance tests both run on top of this module.
+``check_instance`` runs the reduction engine on any instance small enough
+for the exhaustive oracle and checks every single event against it:
+replaying the event log one step at a time must never change the
+instance's answer.  It also cross-validates the branch-and-bound solver
+and the end-to-end kernel pipeline, and verifies each of the solver's YES
+witnesses on the instance it was found for.  ``evaluate_instance`` runs it
+on a seeded corpus of small planar instances; the CLI ``selftest``
+subcommand, the acceptance tests and the pinned rule runs all run on top
+of this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .instance import AnnotatedInstance, Status, replay
+from .instance import AnnotatedInstance, ReductionEvent, Status, replay
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
 from .solver import ORACLE_LIMIT, solve_bb, solve_brute, verify_solution
 from .toolkit import generate_planar, kernel_of, make_special_case
@@ -45,7 +47,7 @@ def oracle_answer(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT)
 
 @dataclass
 class InstanceRecord:
-    """Everything the checks learned about one corpus instance."""
+    """Everything the checks learned about one instance."""
 
     seed: int
     instance: AnnotatedInstance
@@ -56,44 +58,39 @@ class InstanceRecord:
     failures: list[str] = field(default_factory=list)
 
 
-def _check_event_chain(record: InstanceRecord, oracle_limit: int) -> AnnotatedInstance:
-    """Replay the region-rules-on event log step by step, asking the oracle
-    until an event flips the answer, and return the replayed instance."""
-    working = record.instance.copy()
-    expected = record.brute_answer
-    for idx, event in enumerate(record.report_on.events):
+def _check_event_chain(
+    instance: AnnotatedInstance, events: list[ReductionEvent], expected: bool, oracle_limit: int
+) -> tuple[list[str], AnnotatedInstance]:
+    """Replay the event log step by step, asking the oracle until an event
+    flips the answer; return the flip, if any, and the replayed instance."""
+    working = instance.copy()
+    failures: list[str] = []
+    for idx, event in enumerate(events):
         replay(working, [event])
-        if not record.event_failures and oracle_answer(working, oracle_limit) != expected:
-            record.event_failures.append(
+        if not failures and oracle_answer(working, oracle_limit) != expected:
+            failures.append(
                 f"event {idx} (rule {event.rule_id}) flipped the answer "
                 f"from {expected} to {not expected}"
             )
-    return working
+    return failures, working
 
 
-def evaluate_instance(
-    seed: int, oracle_limit: int = ORACLE_LIMIT, max_n: int = 14
+def check_instance(
+    instance: AnnotatedInstance, seed: int, oracle_limit: int = ORACLE_LIMIT
 ) -> InstanceRecord:
-    """Run the full battery of checks on one generated instance."""
-    original = corpus_instance(seed, max_n)
-    brute = solve_brute(original, oracle_limit).answer
+    """Run the full battery of checks on ``instance``, which is left as it is.
 
-    on = original.copy()
-    report_on = run_fixpoint(on, FixpointOptions())
-    off = original.copy()
-    report_off = run_fixpoint(
-        off, FixpointOptions(kernel_certificate=False, enable_region_rules=False)
-    )
-
-    record = InstanceRecord(
-        seed=seed,
-        instance=original,
-        brute_answer=brute,
-        report_on=report_on,
-        report_off=report_off,
-    )
-
-    replayed = _check_event_chain(record, oracle_limit)
+    Every event of the region-rules-on fixpoint is replayed against the
+    oracle; both kernels (region rules on and off) are solved and their
+    YES witnesses verified; the event count is held to the potential; the
+    replay must reproduce the kernel; and ``solve_bb`` must agree with the
+    oracle on ``instance`` itself.  ``seed`` only labels the record.
+    """
+    brute = solve_brute(instance, oracle_limit).answer
+    report_on = run_fixpoint(instance.copy(), FixpointOptions())
+    report_off = run_fixpoint(instance.copy(), FixpointOptions(enable_region_rules=False))
+    event_failures, replayed = _check_event_chain(instance, report_on.events, brute, oracle_limit)
+    record = InstanceRecord(seed, instance, brute, report_on, report_off, event_failures)
 
     for label, report in (("on", report_on), ("off", report_off)):
         kernel = kernel_of(report)
@@ -108,23 +105,28 @@ def evaluate_instance(
                 "does not verify"
             )
 
-    phi_initial = potential(original)
+    phi_initial = potential(instance)
     if len(report_on.events) > phi_initial:
-        record.failures.append(
-            f"{len(report_on.events)} events exceed the potential {phi_initial}"
-        )
+        record.failures.append(f"{len(report_on.events)} events exceed the potential {phi_initial}")
 
     replayed.status = report_on.final_status
     if replayed != report_on.final_instance:
         record.failures.append("replaying the event log did not reproduce the kernel")
 
-    result = solve_bb(original)
+    result = solve_bb(instance)
     if result.answer != brute:
         record.failures.append("branch-and-bound disagrees with the oracle")
-    elif result.answer and not verify_solution(original, result.witness):
+    elif result.answer and not verify_solution(instance, result.witness):
         record.failures.append("branch-and-bound witness does not verify")
 
     return record
+
+
+def evaluate_instance(
+    seed: int, oracle_limit: int = ORACLE_LIMIT, max_n: int = 14
+) -> InstanceRecord:
+    """Run the full battery of checks on the corpus instance of ``seed``."""
+    return check_instance(corpus_instance(seed, max_n), seed, oracle_limit)
 
 
 def run_selftest(count: int = 200, seed0: int = 0, progress=None) -> tuple[int, list[str]]:

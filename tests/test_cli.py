@@ -271,6 +271,36 @@ class TestSelftest:
             "event 21 (rule 2) flipped the answer from False to True"
         ]
 
+    # Seed 29 is a NO instance whose fixpoint logs 17 events and decides it.
+    def test_more_events_than_the_potential_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(vecdom.selftest, "potential", lambda instance: 0)
+        assert evaluate_instance(29).failures == ["17 events exceed the potential 0"]
+
+    def test_a_replay_that_misses_the_kernel_is_a_failure(self, monkeypatch):
+        # Replaying nothing keeps the input's answer at every step, so only
+        # the comparison with the kernel fails.
+        monkeypatch.setattr(vecdom.selftest, "replay", lambda instance, events: None)
+        record = evaluate_instance(29)
+        assert (record.event_failures, record.failures) == (
+            [], ["replaying the event log did not reproduce the kernel"]
+        )
+
+    def test_a_wrong_branch_and_bound_answer_is_a_failure(self, monkeypatch):
+        real = vecdom.selftest.solve_bb
+        monkeypatch.setattr(
+            vecdom.selftest, "solve_bb",
+            lambda instance: SolveResult(not real(instance).answer, None, 0),
+        )
+        assert evaluate_instance(29).failures == [
+            "kernel answer with region rules on is True, oracle says False",
+            "kernel answer with region rules off is True, oracle says False",
+            "branch-and-bound disagrees with the oracle",
+        ]
+
+    def test_progress_is_printed_every_50_instances(self, capsys):
+        assert cli_main(["selftest", "--count", "50"]) == 0
+        assert capsys.readouterr().err == "checked 50/50 instances\n"
+
 
 def test_unknown_subcommand_is_usage_error():
     assert cli_main(["frobnicate"]) == 2
