@@ -21,7 +21,15 @@ What differs is only the representation:
   ``PlanarEmbedding``;
 - the embedding phase also returns its ``cw`` links and each vertex's
   DFS root, and signs the nesting depths into a new dict, so it can run
-  twice on one test's result.
+  twice on one test's result;
+- each of the three depth-first walks keeps a stack of ``(vertex,
+  iterator over its neighbours)`` pairs instead of networkx's stack of
+  vertices with per-vertex resume indices and skip flags: a tree edge
+  pushes the child, and the work networkx does on coming back from a
+  child runs when the child's iterator is exhausted and it is popped;
+- the three ``cw``/``ccw`` insertions of the embedding's walk are one
+  ``link``, which puts a neighbour just counterclockwise of another
+  (clockwise of ``c`` is counterclockwise of the neighbour after ``c``).
 
 Edges are tuples ``(v, w)`` oriented from ``v`` to ``w``.
 
@@ -156,57 +164,55 @@ def _lr_test(vertices, adjacency):
     nesting = {}
     succ = {v: [] for v in vertices}
     roots = []
-    ind = {}  # next adjacency index of a vertex the DFS will come back to
+
+    # An edge is closed once its lowpoints are final: a back edge when it
+    # is oriented, a tree edge when the walk pops its child.
+    def close(vw):
+        # nesting depth, chordal edges one deeper
+        v = vw[0]
+        low = lowpt[vw]
+        nesting[vw] = 2 * low + (lowpt2[vw] < height[v])
+        # lowpoints of the parent edge
+        e = parent_edge[v]
+        if e is not None:
+            le = lowpt[e]
+            if low < le:
+                lowpt2[e] = min(le, lowpt2[vw])
+                lowpt[e] = low
+            elif low > le:
+                lowpt2[e] = min(lowpt2[e], low)
+            else:
+                lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
     for root in vertices:
         if root in height:
             continue
         height[root] = 0
         parent_edge[root] = None
         roots.append(root)
-        stack = [root]
+        stack = [(root, iter(adjacency[root]))]
         while stack:
-            v = stack.pop()
-            e = parent_edge[v]
+            v, nbrs = stack[-1]
             hv = height[v]
-            nbrs = adjacency[v]
-            i = ind.get(v)
-            back_from_child = i is not None
-            if i is None:
-                i = 0
-            while i < len(nbrs):
-                w = nbrs[i]
+            for w in nbrs:
                 vw = (v, w)
-                if back_from_child:
-                    back_from_child = False
-                else:
-                    if vw in lowpt or (w, v) in lowpt:
-                        i += 1
-                        continue  # the edge was already oriented
-                    succ[v].append(w)
-                    lowpt[vw] = lowpt2[vw] = hv
-                    hw = height.get(w)
-                    if hw is None:  # tree edge
-                        parent_edge[w] = vw
-                        height[w] = hv + 1
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        break
-                    lowpt[vw] = hw  # back edge
-                # nesting depth, chordal edges one deeper
-                low = lowpt[vw]
-                nesting[vw] = 2 * low + (lowpt2[vw] < hv)
-                # lowpoints of the parent edge
+                if vw in lowpt or (w, v) in lowpt:
+                    continue  # the edge was already oriented
+                succ[v].append(w)
+                lowpt[vw] = lowpt2[vw] = hv
+                hw = height.get(w)
+                if hw is None:  # tree edge
+                    parent_edge[w] = vw
+                    height[w] = hv + 1
+                    stack.append((w, iter(adjacency[w])))
+                    break
+                lowpt[vw] = hw  # back edge
+                close(vw)
+            else:
+                stack.pop()
+                e = parent_edge[v]
                 if e is not None:
-                    le = lowpt[e]
-                    if low < le:
-                        lowpt2[e] = min(le, lowpt2[vw])
-                        lowpt[e] = low
-                    elif low > le:
-                        lowpt2[e] = min(lowpt2[e], low)
-                    else:
-                        lowpt2[e] = min(lowpt2[e], lowpt2[vw])
-                i += 1
+                    close(e)
 
     # Testing: constraints between return edges as a stack of conflict pairs.
     ordered = {v: sorted(succ[v], key=lambda w: nesting[(v, w)]) for v in vertices}
@@ -300,43 +306,40 @@ def _lr_test(vertices, adjacency):
             else:
                 ref[e] = hr
 
-    ind = {}
-    for root in roots:
-        stack = [root]
-        while stack:
-            v = stack.pop()
+    # Like ``close``: a back edge at once, a tree edge after its child's
+    # back edges are removed.
+    def integrate(ei):
+        # the new return edges of ei join the constraints of v's parent edge
+        v = ei[0]
+        if lowpt[ei] < height[v]:
             e = parent_edge[v]
-            hv = height[v]
-            nbrs = ordered[v]
-            i = ind.get(v)
-            back_from_child = i is not None
-            if i is None:
-                i = 0
-            descended = False
-            while i < len(nbrs):
-                w = nbrs[i]
+            if ei[1] == ordered[v][0]:
+                lowpt_edge[e] = lowpt_edge[ei]
+            else:
+                return add_constraints(ei, e)
+        return True
+
+    for root in roots:
+        stack = [(root, iter(ordered[root]))]
+        while stack:
+            v, nbrs = stack[-1]
+            for w in nbrs:
                 ei = (v, w)
-                if back_from_child:
-                    back_from_child = False
-                else:
-                    stack_bottom[ei] = S[-1] if S else None
-                    if ei == parent_edge[w]:  # tree edge
-                        ind[v] = i
-                        stack.append(v)
-                        stack.append(w)
-                        descended = True
-                        break
-                    lowpt_edge[ei] = ei  # back edge
-                    S.append([None, None, ei, ei])
-                # integrate new return edges
-                if lowpt[ei] < hv:
-                    if i == 0:
-                        lowpt_edge[e] = lowpt_edge[ei]
-                    elif not add_constraints(ei, e):
+                stack_bottom[ei] = S[-1] if S else None
+                if ei == parent_edge[w]:  # tree edge
+                    stack.append((w, iter(ordered[w])))
+                    break
+                lowpt_edge[ei] = ei  # back edge
+                S.append([None, None, ei, ei])
+                if not integrate(ei):
+                    return None
+            else:
+                stack.pop()
+                e = parent_edge[v]
+                if e is not None:
+                    remove_back_edges(e)
+                    if not integrate(e):
                         return None
-                i += 1
-            if not descended and e is not None:
-                remove_back_edges(e)
     return roots, parent_edge, succ, nesting, ref, side
 
 
@@ -395,52 +398,42 @@ def _embedding(vertices, roots, parent_edge, succ, nesting, ref, side):
     # Insert the other half of every edge at its target.
     left_ref = {}
     right_ref = {}
-    ind = {}
+
+    def link(w, v, c):
+        # v goes just counterclockwise of c around w
+        cww = cw[w]
+        ccww = ccw[w]
+        r = ccww[c]
+        cww[v] = c
+        ccww[v] = r
+        cww[r] = v
+        ccww[c] = v
+
     for root in roots:
-        stack = [root]
+        stack = [(root, iter(ordered[root]))]
         while stack:
-            v = stack.pop()
-            nbrs = ordered[v]
-            i = ind.get(v, 0)
-            while i < len(nbrs):
-                w = nbrs[i]
-                i += 1
+            v, nbrs = stack[-1]
+            for w in nbrs:
                 ei = (v, w)
-                cww = cw[w]
-                ccww = ccw[w]
                 if ei == parent_edge[w]:  # tree edge: v becomes w's leftmost
-                    if cww:
-                        c = leftmost[w]
-                        r = ccww[c]
-                        cww[v] = c
-                        ccww[v] = r
-                        cww[r] = v
-                        ccww[c] = v
+                    if cw[w]:
+                        link(w, v, leftmost[w])
                     else:
-                        cww[v] = ccww[v] = v
+                        cw[w][v] = ccw[w][v] = v
                     leftmost[w] = v
                     left_ref[v] = right_ref[v] = w
-                    ind[v] = i
-                    stack.append(v)
-                    stack.append(w)
+                    stack.append((w, iter(ordered[w])))
                     break
                 if side.get(ei, 1) == 1:  # just clockwise of right_ref[w]
-                    c = right_ref[w]
-                    r = cww[c]
-                    cww[v] = r
-                    ccww[v] = c
-                    ccww[r] = v
-                    cww[c] = v
+                    link(w, v, cw[w][right_ref[w]])
                 else:  # just counterclockwise of left_ref[w]
                     c = left_ref[w]
-                    r = ccww[c]
-                    cww[v] = c
-                    ccww[v] = r
-                    cww[r] = v
-                    ccww[c] = v
+                    link(w, v, c)
                     if c == leftmost[w]:
                         leftmost[w] = v
                     left_ref[w] = v
+            else:
+                stack.pop()
 
     rotation = {}
     for v in vertices:

@@ -135,7 +135,9 @@ def run_selftest(count: int = 200, seed0: int = 0, progress=None) -> tuple[int, 
     The corpus has n <= 14, inside the oracle's default limit, so every
     instance is checked against brute force.  Returns the number of
     instances checked and a list of failure descriptions (empty on
-    success).  A negative ``count`` raises ``ValueError``.
+    success).  ``progress``, when given, is called with the number of
+    instances checked after every 50th instance and after the last one.
+    A negative ``count`` raises ``ValueError``.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -143,6 +145,6 @@ def run_selftest(count: int = 200, seed0: int = 0, progress=None) -> tuple[int, 
     for i, seed in enumerate(range(seed0, seed0 + count)):
         record = evaluate_instance(seed)
         failures.extend(f"seed {seed}: {msg}" for msg in record.event_failures + record.failures)
-        if progress and (i + 1) % 50 == 0:
+        if progress and ((i + 1) % 50 == 0 or i + 1 == count):
             progress(i + 1)
     return count, failures

@@ -22,7 +22,7 @@ from vecdom import (
     write,
 )
 from vecdom.instance import ReductionEvent, apply
-from vecdom.selftest import corpus_instance, evaluate_instance, run_selftest
+from vecdom.selftest import InstanceRecord, corpus_instance, evaluate_instance, run_selftest
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 NO_INSTANCE = "p pvds 2 1 0\nd 1 1\ne 1 2\n"
@@ -224,7 +224,10 @@ class TestStats:
 class TestSelftest:
     def test_small_run_passes(self, capsys):
         assert cli_main(["selftest", "--count", "25", "--seed", "0"]) == 0
-        assert "25 instances sound" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "25 instances sound" in out
+        # A run shorter than 50 instances still reports its last one.
+        assert err == "checked 25/25 instances\n"
 
     def test_library_refuses_a_negative_count(self):
         with pytest.raises(ValueError):
@@ -300,6 +303,18 @@ class TestSelftest:
     def test_progress_is_printed_every_50_instances(self, capsys):
         assert cli_main(["selftest", "--count", "50"]) == 0
         assert capsys.readouterr().err == "checked 50/50 instances\n"
+
+    @pytest.mark.parametrize(
+        "count, reported", [(0, []), (25, [25]), (50, [50]), (120, [50, 100, 120])]
+    )
+    def test_progress_is_reported_every_50_instances_and_after_the_last(
+        self, monkeypatch, count, reported
+    ):
+        record = lambda seed: InstanceRecord(seed, None, True, None, None)
+        monkeypatch.setattr(vecdom.selftest, "evaluate_instance", record)
+        calls = []
+        assert run_selftest(count=count, progress=calls.append) == (count, [])
+        assert calls == reported
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -82,18 +82,29 @@ class TestEmbed:
             embed(complete(5))
         assert err.value.witness_edges
 
-    def test_six_cycle_two_faces(self):
-        rs = embed(build(6, [(i, (i + 1) % 6) for i in range(6)]))
+    # A 3000-vertex input walks a DFS deeper than Python's recursion limit.
+    @pytest.mark.parametrize("n", [6, 3000])
+    def test_six_cycle_two_faces(self, n):
+        rs = embed(build(n, [(i, (i + 1) % n) for i in range(n)]))
         assert rs.face_count == 2
+
+    def test_long_path_one_face(self):
+        rs = embed(build(3000, [(i, i + 1) for i in range(2999)]))
+        assert rs.face_count == 1
 
     def test_deterministic(self):
         inst = generate_planar(30, 0.8, seed=7)
         assert embed(inst).rotation == embed(inst).rotation
 
-    def test_k33_refused(self):
-        inst = build(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])
-        with pytest.raises(NonPlanarError):
+    # The second input hangs K3,3 off the end of a 3000-vertex path.
+    @pytest.mark.parametrize("tail", [0, 3000])
+    def test_k33_refused(self, tail):
+        k33 = [(tail + u, tail + v) for u in (0, 1, 2) for v in (3, 4, 5)]
+        path = [(i, i + 1) for i in range(tail)]
+        inst = build(tail + 6, path + k33)
+        with pytest.raises(NonPlanarError) as err:
             embed(inst)
+        assert err.value.witness_edges == k33
 
 
 def seeded_graphs():
