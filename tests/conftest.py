@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
 from vecdom import AnnotatedInstance
+
+
+def load_by_path(name, path):
+    """Import the file ``path`` as a module called ``name``, without putting
+    its directory on ``sys.path`` or the module in ``sys.modules``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build(n, edges=(), demand=None, k=0, forbidden=()):

@@ -9,7 +9,6 @@ it is loaded here by file path.
 """
 
 import hashlib
-import importlib.util
 from pathlib import Path
 
 import pytest
@@ -18,14 +17,13 @@ import vecdom
 import vecdom.selftest
 from vecdom.toolkit import _PROFILES
 
+from conftest import load_by_path
+
 DIGEST = Path(__file__).resolve().parent.parent / "tools" / "identity_digest.py"
 
 
 def load_digest():
-    spec = importlib.util.spec_from_file_location("identity_digest", DIGEST)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-    return digest
+    return load_by_path("identity_digest", DIGEST)
 
 
 def test_identity_set_is_pinned():

@@ -208,6 +208,7 @@ class TestReplay:
         ev2 = force_into_solution(inst, 2)
         replay(mirror, [ev1, ev2])
         assert mirror == inst
+        assert inst.__eq__(3) is NotImplemented and inst != "x"
 
     def test_event_for_a_missing_edge_or_vertex_raises(self):
         inst = build(3, [(0, 1)], k=1)

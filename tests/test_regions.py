@@ -56,6 +56,10 @@ class TestClassifyPath:
     def test_length_two_is_type_one(self):
         inst = build(3, [(0, 1), (1, 2)], {1: 5})
         assert classify_path(inst, [0, 1, 2], 0, 2) == {1}
+        # One edge or five edges is no typed length.
+        assert classify_path(inst, [0, 1], 0, 1) == set()
+        inst = build(6, [(i, i + 1) for i in range(5)], {1: 1})
+        assert classify_path(inst, list(range(6)), 0, 5) == set()
 
     def test_type_two_pattern(self):
         inst = build(5, [(0, 1), (1, 2), (2, 3), (3, 4)], {1: 1, 2: 0, 3: 2})

@@ -7,17 +7,16 @@ file path.
 """
 
 import importlib
-import importlib.util
 import inspect
 from pathlib import Path
+
+from conftest import load_by_path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def test_every_trace_target_exists():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_by_path("perfbench_tracing", TRACING)
     # ``install`` also wraps each entry of the local-rule table.
     names = [(module, attr) for module, attr, _, _ in tracing.TARGETS]
     names.append(("vecdom.rules", "_LOCAL_RULES"))

@@ -14,9 +14,10 @@ and the stats line must be the same in every run; the tool exits 1 when
 they are not.  Run it on two checkouts to compare them: the stats lines
 must match.
 
-The optimum comes from ``optimum`` in the sibling ``solve_reach.py``
-(HiGHS through scipy), which imports scipy only when called, so this
-module imports only the standard library.
+The optimum comes from ``optimum`` in the sibling ``solve_reach.py``,
+which is ``perfbench/oracle.py``'s integer-programming optimum (HiGHS)
+and imports that module only when called, so this module imports only
+the standard library.
 """
 
 from __future__ import annotations

@@ -13,59 +13,44 @@ seconds, the kernel's including ``run_fixpoint``.  Every answer is
 checked against the optimum and every YES witness is verified; the tool
 exits 1 on a mismatch.
 
-The optimum comes from HiGHS (``scipy.optimize.milp``) on the 0/1 program
-of ``perfbench/oracle.py``.  scipy is imported only when an optimum is
-computed, so this module imports only the standard library.
+The optimum is ``optimum`` of ``perfbench/oracle.py``, the benchmark's
+integer-programming oracle (HiGHS, from the ``bench`` extra).  That
+module is imported only when an optimum is computed, so this module
+imports only the standard library.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 NODE_BUDGET = 100_000
 SIZES = (26, 40, 60, 80, 120)
 GRAPH_SEED = 11
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def optimum(instance) -> int:
     """The fewest selectable vertices that meet every demand of ``instance``.
 
-    Minimise ``sum(x)`` subject to ``d(v) * x_v + sum(x_u for u in N(v))
-    >= d(v)`` for every vertex with demand, ``x_v = 0`` for forbidden
-    vertices, ``x`` in {0, 1}.  Raises ``RuntimeError`` when HiGHS proves
-    no optimum, as for an instance that no selectable set satisfies.
+    ``optimum`` of ``perfbench/oracle.py`` on the instance relabelled
+    0..n-1 in id order.  Raises ``RuntimeError`` when HiGHS proves no
+    optimum, as for an instance that no selectable set satisfies.
     """
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import coo_matrix
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    from instances import Graph
+    from oracle import optimum as highs
 
-    ids = sorted(instance.vertices)
+    ids = instance.vertices
     index = {v: i for i, v in enumerate(ids)}
-    rows, cols, vals, lower = [], [], [], []
-    for v in ids:
-        d = instance.demand[v]
-        if not d:
-            continue
-        r = len(lower)
-        rows.append(r), cols.append(index[v]), vals.append(d)
-        for u in instance.neighbors(v):
-            rows.append(r), cols.append(index[u]), vals.append(1)
-        lower.append(d)
-    if not lower:
-        return 0
-    upper = np.ones(len(ids))
-    upper[[index[v] for v in instance.forbidden]] = 0
-    matrix = coo_matrix((vals, (rows, cols)), shape=(len(lower), len(ids))).tocsr()
-    res = milp(
-        np.ones(len(ids)),
-        constraints=[LinearConstraint(matrix, lower, np.inf)],
-        integrality=np.ones(len(ids)),
-        bounds=Bounds(0, upper),
-    )
-    if res.status != 0:
-        raise RuntimeError(f"HiGHS did not prove an optimum: {res.message}")
-    return int(round(res.fun))
+    return highs(Graph(
+        len(ids),
+        tuple((index[u], index[v]) for u, v in instance.edges()),
+        tuple(instance.demand[v] for v in ids),
+        frozenset(index[v] for v in instance.forbidden),
+    ))
 
 
 def reach_instance(vecdom, n: int):
