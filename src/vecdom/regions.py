@@ -99,12 +99,14 @@ class RegionIndex:
 
     This is the one way to reach typed paths and regions: a pair's typed
     paths through :meth:`typed_paths`, its regions through
-    :meth:`regions`.  Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed
-    paths from each ``a1`` come from one search, run when the first of its
-    pairs is asked for; a pair's regions are built when first asked for.
-    Both are kept, so a fixpoint run's last region phase and the kernel
-    statistics that follow it share one enumeration.  Regions do not
-    depend on the forbidden set.
+    :meth:`regions`, their interior sizes through :meth:`interior_sizes`.
+    Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each
+    ``a1`` come from one search, run when the first of its pairs is asked
+    for; a pair's regions are built when first asked for.  Both are kept,
+    so a fixpoint run's last region phase and the kernel statistics that
+    follow it share one enumeration: the statistics read the regions that
+    phase built and count the maximal sides of every other pair without
+    building their regions.  Regions do not depend on the forbidden set.
 
     The searches walk the embedding's sorted adjacency lists
     (``rs.adjacency``), which equal the instance's because the
@@ -195,6 +197,16 @@ class RegionIndex:
             found[a2] = (ordered[:cap], len(ordered) > cap)
         return found
 
+    def _interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
+        """The pair's typed-path interiors under the cap, after checking the
+        anchors as :meth:`regions` documents."""
+        for a in (a1, a2):
+            if not self.instance.has_vertex(a):
+                raise UnknownVertexError(f"unknown vertex {a}")
+        if not a1 < a2:
+            raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
+        return self.typed_paths(a1).get(a2, ([], False))[0]
+
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
         """The pair's inclusion-maximal candidate regions.
 
@@ -211,16 +223,30 @@ class RegionIndex:
         key = (a1, a2)
         regions = self._regions.get(key)
         if regions is None:
-            for a in key:
-                if not self.instance.has_vertex(a):
-                    raise UnknownVertexError(f"unknown vertex {a}")
-            if not a1 < a2:
-                raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
-            interiors = self.typed_paths(a1).get(a2, ([], False))[0]
+            interiors = self._interiors(a1, a2)
             if len(interiors) < 2:
                 return []
             regions = self._regions[key] = _regions(self.instance, self.rs, a1, a2, interiors)
         return regions
+
+    def interior_sizes(self, a1: int, a2: int) -> list[int]:
+        """The interior sizes of the pair's regions, in no fixed order.
+
+        A pair whose regions are kept reads them; any other pair walks its
+        typed-path pairs for the maximal sides alone, builds no
+        ``CandidateRegion`` and keeps nothing.  The anchors are checked as
+        in :meth:`regions`.
+        """
+        regions = self._regions.get((a1, a2))
+        if regions is not None:
+            return [len(region.interior) for region in regions]
+        interiors = self._interiors(a1, a2)
+        if len(interiors) < 2:
+            return []
+        return [
+            len(inside)
+            for _, inside, _ in _maximal_sides(self.instance, self.rs, a1, a2, interiors)
+        ]
 
     def may_color(self, a1: int, a2: int) -> bool:
         """Whether some region of the pair could have a core vertex of
@@ -260,7 +286,17 @@ class RegionIndex:
         return False
 
 
-def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
+def _maximal_sides(instance, rs, a1, a2, interiors) -> list[tuple[frozenset, ...]]:
+    """The pair's inclusion-maximal qualifying sides, unsorted, as
+    ``(closed, inside, high_boundary)``: the side's closed vertex set, its
+    strictly interior vertices and its internal boundary vertices of demand
+    at least two.
+
+    Every internally disjoint pair of ``interiors`` closes a cycle whose
+    sides ``cycle_sides`` finds; a side qualifies when the anchors dominate
+    its interior.  A maximal side with more than two high-demand boundary
+    vertices would break the typed-path bound and raises ``AssertionError``.
+    """
     adj = instance._adj
     d = instance.demand
     anchors = {a1, a2}
@@ -279,21 +315,29 @@ def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
             for inside in cycle_sides(rs, cycle, keep):
                 if inside is not None:
                     sides.add((frozenset(cycle) | inside, inside))
+    out = []
+    for closed, inside in sides:
+        if any(closed < other for other, _ in sides):
+            continue
+        high_boundary = frozenset(v for v in closed - inside - anchors if d[v] >= 2)
+        if len(high_boundary) > 2:
+            raise AssertionError("typed boundary admits at most two high-demand vertices")
+        out.append((closed, inside, high_boundary))
+    return out
+
+
+def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
+    """The pair's maximal sides with their vertex classes, in order of
+    sorted closed vertex set, then sorted interior."""
+    adj = instance._adj
     maximal = sorted(
-        (
-            (closed, inside)
-            for closed, inside in sides
-            if not any(closed < other for other, _ in sides)
-        ),
+        _maximal_sides(instance, rs, a1, a2, interiors),
         key=lambda item: (sorted(item[0]), sorted(item[1])),
     )
     out = []
-    for closed, inside in maximal:
+    for closed, inside, high_boundary in maximal:
         boundary = closed - inside
-        internal_boundary = boundary - anchors
-        high_boundary = frozenset(v for v in internal_boundary if d[v] >= 2)
-        if len(high_boundary) > 2:
-            raise AssertionError("typed boundary admits at most two high-demand vertices")
+        internal_boundary = boundary - {a1, a2}
         fringe = frozenset(v for v in inside if adj[v] & internal_boundary)
         crosslinks = frozenset(v for v in closed if len(adj[v] & high_boundary) >= 2)
         out.append(CandidateRegion(

@@ -95,8 +95,8 @@ class FixpointReport:
     caps_hit: bool = False
     max_rounds_hit: bool = False
     # The last region phase's index; ``kernel_report`` reuses it while it
-    # still describes the kernel, and builds there the regions of the pairs
-    # that phase skipped because they could not color.
+    # still describes the kernel, and counts there the maximal sides of the
+    # pairs that phase skipped because they could not color.
     region_index: RegionIndex | None = field(default=None, repr=False, compare=False)
 
 
@@ -403,8 +403,8 @@ def _region_phase(
       off the anchors is interior and passes the test too.  A core vertex
       of positive demand is such a ``w``.
 
-    ``kernel_report`` later builds, on the last phase's index, the regions
-    that phase skipped.
+    ``kernel_report`` later counts, on the last phase's index, the maximal
+    sides of the pairs that phase skipped, without building their regions.
     """
     forbidden = instance.forbidden
     blue_at_start = set(forbidden)

@@ -269,11 +269,11 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
     candidate-region interior cover every anchor pair of the kernel,
     forbidden anchors included, at the run's path cap.  A run that stopped
     at quiescence hands over the index its last region phase built on that
-    graph.  That phase built only the pairs that could color, so the
-    regions of every other pair are built here, once per run.  A fresh
-    index is built when there is none or when it does not describe the
-    kernel: the run was decided, or the reduced graph or demands changed
-    since the index was built.
+    graph.  That phase built only the pairs that could color; every other
+    pair is counted here from its maximal sides, with no region built
+    (``RegionIndex.interior_sizes``).  A fresh index is built when there is
+    none or when it does not describe the kernel: the run was decided, or
+    the reduced graph or demands changed since the index was built.
     """
     kernel = kernel_of(report)
     region_count = 0
@@ -283,10 +283,9 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
         index = RegionIndex(kernel, embed(kernel), report.max_paths_per_pair)
     for a1 in kernel.vertices:
         for a2 in index.typed_paths(a1):
-            regions = index.regions(a1, a2)
-            region_count += len(regions)
-            for region in regions:
-                max_interior = max(max_interior, len(region.interior))
+            sizes = index.interior_sizes(a1, a2)
+            region_count += len(sizes)
+            max_interior = max([max_interior, *sizes])
     return KernelStats(
         n_before=instance.n,
         m_before=instance.m,

@@ -344,6 +344,66 @@ class TestRegionsAgainstAllPairs:
             ), (name, cap)
 
 
+def stats_reader_graphs():
+    """Corpus seeds 0-299, the 45 maximal planar ``pids`` graphs at n=20 of
+    the identity set, and the drawn worst-case region."""
+    for seed in range(300):
+        yield f"corpus/{seed}", corpus_instance(seed)
+    for seed in range(45):
+        yield f"pids-20/{seed}", make_special_case(generate_planar(20, 1.0, seed), "pids")
+    yield "worst-case", worst_case_region_instance()
+
+
+class TestInteriorSizes:
+    def test_sizes_equal_the_regions_before_and_after_they_are_kept(self, monkeypatch):
+        calls = {"_regions": 0, "_maximal_sides": 0}
+        for name, real in [(name, getattr(vecdom.regions, name)) for name in calls]:
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(vecdom.regions, name, counted)
+        sizes_seen = 0
+        for name, inst in stats_reader_graphs():
+            rs = embed(inst)
+            index = RegionIndex(inst, rs, 512)
+            for a1, a2 in itertools.combinations(inst.vertices, 2):
+                interiors = interiors_of(index, a1, a2)
+                expected = sorted(
+                    len(region.interior)
+                    for region in all_pairs_regions(inst, rs, a1, a2, interiors)
+                )
+                calls.update(_regions=0, _maximal_sides=0)
+                before = sorted(index.interior_sizes(a1, a2))
+                # Not kept: counted from the sides alone, with no region built.
+                assert calls["_regions"] == 0 and (a1, a2) not in index._regions
+                kept = sorted(len(region.interior) for region in index.regions(a1, a2))
+                calls.update(_regions=0, _maximal_sides=0)
+                after = sorted(index.interior_sizes(a1, a2))
+                # Kept: read from the regions, with no side walked.
+                assert calls == {"_regions": 0, "_maximal_sides": 0}
+                assert before == kept == after == expected, (name, a1, a2)
+                sizes_seen += len(expected)
+        assert sizes_seen > 10000
+
+    def test_sides_with_three_high_demand_boundary_vertices_are_refused(self):
+        # A 5-cycle closed by two untyped paths: each side holds no vertex
+        # and has three demand-2 vertices on its internal boundary.  The
+        # side walk that the counts use refuses it, as the region builder does.
+        inst = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], {1: 2, 3: 2, 4: 2})
+        for walk in (vecdom.regions._maximal_sides, vecdom.regions._regions):
+            with pytest.raises(AssertionError, match="at most two high-demand vertices"):
+                walk(inst, embed(inst), 0, 2, [(1,), (4, 3)])
+
+    def test_anchors_are_checked_as_for_regions(self):
+        inst = cap_probe_instance()
+        index = index_of(inst)
+        with pytest.raises(UnknownVertexError):
+            index.interior_sizes(0, 99)
+        with pytest.raises(MalformedPathError):
+            index.interior_sizes(2, 0)
+
+
 def colorable(inst, region):
     return any(inst.demand[v] for v in region.core)
 

@@ -339,6 +339,28 @@ class TestKernelReport:
         assert (stats.n_after, stats.m_after, stats.k_after, stats.blue_count) == (2, 1, 0, 0)
         assert (stats.region_count_examined, stats.max_region_interior) == (0, 0)
 
+    def test_report_on_a_reused_index_builds_no_region(self, monkeypatch):
+        import vecdom.regions
+
+        inst = make_special_case(generate_planar(20, 1.0, 3), "pids")
+        inst.budget = max(5, max(inst.demand.values()))
+        report = run_fixpoint(inst.copy())
+        assert report.region_index is not None
+        assert report.region_index.describes(kernel_of(report))
+        calls = {"_regions": 0, "cycle_sides": 0}
+        for name, real in [(name, getattr(vecdom.regions, name)) for name in calls]:
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(vecdom.regions, name, counted)
+        stats = kernel_report(inst, report)
+        # The pairs the last phase skipped are counted from their sides: the
+        # same cycle_sides walks as when their regions were built (180), and
+        # no CandidateRegion.
+        assert calls == {"_regions": 0, "cycle_sides": 180}
+        assert (stats.region_count_examined, stats.max_region_interior) == (61, 6)
+
     def test_all_zero_demand_reduces_to_nothing(self):
         inst = generate_planar(9, 0.9, 2)
         inst.budget = 1

@@ -7,12 +7,14 @@ checkout) and, for the maximal planar graphs ``generate_planar(1000, 1.0,
 seed)`` with seeds ``SEEDS`` under the profiles ``PROFILES``, runs
 ``run_fixpoint`` at k = opt and then ``kernel_report``, ``RUNS`` times
 each.  One row per input gives the median CPU seconds of each over those
-runs, the regions built (calls of ``vecdom.regions._regions``, one per
-anchor pair whose regions are built), the ``cycle_sides`` calls, both
-summed over the fixpoint and the report, and the stats line.  The counts
-and the stats line must be the same in every run; the tool exits 1 when
-they are not.  Run it on two checkouts to compare them: the stats lines
-must match.
+runs; three counts, each summed over the fixpoint and the report: the
+pairs walked (calls of ``vecdom.regions._maximal_sides``, one per anchor
+pair whose typed-path pairs are walked for their sides), the region
+builds (calls of ``vecdom.regions._regions``, one per anchor pair whose
+``CandidateRegion``s are built) and the ``cycle_sides`` calls; and the
+stats line.  The counts and the stats line must be the same in every run;
+the tool exits 1 when they are not.  Run it on two checkouts to compare
+them: the stats lines must match.
 
 The optimum comes from ``optimum`` in the sibling ``solve_reach.py``,
 which is ``perfbench/oracle.py``'s integer-programming optimum (HiGHS)
@@ -55,11 +57,14 @@ def main(argv: list[str]) -> int:
     import vecdom.regions
 
     counts: dict[str, int] = {}
-    counting(vecdom.regions, "_regions", counts)
-    counting(vecdom.regions, "cycle_sides", counts)
+    for name in ("_maximal_sides", "_regions", "cycle_sides"):
+        counting(vecdom.regions, name, counts)
     print(f"run_fixpoint at k = opt, then kernel_report, on generate_planar({N}, 1.0, seed)")
-    print("| profile | seed | k | fixpoint s | report s | region builds | cycle_sides | stats |")
-    print("|---|---|---|---|---|---|---|---|")
+    print(
+        "| profile | seed | k | fixpoint s | report s | pairs walked | region builds "
+        "| cycle_sides | stats |"
+    )
+    print("|---|---|---|---|---|---|---|---|---|")
     for profile in PROFILES:
         for seed in SEEDS:
             instance = vecdom.make_special_case(vecdom.generate_planar(N, 1.0, seed), profile)
@@ -75,18 +80,16 @@ def main(argv: list[str]) -> int:
                 stats = vecdom.kernel_report(instance, report)
                 end = time.process_time()
                 times.append((middle - start, end - middle))
-                outcomes.add(
-                    (counts["_regions"], counts["cycle_sides"], vecdom.format_stats(stats))
-                )
+                outcomes.add((*counts.values(), vecdom.format_stats(stats)))
             if len(outcomes) != 1:
                 print(f"{profile} seed {seed}: the runs differ: {sorted(outcomes)}", file=sys.stderr)
                 return 1
-            ((builds, calls, line),) = outcomes
+            ((walked, builds, calls, line),) = outcomes
             fixpoint_s = statistics.median(t for t, _ in times)
             report_s = statistics.median(t for _, t in times)
             print(
                 f"| {profile} | {seed} | {instance.budget} | {fixpoint_s:.2f} "
-                f"| {report_s:.2f} | {builds:,} | {calls:,} | {line} |",
+                f"| {report_s:.2f} | {walked:,} | {builds:,} | {calls:,} | {line} |",
                 flush=True,
             )
     return 0
