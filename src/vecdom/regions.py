@@ -99,7 +99,7 @@ class RegionIndex:
 
     This is the one way to reach typed paths and regions: a pair's typed
     paths through :meth:`typed_paths`, its regions through
-    :meth:`regions`, their interior sizes through :meth:`interior_sizes`.
+    :meth:`regions`, every pair's interior sizes through :meth:`region_sizes`.
     Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each
     ``a1`` come from one search, run when the first of its pairs is asked
     for; a pair's regions are built when first asked for.  Both are kept,
@@ -197,16 +197,6 @@ class RegionIndex:
             found[a2] = (ordered[:cap], len(ordered) > cap)
         return found
 
-    def _interiors(self, a1: int, a2: int) -> list[tuple[int, ...]]:
-        """The pair's typed-path interiors under the cap, after checking the
-        anchors as :meth:`regions` documents."""
-        for a in (a1, a2):
-            if not self.instance.has_vertex(a):
-                raise UnknownVertexError(f"unknown vertex {a}")
-        if not a1 < a2:
-            raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
-        return self.typed_paths(a1).get(a2, ([], False))[0]
-
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
         """The pair's inclusion-maximal candidate regions.
 
@@ -223,30 +213,35 @@ class RegionIndex:
         key = (a1, a2)
         regions = self._regions.get(key)
         if regions is None:
-            interiors = self._interiors(a1, a2)
+            for a in (a1, a2):
+                if not self.instance.has_vertex(a):
+                    raise UnknownVertexError(f"unknown vertex {a}")
+            if not a1 < a2:
+                raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
+            interiors = self.typed_paths(a1).get(a2, ([], False))[0]
             if len(interiors) < 2:
                 return []
             regions = self._regions[key] = _regions(self.instance, self.rs, a1, a2, interiors)
         return regions
 
-    def interior_sizes(self, a1: int, a2: int) -> list[int]:
-        """The interior sizes of the pair's regions, in no fixed order.
+    def region_sizes(self) -> list[int]:
+        """The interior sizes of the regions of every pair that
+        :meth:`typed_paths` finds from any vertex, in no fixed order.
 
-        A pair whose regions are kept reads them; any other pair walks its
-        typed-path pairs for the maximal sides alone, builds no
-        ``CandidateRegion`` and keeps nothing.  The anchors are checked as
-        in :meth:`regions`.
+        A pair whose regions are kept reads them; any other pair with at
+        least two typed paths under the cap walks its typed-path pairs for
+        the maximal sides alone.  Nothing is built or kept.
         """
-        regions = self._regions.get((a1, a2))
-        if regions is not None:
-            return [len(region.interior) for region in regions]
-        interiors = self._interiors(a1, a2)
-        if len(interiors) < 2:
-            return []
-        return [
-            len(inside)
-            for _, inside, _ in _maximal_sides(self.instance, self.rs, a1, a2, interiors)
-        ]
+        sizes = []
+        for a1 in self.instance.vertices:
+            for a2, (interiors, _) in self.typed_paths(a1).items():
+                regions = self._regions.get((a1, a2))
+                if regions is not None:
+                    sizes.extend(len(region.interior) for region in regions)
+                elif len(interiors) > 1:
+                    sides = _maximal_sides(self.instance, self.rs, a1, a2, interiors)
+                    sizes.extend(len(inside) for _, inside, _ in sides)
+        return sizes
 
     def may_color(self, a1: int, a2: int) -> bool:
         """Whether some region of the pair could have a core vertex of
@@ -257,7 +252,11 @@ class RegionIndex:
         Only the graph and demands are read, not the typed paths, so a pair
         that fails needs no region built to know that rules 6-8 color
         nothing in it; :func:`vecdom.rules._region_phase` gives the proof.
+        An anchor that is not a vertex raises ``UnknownVertexError``.
         """
+        for a in (a1, a2):
+            if not self.instance.has_vertex(a):
+                raise UnknownVertexError(f"unknown vertex {a}")
         d = self.instance.demand
         by_demand = self._by_demand
         if by_demand is None:

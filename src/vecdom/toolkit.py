@@ -269,23 +269,17 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
     candidate-region interior cover every anchor pair of the kernel,
     forbidden anchors included, at the run's path cap.  A run that stopped
     at quiescence hands over the index its last region phase built on that
-    graph.  That phase built only the pairs that could color; every other
-    pair is counted here from its maximal sides, with no region built
-    (``RegionIndex.interior_sizes``).  A fresh index is built when there is
-    none or when it does not describe the kernel: the run was decided, or
-    the reduced graph or demands changed since the index was built.
+    graph.  That phase built only the pairs that could color, and
+    ``RegionIndex.region_sizes`` counts every other pair from its maximal
+    sides, with no region built.  A fresh index is built when there is none
+    or when it does not describe the kernel: the run was decided, or the
+    reduced graph or demands changed since the index was built.
     """
     kernel = kernel_of(report)
-    region_count = 0
-    max_interior = 0
     index = report.region_index
     if index is None or not index.describes(kernel):
         index = RegionIndex(kernel, embed(kernel), report.max_paths_per_pair)
-    for a1 in kernel.vertices:
-        for a2 in index.typed_paths(a1):
-            sizes = index.interior_sizes(a1, a2)
-            region_count += len(sizes)
-            max_interior = max([max_interior, *sizes])
+    sizes = index.region_sizes()
     return KernelStats(
         n_before=instance.n,
         m_before=instance.m,
@@ -295,8 +289,8 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
         k_after=kernel.budget,
         blue_count=len(kernel.forbidden),
         rule_fire_counts=dict(report.rule_fire_counts),
-        region_count_examined=region_count,
-        max_region_interior=max_interior,
+        region_count_examined=len(sizes),
+        max_region_interior=max(sizes, default=0),
         bound_ratio=kernel.n / max(kernel.budget, 1),
         status=report.final_status,
     )

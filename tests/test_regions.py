@@ -134,6 +134,8 @@ class TestEnumerateBoundaryPaths:
             index.regions(*pair)
         with pytest.raises(UnknownVertexError):
             index.typed_paths(max(pair))
+        with pytest.raises(UnknownVertexError):
+            index.may_color(*pair)
 
     @pytest.mark.parametrize("pair", [(1, 0), (0, 0)])
     def test_unordered_pair_refused(self, pair):
@@ -354,8 +356,9 @@ def stats_reader_graphs():
     yield "worst-case", worst_case_region_instance()
 
 
-class TestInteriorSizes:
-    def test_sizes_equal_the_regions_before_and_after_they_are_kept(self, monkeypatch):
+class TestRegionSizes:
+    @pytest.mark.parametrize("after_phase", [False, True], ids=["fresh", "after-phase"])
+    def test_sizes_equal_the_all_pairs_regions(self, after_phase, monkeypatch):
         calls = {"_regions": 0, "_maximal_sides": 0}
         for name, real in [(name, getattr(vecdom.regions, name)) for name in calls]:
             def counted(*args, name=name, real=real):
@@ -363,28 +366,33 @@ class TestInteriorSizes:
                 return real(*args)
 
             monkeypatch.setattr(vecdom.regions, name, counted)
-        sizes_seen = 0
+        sizes_seen = kept_seen = 0
         for name, inst in stats_reader_graphs():
             rs = embed(inst)
             index = RegionIndex(inst, rs, 512)
-            for a1, a2 in itertools.combinations(inst.vertices, 2):
-                interiors = interiors_of(index, a1, a2)
-                expected = sorted(
-                    len(region.interior)
-                    for region in all_pairs_regions(inst, rs, a1, a2, interiors)
-                )
-                calls.update(_regions=0, _maximal_sides=0)
-                before = sorted(index.interior_sizes(a1, a2))
-                # Not kept: counted from the sides alone, with no region built.
-                assert calls["_regions"] == 0 and (a1, a2) not in index._regions
-                kept = sorted(len(region.interior) for region in index.regions(a1, a2))
-                calls.update(_regions=0, _maximal_sides=0)
-                after = sorted(index.interior_sizes(a1, a2))
-                # Kept: read from the regions, with no side walked.
-                assert calls == {"_regions": 0, "_maximal_sides": 0}
-                assert before == kept == after == expected, (name, a1, a2)
-                sizes_seen += len(expected)
+            if after_phase:
+                _region_phase(inst.copy(), index)
+            kept = dict(index._regions)
+            expected = sorted(
+                len(region.interior)
+                for a1, a2 in itertools.combinations(inst.vertices, 2)
+                for region in all_pairs_regions(inst, rs, a1, a2, interiors_of(index, a1, a2))
+            )
+            calls.update(_regions=0, _maximal_sides=0)
+            assert sorted(index.region_sizes()) == expected, name
+            # The kept pairs are read; only the others with at least two
+            # typed paths are walked, and no region is built or kept.
+            walked = sum(
+                len(interiors) > 1 and (a1, a2) not in kept
+                for a1 in inst.vertices
+                for a2, (interiors, _) in index.typed_paths(a1).items()
+            )
+            assert calls == {"_regions": 0, "_maximal_sides": walked}, name
+            assert index._regions == kept
+            sizes_seen += len(expected)
+            kept_seen += sum(map(len, kept.values()))
         assert sizes_seen > 10000
+        assert (kept_seen > 1000) == after_phase
 
     def test_sides_with_three_high_demand_boundary_vertices_are_refused(self):
         # A 5-cycle closed by two untyped paths: each side holds no vertex
@@ -394,14 +402,6 @@ class TestInteriorSizes:
         for walk in (vecdom.regions._maximal_sides, vecdom.regions._regions):
             with pytest.raises(AssertionError, match="at most two high-demand vertices"):
                 walk(inst, embed(inst), 0, 2, [(1,), (4, 3)])
-
-    def test_anchors_are_checked_as_for_regions(self):
-        inst = cap_probe_instance()
-        index = index_of(inst)
-        with pytest.raises(UnknownVertexError):
-            index.interior_sizes(0, 99)
-        with pytest.raises(MalformedPathError):
-            index.interior_sizes(2, 0)
 
 
 def colorable(inst, region):

@@ -397,6 +397,19 @@ class TestKernelReport:
         fresh, fresh_embeds = stats_and_embeds(dataclasses.replace(report, region_index=None))
         assert (reused_embeds, fresh_embeds) == (0, 1)
         assert reused == fresh and reused.region_count_examined > 0
+        assert (reused.region_count_examined, reused.max_region_interior) == (48, 9)
+
+        # A run cut after its one round: that round's region phase colored,
+        # and the stats read the regions it kept on the unreduced graph.
+        cut_run = run_fixpoint(inst.copy(), FixpointOptions(max_rounds=1))
+        assert cut_run.max_rounds_hit and cut_run.final_status is Status.OPEN
+        assert (cut_run.rule_fire_counts[6], cut_run.rule_fire_counts[7]) == (8, 2)
+        assert cut_run.region_index._regions
+        cut, cut_embeds = stats_and_embeds(cut_run)
+        fresh, fresh_embeds = stats_and_embeds(dataclasses.replace(cut_run, region_index=None))
+        assert (cut_embeds, fresh_embeds) == (0, 1)
+        assert cut == fresh
+        assert (cut.region_count_examined, cut.max_region_interior) == (125, 15)
 
         # A capped run counts at its own cap, whether the index is reused or fresh.
         capped_run = run_fixpoint(inst.copy(), FixpointOptions(max_paths_per_pair=2))

@@ -7,14 +7,17 @@ checkout) and, for the maximal planar graphs ``generate_planar(1000, 1.0,
 seed)`` with seeds ``SEEDS`` under the profiles ``PROFILES``, runs
 ``run_fixpoint`` at k = opt and then ``kernel_report``, ``RUNS`` times
 each.  One row per input gives the median CPU seconds of each over those
-runs; three counts, each summed over the fixpoint and the report: the
-pairs walked (calls of ``vecdom.regions._maximal_sides``, one per anchor
-pair whose typed-path pairs are walked for their sides), the region
-builds (calls of ``vecdom.regions._regions``, one per anchor pair whose
+runs, followed by their min-max, e.g. ``1.10 (1.08-1.15)``; three counts,
+each summed over the fixpoint and the report: the pairs walked (calls of
+``vecdom.regions._maximal_sides``, one per anchor pair whose typed-path
+pairs are walked for their sides), the region builds (calls of
+``vecdom.regions._regions``, one per anchor pair whose
 ``CandidateRegion``s are built) and the ``cycle_sides`` calls; and the
 stats line.  The counts and the stats line must be the same in every run;
 the tool exits 1 when they are not.  Run it on two checkouts to compare
-them: the stats lines must match.
+them: the stats lines must match.  The spread within one row does not
+show the drift between runs of the tool, so a timing comparison needs
+runs of both checkouts in turn.
 
 The optimum comes from ``optimum`` in the sibling ``solve_reach.py``,
 which is ``perfbench/oracle.py``'s integer-programming optimum (HiGHS)
@@ -46,6 +49,11 @@ def counting(module, name: str, counts: dict):
         return real(*args, **kwargs)
 
     setattr(module, name, counted)
+
+
+def spread(seconds) -> str:
+    """The median of ``seconds`` followed by their min-max, to two decimals."""
+    return f"{statistics.median(seconds):.2f} ({min(seconds):.2f}-{max(seconds):.2f})"
 
 
 def main(argv: list[str]) -> int:
@@ -85,11 +93,10 @@ def main(argv: list[str]) -> int:
                 print(f"{profile} seed {seed}: the runs differ: {sorted(outcomes)}", file=sys.stderr)
                 return 1
             ((walked, builds, calls, line),) = outcomes
-            fixpoint_s = statistics.median(t for t, _ in times)
-            report_s = statistics.median(t for _, t in times)
+            fixpoint_s, report_s = (spread(column) for column in zip(*times))
             print(
-                f"| {profile} | {seed} | {instance.budget} | {fixpoint_s:.2f} "
-                f"| {report_s:.2f} | {walked:,} | {builds:,} | {calls:,} | {line} |",
+                f"| {profile} | {seed} | {instance.budget} | {fixpoint_s} "
+                f"| {report_s} | {walked:,} | {builds:,} | {calls:,} | {line} |",
                 flush=True,
             )
     return 0
