@@ -40,9 +40,9 @@ print("== typed paths between the anchors ==")
 top = [0, 1, 2, 3, 4]
 print("path", top, "types read forward:", classify_path(inst, top, 0, 4),
       "read backward:", classify_path(inst, list(reversed(top)), 4, 0))
-# One index per embedding serves every anchor pair, keeping at most 512
-# typed paths per pair (the fixpoint's default cap).
-index = RegionIndex(inst, embed(inst), 512)
+# One index per embedding serves every anchor pair, keeping at most
+# vecdom.regions.MAX_PATHS_PER_PAIR (512) typed paths per pair.
+index = RegionIndex(inst, embed(inst))
 # typed_paths(0) maps each far anchor to the interiors of its typed paths
 # and whether the cap cut them; an interior's length fixes the type.
 interiors = index.typed_paths(0)[4][0]

@@ -38,7 +38,6 @@ def _fixpoint_options(args) -> FixpointOptions:
     return FixpointOptions(
         kernel_certificate={"on": True, "off": False}.get(args.kernel_certificate),
         enable_region_rules=not args.no_region_rules,
-        max_paths_per_pair=args.max_paths_per_pair,
     )
 
 
@@ -141,9 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_fixpoint_flags(p):
         p.add_argument("--kernel-certificate", choices=("on", "off"), default=None)
         p.add_argument("--no-region-rules", action="store_true")
-        p.add_argument(
-            "--max-paths-per-pair", type=int, default=FixpointOptions.max_paths_per_pair
-        )
 
     p = sub.add_parser("kernelize", help="reduce an instance and write the kernel")
     p.add_argument("--input", required=True)

@@ -17,6 +17,10 @@ from .instance import (
 )
 from .planarity import RotationSystem, StaleEmbeddingError, cycle_sides
 
+# The most typed paths an index keeps per anchor pair.  A longer list is
+# cut and flagged, and a region phase that meets the flag sets ``caps_hit``.
+MAX_PATHS_PER_PAIR = 512
+
 
 class MalformedPathError(VecdomError):
     pass
@@ -107,20 +111,20 @@ class RegionIndex:
     follow it share one enumeration: the statistics read the regions that
     phase built and count the maximal sides of every other pair without
     building their regions.  Regions do not depend on the forbidden set.
+    Each pair keeps at most ``MAX_PATHS_PER_PAIR`` typed paths, the value
+    the module holds when the index is built.
 
     The searches walk the embedding's sorted adjacency lists
     (``rs.adjacency``), which equal the instance's because the
     constructor refuses an embedding that does not describe it.
     """
 
-    def __init__(self, instance: AnnotatedInstance, rs: RotationSystem, max_paths: int):
+    def __init__(self, instance: AnnotatedInstance, rs: RotationSystem):
         if not rs.describes(instance):
             raise StaleEmbeddingError("embedding no longer matches the instance")
-        if max_paths < 0:
-            raise ValueError("the path cap must be non-negative")
         self.instance = instance
         self.rs = rs
-        self.max_paths = max_paths
+        self.max_paths = MAX_PATHS_PER_PAIR
         self._demand = dict(instance.demand)
         self._found: dict[int, dict] = {}
         self._regions: dict[tuple[int, int], list[CandidateRegion]] = {}

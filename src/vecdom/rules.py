@@ -55,11 +55,8 @@ class FixpointOptions:
     kernel_certificate: bool | None = None
     enable_region_rules: bool = True
     max_rounds: int | None = None
-    max_paths_per_pair: int = 512
 
     def __post_init__(self):
-        if self.max_paths_per_pair < 0:
-            raise ValueError("max_paths_per_pair must be non-negative")
         if self.max_rounds is not None and self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
         if self.kernel_certificate is None:
@@ -89,8 +86,6 @@ class FixpointReport:
     rounds: int
     final_status: Status
     rule_fire_counts: dict
-    # The run's path cap from ``FixpointOptions``; ``kernel_report`` counts at it.
-    max_paths_per_pair: int
     final_instance: AnnotatedInstance
     caps_hit: bool = False
     max_rounds_hit: bool = False
@@ -487,7 +482,7 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
             break
         if not rs.describes(instance):
             rs = embed(instance)
-        region_index = RegionIndex(instance, rs, options.max_paths_per_pair)
+        region_index = RegionIndex(instance, rs)
         region_events, truncated = _region_phase(instance, region_index)
         caps_hit |= truncated
         events.extend(region_events)
@@ -511,7 +506,6 @@ def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = 
         rounds=rounds,
         final_status=instance.status,
         rule_fire_counts=dict(Counter(ev.rule_id for ev in events)),
-        max_paths_per_pair=options.max_paths_per_pair,
         caps_hit=caps_hit,
         max_rounds_hit=max_rounds_hit,
         final_instance=instance,

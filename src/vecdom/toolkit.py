@@ -267,8 +267,9 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
 
     ``instance`` is the original.  The region count and the largest
     candidate-region interior cover every anchor pair of the kernel,
-    forbidden anchors included, at the run's path cap.  A run that stopped
-    at quiescence hands over the index its last region phase built on that
+    forbidden anchors included, at the path cap the fixpoint ran at,
+    ``vecdom.regions.MAX_PATHS_PER_PAIR``.  A run that stopped at
+    quiescence hands over the index its last region phase built on that
     graph.  That phase built only the pairs that could color, and
     ``RegionIndex.region_sizes`` counts every other pair from its maximal
     sides, with no region built.  A fresh index is built when there is none
@@ -278,7 +279,7 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
     kernel = kernel_of(report)
     index = report.region_index
     if index is None or not index.describes(kernel):
-        index = RegionIndex(kernel, embed(kernel), report.max_paths_per_pair)
+        index = RegionIndex(kernel, embed(kernel))
     sizes = index.region_sizes()
     return KernelStats(
         n_before=instance.n,

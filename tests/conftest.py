@@ -6,6 +6,7 @@ import importlib.util
 
 import pytest
 
+import vecdom.regions
 from vecdom import AnnotatedInstance
 
 
@@ -16,6 +17,14 @@ def load_by_path(name, path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def path_cap(monkeypatch):
+    """A setter for ``vecdom.regions.MAX_PATHS_PER_PAIR`` that holds for the
+    rest of the test: every ``RegionIndex`` built afterwards, by a fixpoint
+    run or a stats report too, keeps at most that many typed paths per pair."""
+    return lambda cap: monkeypatch.setattr(vecdom.regions, "MAX_PATHS_PER_PAIR", cap)
 
 
 def build(n, edges=(), demand=None, k=0, forbidden=()):

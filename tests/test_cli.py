@@ -381,9 +381,13 @@ class TestBadNumbers:
     def test_generate_negative_budget(self, capsys):
         self.check(["generate", "--n", "5", "--k", "-1"], capsys)
 
+    # The typed-path cap is a constant of vecdom.regions; no flag sets it.
     @pytest.mark.parametrize("command", ["kernelize", "stats"])
-    def test_negative_path_cap(self, command, yes_file, capsys):
-        self.check([command, "--input", yes_file, "--max-paths-per-pair", "-1"], capsys)
+    def test_path_cap_flag_is_unrecognized(self, command, yes_file, capsys):
+        assert cli_main([command, "--input", yes_file, "--max-paths-per-pair", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-paths-per-pair 5" in captured.err
 
     def test_selftest_negative_count(self, capsys):
         self.check(["selftest", "--count", "-3"], capsys)

@@ -21,7 +21,6 @@ from vecdom import (
     run_fixpoint,
     solve_bb,
     solve_brute,
-    FixpointOptions,
     cycle_sides,
 )
 from vecdom.regions import RegionIndex, classify_path
@@ -37,8 +36,8 @@ def cap_probe_instance():
     return make_special_case(generate_planar(12, 1.0, 3), "r:1")
 
 
-def index_of(inst, cap=512):
-    return RegionIndex(inst, embed(inst), cap)
+def index_of(inst):
+    return RegionIndex(inst, embed(inst))
 
 
 def interiors_of(index, a1, a2):
@@ -119,13 +118,12 @@ class TestEnumerateBoundaryPaths:
         a, b = inst.vertices[0], inst.vertices[5]
         assert interiors_of(index_of(inst), a, b) == interiors_of(index_of(inst), a, b)
 
-    def test_negative_cap_refused(self):
+    def test_the_cap_keeps_the_first_paths_in_order(self, path_cap):
         inst = cap_probe_instance()
         interiors = interiors_of(index_of(inst), 0, 2)
         assert len(interiors) == 14
-        assert interiors_of(index_of(inst, 13), 0, 2) == interiors[:13]
-        with pytest.raises(ValueError):
-            index_of(inst, -1)
+        path_cap(13)
+        assert interiors_of(index_of(inst), 0, 2) == interiors[:13]
 
     @pytest.mark.parametrize("pair", [(99, 0), (0, 99)])
     def test_unknown_anchor_refused(self, pair):
@@ -171,11 +169,12 @@ def seeded_instance_with_forbidden(seed):
 class TestRegionIndex:
     # With cap 10, seed 0 has its only capped pairs at a forbidden anchor.
     @pytest.mark.parametrize("cap", [2, 10, 512])
-    def test_typed_paths_and_caps_match_brute_force(self, cap):
+    def test_typed_paths_and_caps_match_brute_force(self, cap, path_cap):
+        path_cap(cap)
         any_capped = False
         for seed in range(6):
             inst = seeded_instance_with_forbidden(seed)
-            index = RegionIndex(inst, embed(inst), cap)
+            index = index_of(inst)
             phase_caps = False
             for a1, a2 in itertools.combinations(inst.vertices, 2):
                 expected = brute_typed_interiors(inst, a1, a2)
@@ -188,7 +187,7 @@ class TestRegionIndex:
                     phase_caps |= len(expected) > cap
             any_capped |= phase_caps
             phase_inst = inst.copy()
-            _, caps_hit = _region_phase(phase_inst, RegionIndex(phase_inst, embed(phase_inst), cap))
+            _, caps_hit = _region_phase(phase_inst, index_of(phase_inst))
             assert caps_hit == phase_caps, seed
         assert any_capped == (cap < 512)
 
@@ -205,10 +204,10 @@ class TestRegionIndex:
     def test_regions_match_the_single_pair_enumeration(self):
         inst = seeded_instance_with_forbidden(4)
         rs = embed(inst)
-        index = RegionIndex(inst, rs, 512)
+        index = RegionIndex(inst, rs)
         for a1, a2 in itertools.combinations(inst.vertices, 2):
             # An index asked for this pair alone builds the same regions.
-            assert index.regions(a1, a2) == RegionIndex(inst, rs, 512).regions(a1, a2)
+            assert index.regions(a1, a2) == RegionIndex(inst, rs).regions(a1, a2)
             assert index.regions(a1, a2) is index.regions(a1, a2)
 
     def test_a_pair_with_fewer_than_two_typed_paths_builds_nothing(self, monkeypatch):
@@ -218,7 +217,7 @@ class TestRegionIndex:
             vecdom.regions, "_regions", lambda *args: built.append(args[2:4]) or real(*args)
         )
         inst = make_special_case(generate_planar(16, 0.7, 3), "random:2", seed=3)
-        index = RegionIndex(inst, embed(inst), 512)
+        index = index_of(inst)
         sizes = set()
         for a1, a2 in itertools.combinations(inst.vertices, 2):
             count = len(interiors_of(index, a1, a2))
@@ -227,11 +226,6 @@ class TestRegionIndex:
                 assert index.regions(a1, a2) == []
         assert sizes == {0, 1}
         assert built == [] and index._regions == {}
-
-    def test_negative_cap_refused(self):
-        inst = cap_probe_instance()
-        with pytest.raises(ValueError):
-            RegionIndex(inst, embed(inst), -1)
 
 
 def all_pairs_regions(instance, rs, a1, a2, interiors):
@@ -307,11 +301,12 @@ CAPS = (0, 1, 2, 512)
 
 class TestRegionsAgainstAllPairs:
     @pytest.mark.parametrize("cap", CAPS)
-    def test_phase_and_report_regions_equal_the_all_pairs_loop(self, cap):
+    def test_phase_and_report_regions_equal_the_all_pairs_loop(self, cap, path_cap):
+        path_cap(cap)
         shared = regions_seen = 0
         for name, inst in region_graphs():
             rs = embed(inst)
-            index = RegionIndex(inst, rs, cap)
+            index = RegionIndex(inst, rs)
             # The phase builds some pairs and skips the rest; what the stats
             # then read is built on demand.
             _region_phase(inst.copy(), index)
@@ -328,13 +323,14 @@ class TestRegionsAgainstAllPairs:
         assert (regions_seen > 500) == (cap > 1)
 
     @pytest.mark.parametrize("cap", CAPS)
-    def test_stats_count_the_regions_of_the_all_pairs_loop(self, cap):
+    def test_stats_count_the_regions_of_the_all_pairs_loop(self, cap, path_cap):
+        path_cap(cap)
         for name, inst in region_graphs():
-            report = run_fixpoint(inst.copy(), FixpointOptions(max_paths_per_pair=cap))
+            report = run_fixpoint(inst.copy())
             stats = kernel_report(inst, report)
             kernel = kernel_of(report)
             rs = embed(kernel)
-            index = RegionIndex(kernel, rs, cap)
+            index = RegionIndex(kernel, rs)
             regions = [
                 region
                 for a1, a2 in itertools.combinations(kernel.vertices, 2)
@@ -369,7 +365,7 @@ class TestRegionSizes:
         sizes_seen = kept_seen = 0
         for name, inst in stats_reader_graphs():
             rs = embed(inst)
-            index = RegionIndex(inst, rs, 512)
+            index = RegionIndex(inst, rs)
             if after_phase:
                 _region_phase(inst.copy(), index)
             kept = dict(index._regions)
@@ -422,7 +418,7 @@ class TestPhaseSkipsOnlyPairsThatCannotColor:
         demanding = refused_with_regions = 0
         for name, inst in region_graphs():
             rs = embed(inst)
-            index = RegionIndex(inst, rs, 512)
+            index = RegionIndex(inst, rs)
             for a1, a2 in itertools.combinations(inst.vertices, 2):
                 regions = all_pairs_regions(inst, rs, a1, a2, interiors_of(index, a1, a2))
                 if any(colorable(inst, region) for region in regions):
@@ -433,23 +429,21 @@ class TestPhaseSkipsOnlyPairsThatCannotColor:
         assert demanding > 50 and refused_with_regions > 500
 
     @pytest.mark.parametrize("cap", CAPS)
-    def test_accepting_every_pair_changes_no_event(self, cap, monkeypatch):
+    def test_accepting_every_pair_changes_no_event(self, cap, path_cap, monkeypatch):
+        path_cap(cap)
+        may_color = RegionIndex.may_color
         colored = 0
         for name, inst in region_graphs():
             outcomes = []
-            for accept_all in (False, True):
-                if accept_all:
-                    monkeypatch.setattr(RegionIndex, "may_color", lambda self, a1, a2: True)
+            for test in (may_color, lambda self, a1, a2: True):
+                monkeypatch.setattr(RegionIndex, "may_color", test)
                 phase_inst = inst.copy()
-                events, caps_hit = _region_phase(
-                    phase_inst, RegionIndex(phase_inst, embed(phase_inst), cap)
-                )
-                report = run_fixpoint(inst.copy(), FixpointOptions(max_paths_per_pair=cap))
+                events, caps_hit = _region_phase(phase_inst, index_of(phase_inst))
+                report = run_fixpoint(inst.copy())
                 outcomes.append((
                     event_log(events), caps_hit, event_log(report.events), report.caps_hit,
                     report.final_instance,
                 ))
-            monkeypatch.undo()
             assert outcomes[0] == outcomes[1], (name, cap)
             colored += len(outcomes[0][0])
         assert (colored > 20) == (cap > 1)
@@ -458,11 +452,8 @@ class TestPhaseSkipsOnlyPairsThatCannotColor:
 class TestEnumerateCandidateRegions:
     """Candidate regions of one anchor pair, read through ``RegionIndex.regions``."""
 
-    def test_negative_cap_refused(self):
-        inst = cap_probe_instance()
-        assert len(index_of(inst).regions(0, 2)) == 5
-        with pytest.raises(ValueError):
-            index_of(inst, -1)
+    def test_the_cap_probe_pair_has_five_regions(self):
+        assert len(index_of(cap_probe_instance()).regions(0, 2)) == 5
 
     def test_empty_interior_region_returned(self):
         inst = build(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -763,7 +754,7 @@ class TestEmbeddingFreshness:
         rs = embed(inst)
         inst.delete_edge(8, 1)
         with pytest.raises(StaleEmbeddingError):
-            RegionIndex(inst, rs, 512)
+            RegionIndex(inst, rs)
 
     def test_same_degrees_other_edges_rejected(self):
         from vecdom import StaleEmbeddingError
@@ -775,7 +766,7 @@ class TestEmbeddingFreshness:
         assert embed(c4).describes(c4)
         assert not embed(c4).describes(swapped)
         with pytest.raises(StaleEmbeddingError):
-            RegionIndex(swapped, embed(c4), 512)
+            RegionIndex(swapped, embed(c4))
 
 
 class TestRegionRulesInsideFixpoint:

@@ -391,11 +391,6 @@ class TestRunFixpoint:
         assert FixpointOptions().kernel_certificate is True
         assert FixpointOptions(enable_region_rules=False).kernel_certificate is False
 
-    def test_negative_path_cap_refused(self):
-        with pytest.raises(ValueError):
-            FixpointOptions(max_paths_per_pair=-1)
-        assert FixpointOptions(max_paths_per_pair=0).max_paths_per_pair == 0
-
     def test_negative_round_cap_refused(self):
         with pytest.raises(ValueError):
             FixpointOptions(max_rounds=-1)
@@ -487,7 +482,7 @@ class TestRunFixpoint:
         assert report.events == []
         assert inst.n == 2
 
-    def test_path_cap_suppresses_certificate(self):
+    def test_path_cap_suppresses_certificate(self, path_cap):
         # rigid 203-cycle plus two demand-1 hangers creating three typed
         # paths between vertices 0 and 2; with the cap the enumeration is
         # incomplete, so the size certificate must stay quiet
@@ -502,7 +497,8 @@ class TestRunFixpoint:
         assert full.final_status is Status.DECIDED_NO
         assert full.rule_fire_counts.get("kernel_bound") == 1
 
-        capped = run_fixpoint(make(), FixpointOptions(max_paths_per_pair=1))
+        path_cap(1)
+        capped = run_fixpoint(make(), FixpointOptions())
         assert capped.caps_hit
         assert capped.final_status is Status.OPEN
         assert "kernel_bound" not in capped.rule_fire_counts
@@ -611,13 +607,14 @@ class TestRegionPhaseCapRule:
     phase started, also when the phase colors an anchor before it reaches
     the pair."""
 
-    def test_an_anchor_colored_during_the_phase_keeps_its_pair_cap(self):
+    def test_an_anchor_colored_during_the_phase_keeps_its_pair_cap(self, path_cap):
         from vecdom import embed
         from vecdom.regions import RegionIndex
         from vecdom.rules import _region_phase
 
+        path_cap(3)
         inst = corpus_instance(1756)
-        index = RegionIndex(inst, embed(inst), 3)
+        index = RegionIndex(inst, embed(inst))
         capped = [
             (a1, a2)
             for a1 in inst.vertices
@@ -649,6 +646,19 @@ class TestRuleSoundnessSweep:
         inst.forbidden = {v for v in inst.vertices if (v * 7 + seed) % 4 == 0}
         record = check_instance(inst, seed)
         assert (record.event_failures, record.failures) == ([], [])
+
+    # Rules 6-8 on regions closed by a cut typed-path list.  The certificate,
+    # which a cut list must silence, never fires on these seeds; see
+    # test_path_cap_suppresses_certificate.
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_the_battery_holds_when_the_path_cap_cuts(self, cap, path_cap):
+        path_cap(cap)
+        capped = 0
+        for seed in range(1000):
+            record = evaluate_instance(seed)
+            assert (record.event_failures, record.failures) == ([], []), seed
+            capped += record.report_on.caps_hit
+        assert capped > 100
 
 
 # The pairwise scans rules 4, 5 and 12 made before they drew their

@@ -71,6 +71,7 @@ class TestParse:
         ("p pvds 2 0 0\np pvds 2 0 0\n", 2, "duplicate header"),
         ("p pvds two 0 0\n", 1, "header counts must be integers"),
         ("p pvds 2 0 0\nd 1 1\nd 1 2\n", 3, "duplicate demand for vertex 1"),
+        ("p pvds 2 0 0\nd 1\n", 2, "demand line must be 'd <v> <demand>'"),
         ("p pvds 2 0 0\nd 1 one\n", 2, "demand must be an integer"),
         ("p pvds 2 0 0\nd 2 -1\n", 2, "negative demand"),
         ("p pvds 2 0 0\nf 1 2\n", 2, "forbidden line must be 'f <v>'"),
@@ -376,6 +377,7 @@ class TestKernelReport:
         assert stats.bound_ratio == stats.n_after / max(stats.k_after, 1)
 
     def test_reused_index_matches_a_fresh_one_and_is_dropped_when_stale(self, monkeypatch):
+        import vecdom.regions
         import vecdom.toolkit
 
         inst = worst_case_region_instance()
@@ -411,11 +413,15 @@ class TestKernelReport:
         assert cut == fresh
         assert (cut.region_count_examined, cut.max_region_interior) == (125, 15)
 
-        # A capped run counts at its own cap, whether the index is reused or fresh.
-        capped_run = run_fixpoint(inst.copy(), FixpointOptions(max_paths_per_pair=2))
-        assert capped_run.region_index is not None
-        capped, capped_embeds = stats_and_embeds(capped_run)
-        fresh, fresh_embeds = stats_and_embeds(dataclasses.replace(capped_run, region_index=None))
+        # A capped run counts at its cap, whether the index is reused or fresh.
+        with monkeypatch.context() as capped_patch:
+            capped_patch.setattr(vecdom.regions, "MAX_PATHS_PER_PAIR", 2)
+            capped_run = run_fixpoint(inst.copy())
+            assert capped_run.region_index is not None
+            capped, capped_embeds = stats_and_embeds(capped_run)
+            fresh, fresh_embeds = stats_and_embeds(
+                dataclasses.replace(capped_run, region_index=None)
+            )
         assert (capped_embeds, fresh_embeds) == (0, 1)
         assert capped == fresh and fresh.region_count_examined != reused.region_count_examined
 

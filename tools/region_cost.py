@@ -12,9 +12,12 @@ each summed over the fixpoint and the report: the pairs walked (calls of
 ``vecdom.regions._maximal_sides``, one per anchor pair whose typed-path
 pairs are walked for their sides), the region builds (calls of
 ``vecdom.regions._regions``, one per anchor pair whose
-``CandidateRegion``s are built) and the ``cycle_sides`` calls; and the
-stats line.  The counts and the stats line must be the same in every run;
-the tool exits 1 when they are not.  Run it on two checkouts to compare
+``CandidateRegion``s are built) and the ``cycle_sides`` calls; the widest
+list, the most typed paths any index of the run keeps for one pair (read
+from ``RegionIndex.typed_paths``), which shows the headroom under the cap
+``vecdom.regions.MAX_PATHS_PER_PAIR``; and the stats line.  The counts,
+the widest list and the stats line must be the same in every run; the
+tool exits 1 when they are not.  Run it on two checkouts to compare
 them: the stats lines must match.  The spread within one row does not
 show the drift between runs of the tool, so a timing comparison needs
 runs of both checkouts in turn.
@@ -51,6 +54,21 @@ def counting(module, name: str, counts: dict):
     setattr(module, name, counted)
 
 
+def widest(index_class, counts: dict):
+    """Replace ``index_class.typed_paths`` by a wrapper that keeps in
+    ``counts["widest"]`` the most typed paths it returns for one pair."""
+    real = index_class.typed_paths
+    counts["widest"] = 0
+
+    def typed_paths(index, a1):
+        found = real(index, a1)
+        longest = max((len(interiors) for interiors, _ in found.values()), default=0)
+        counts["widest"] = max(counts["widest"], longest)
+        return found
+
+    index_class.typed_paths = typed_paths
+
+
 def spread(seconds) -> str:
     """The median of ``seconds`` followed by their min-max, to two decimals."""
     return f"{statistics.median(seconds):.2f} ({min(seconds):.2f}-{max(seconds):.2f})"
@@ -67,12 +85,13 @@ def main(argv: list[str]) -> int:
     counts: dict[str, int] = {}
     for name in ("_maximal_sides", "_regions", "cycle_sides"):
         counting(vecdom.regions, name, counts)
+    widest(vecdom.regions.RegionIndex, counts)
     print(f"run_fixpoint at k = opt, then kernel_report, on generate_planar({N}, 1.0, seed)")
     print(
         "| profile | seed | k | fixpoint s | report s | pairs walked | region builds "
-        "| cycle_sides | stats |"
+        "| cycle_sides | widest list | stats |"
     )
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for profile in PROFILES:
         for seed in SEEDS:
             instance = vecdom.make_special_case(vecdom.generate_planar(N, 1.0, seed), profile)
@@ -92,11 +111,11 @@ def main(argv: list[str]) -> int:
             if len(outcomes) != 1:
                 print(f"{profile} seed {seed}: the runs differ: {sorted(outcomes)}", file=sys.stderr)
                 return 1
-            ((walked, builds, calls, line),) = outcomes
+            ((walked, builds, calls, widest_list, line),) = outcomes
             fixpoint_s, report_s = (spread(column) for column in zip(*times))
             print(
                 f"| {profile} | {seed} | {instance.budget} | {fixpoint_s} "
-                f"| {report_s} | {walked:,} | {builds:,} | {calls:,} | {line} |",
+                f"| {report_s} | {walked:,} | {builds:,} | {calls:,} | {widest_list} | {line} |",
                 flush=True,
             )
     return 0
