@@ -34,13 +34,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _fixpoint_options(args) -> FixpointOptions:
-    return FixpointOptions(
-        kernel_certificate={"on": True, "off": False}.get(args.kernel_certificate),
-        enable_region_rules=not args.no_region_rules,
-    )
-
-
 def _write_output(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -52,7 +45,9 @@ def _write_output(text: str, path: str | None) -> None:
 def _reduce(args):
     """Run the fixpoint on the input file; return its kernel and stats line."""
     instance = parse(_read(args.input))
-    report = run_fixpoint(instance.copy(), _fixpoint_options(args))
+    report = run_fixpoint(
+        instance.copy(), FixpointOptions(enable_region_rules=not args.no_region_rules)
+    )
     return kernel_of(report), format_stats(kernel_report(instance, report))
 
 
@@ -64,17 +59,11 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.method == "bb" and args.oracle_limit is not None:
-        raise VecdomError("--oracle-limit applies only to --method brute")
     instance = parse(_read(args.input))
     # The planarity precondition of kernelize and stats: a non-planar
     # input is an input error whichever solver would decide it.
     embed(instance)
-    if args.method == "brute":
-        limit = ORACLE_LIMIT if args.oracle_limit is None else args.oracle_limit
-        result = solve_brute(instance, limit)
-    else:
-        result = solve_bb(instance)
+    result = solve_brute(instance) if args.method == "brute" else solve_bb(instance)
     if result.answer:
         # Not ``assert``, which -O strips: a witness that fails on the
         # input is a solver fault, not an input error, so it exits 2.
@@ -137,21 +126,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_fixpoint_flags(p):
-        p.add_argument("--kernel-certificate", choices=("on", "off"), default=None)
-        p.add_argument("--no-region-rules", action="store_true")
+    region_rules_help = "turn off the region rules and the kernel-size certificate that needs them"
 
     p = sub.add_parser("kernelize", help="reduce an instance and write the kernel")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    add_fixpoint_flags(p)
+    p.add_argument("--no-region-rules", action="store_true", help=region_rules_help)
     p.set_defaults(func=_cmd_kernelize)
 
     p = sub.add_parser("solve", help="decide an instance exactly")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=("bb", "brute"), default="bb")
     p.add_argument(
-        "--oracle-limit", type=int, help=f"largest n for --method brute (default {ORACLE_LIMIT})"
+        "--method",
+        choices=("bb", "brute"),
+        default="bb",
+        help=f"brute force is refused above n = {ORACLE_LIMIT} (vecdom.solver.ORACLE_LIMIT)",
     )
     p.set_defaults(func=_cmd_solve)
 
@@ -171,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="reduce and print one stats line")
     p.add_argument("--input", required=True)
-    add_fixpoint_flags(p)
+    p.add_argument("--no-region-rules", action="store_true", help=region_rules_help)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("selftest", help="run the rule-soundness property suite")

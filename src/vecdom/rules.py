@@ -50,6 +50,9 @@ class FixpointOptions:
     """How ``run_fixpoint`` runs.
 
     ``kernel_certificate`` defaults to ``enable_region_rules``, which it needs.
+    ``vecdom.cli`` always takes that default; library callers such as the
+    acceptance suite may set it, e.g. off to keep the reduced instance of a
+    run the certificate would decide.
     """
 
     kernel_certificate: bool | None = None

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,16 @@ def no_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def above_oracle_file(tmp_path, capsys):
+    """A YES instance with n = ORACLE_LIMIT + 1 = 19 vertices."""
+    path = tmp_path / "n19.pvds"
+    argv = ["generate", "--n", "19", "--profile", "r:1", "--k", "6", "--output", str(path)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    return str(path)
+
+
 class TestSolve:
     def test_yes_with_witness(self, yes_file, capsys):
         assert cli_main(["solve", "--input", yes_file]) == 0
@@ -62,13 +73,12 @@ class TestSolve:
         assert cli_main(["solve", "--input", yes_file, "--method", "brute"]) == 0
         assert capsys.readouterr().out.startswith("YES")
 
-    def test_oracle_limit_needs_brute(self, yes_file, capsys):
-        assert cli_main(["solve", "--input", yes_file, "--oracle-limit", "1"]) == 2
-        assert "--method brute" in capsys.readouterr().err
-        brute = ["solve", "--input", yes_file, "--method", "brute", "--oracle-limit"]
-        assert cli_main(brute + ["1"]) == 2
-        assert "oracle limit 1" in capsys.readouterr().err
-        assert cli_main(brute + ["3"]) == 0
+    def test_brute_refuses_above_the_oracle_limit(self, above_oracle_file, capsys):
+        assert cli_main(["solve", "--input", above_oracle_file, "--method", "brute"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: n=19 exceeds the oracle limit 18\n")
+        assert cli_main(["solve", "--input", above_oracle_file]) == 0
+        assert capsys.readouterr().out.startswith("YES")
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli_main(["solve", "--input", str(tmp_path / "absent.pvds")]) == 2
@@ -89,16 +99,6 @@ class TestKernelize:
         assert "status=yes" in stats
         kernel = parse(out_path.read_text())
         assert solve_brute(kernel).answer
-
-    def test_no_region_rules_disables_certificate(self, yes_file, tmp_path):
-        out_path = tmp_path / "kernel.pvds"
-        assert cli_main(["kernelize", "--input", yes_file, "--output", str(out_path),
-                         "--no-region-rules"]) == 0
-
-    def test_explicit_certificate_with_no_region_rules_refused(self, yes_file, tmp_path):
-        out_path = tmp_path / "kernel.pvds"
-        assert cli_main(["kernelize", "--input", yes_file, "--output", str(out_path),
-                         "--no-region-rules", "--kernel-certificate", "on"]) == 2
 
     def test_kernel_answer_matches_original(self, tmp_path, capsys):
         for seed in range(12):
@@ -197,28 +197,27 @@ class TestStats:
         line = capsys.readouterr().out
         assert "n_before=3" in line and "bound_ratio=" in line
 
-    @pytest.mark.parametrize("flags, status", [
-        ([], "no"),
-        (["--kernel-certificate", "off"], "open"),
-        (["--kernel-certificate", "on"], "no"),
-        (["--no-region-rules"], "open"),
-        (["--no-region-rules", "--kernel-certificate", "off"], "open"),
-        (["--no-region-rules", "--kernel-certificate", "on"], None),
-    ])
-    def test_certificate_flags(self, flags, status, tmp_path, capsys):
+    # The certificate follows the region rules: on by default, off with
+    # --no-region-rules.
+    @pytest.mark.parametrize("command", ["kernelize", "stats"])
+    @pytest.mark.parametrize("flags, stats, header", [
+        ([], ["status=no", "rules=kernel_bound:1"], "p pvds 2 1 0"),
+        (["--no-region-rules"], ["status=open"], "p pvds 203 203 2"),
+    ], ids=["default", "no-region-rules"])
+    def test_certificate_flags(self, command, flags, stats, header, tmp_path, capsys):
         # A demand-2 cycle admits no rule, so only the size certificate
         # decides it at k=2.
         n = 203
         cycle = AnnotatedInstance(range(n), [(i, (i + 1) % n) for i in range(n)],
                                   {v: 2 for v in range(n)}, budget=2)
-        path = tmp_path / "cycle.pvds"
+        path, kernel = tmp_path / "cycle.pvds", tmp_path / "kernel.pvds"
         path.write_text(write(cycle))
-        code = cli_main(["stats", "--input", str(path), *flags])
-        if status is None:
-            assert code == 2
-        else:
-            assert code == 0
-            assert f"status={status}" in capsys.readouterr().out.split()
+        output = ["--output", str(kernel)] if command == "kernelize" else []
+        assert cli_main([command, "--input", str(path), *output, *flags]) == 0
+        fields = capsys.readouterr().out.split()
+        assert all(field in fields for field in stats)
+        if command == "kernelize":
+            assert kernel.read_text().splitlines()[0] == header
 
 
 class TestSelftest:
@@ -321,12 +320,32 @@ def test_unknown_subcommand_is_usage_error():
     assert cli_main(["frobnicate"]) == 2
 
 
+# Every option each subcommand takes; a new flag is an edit of this table.
+OPTIONS = {
+    "kernelize": "--input --output --no-region-rules",
+    "solve": "--input --method",
+    "verify": "--input --witness",
+    "generate": "--n --density --seed --profile --k --output",
+    "stats": "--input --no-region-rules",
+    "selftest": "--count --seed",
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_subcommand_takes_only_its_options(command, capsys):
+    assert cli_main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: vecdom {command} ")
+    assert re.findall(r"--[a-z-]+", usage) == OPTIONS[command].split()
+
+
 class TestOneParserPerProcess:
     """cli_main parses with one parser per process; no call leaves state for the next."""
 
-    def test_refused_brute_call_leaves_plain_solve_on_bb(self, yes_file, monkeypatch, capsys):
-        brute = ["solve", "--input", yes_file, "--method", "brute", "--oracle-limit", "1"]
-        assert cli_main(brute) == 2
+    def test_refused_brute_call_leaves_plain_solve_on_bb(
+        self, yes_file, above_oracle_file, monkeypatch, capsys
+    ):
+        assert cli_main(["solve", "--input", above_oracle_file, "--method", "brute"]) == 2
         capsys.readouterr()
         monkeypatch.setattr(vecdom.cli, "solve_brute", lambda *a, **k: pytest.fail("brute ran"))
         assert cli_main(["solve", "--input", yes_file]) == 0
@@ -381,13 +400,23 @@ class TestBadNumbers:
     def test_generate_negative_budget(self, capsys):
         self.check(["generate", "--n", "5", "--k", "-1"], capsys)
 
-    # The typed-path cap is a constant of vecdom.regions; no flag sets it.
-    @pytest.mark.parametrize("command", ["kernelize", "stats"])
-    def test_path_cap_flag_is_unrecognized(self, command, yes_file, capsys):
-        assert cli_main([command, "--input", yes_file, "--max-paths-per-pair", "5"]) == 2
+    # The typed-path cap is a constant of vecdom.regions, the certificate
+    # follows the region rules and brute force runs at ORACLE_LIMIT: no
+    # flag sets any of them.
+    @pytest.mark.parametrize("command, flag", [
+        ("kernelize", "--max-paths-per-pair 5"),
+        ("stats", "--max-paths-per-pair 5"),
+        ("kernelize", "--kernel-certificate on"),
+        ("kernelize", "--kernel-certificate off"),
+        ("stats", "--kernel-certificate on"),
+        ("stats", "--kernel-certificate off"),
+        ("solve", "--oracle-limit 3"),
+    ])
+    def test_retired_flag_is_unrecognized(self, command, flag, yes_file, capsys):
+        assert cli_main([command, "--input", yes_file, *flag.split()]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --max-paths-per-pair 5" in captured.err
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     def test_selftest_negative_count(self, capsys):
         self.check(["selftest", "--count", "-3"], capsys)
