@@ -236,6 +236,14 @@ def validate(instance: AnnotatedInstance) -> list[str]:
     return out
 
 
+def require_valid(instance: AnnotatedInstance) -> None:
+    """Raise ``InvalidInstanceError`` with every violation ``validate``
+    finds; return quietly on a well-formed instance."""
+    violations = validate(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
+
+
 def dominates(instance: AnnotatedInstance, chosen: Iterable[int], targets: Iterable[int]) -> bool:
     """True when every target outside ``chosen`` has at least its demand in ``chosen``.
 

@@ -13,7 +13,7 @@ can be glued along edges that do not belong to the cycle.
 from __future__ import annotations
 
 from ._lrplanarity import _embedding, _lr_test, kuratowski_edges
-from .instance import AnnotatedInstance, InvalidInstanceError, VecdomError, validate
+from .instance import AnnotatedInstance, VecdomError, require_valid
 
 
 class NonPlanarError(VecdomError):
@@ -139,9 +139,7 @@ def embed(instance: AnnotatedInstance) -> RotationSystem:
     skipped if it never is.  The components are the test's DFS trees,
     each named by its smallest vertex, its root.
     """
-    violations = validate(instance)
-    if violations:
-        raise InvalidInstanceError(violations)
+    require_valid(instance)
     vertices = instance.vertices
     adjacency = {v: sorted(instance.neighbors(v)) for v in vertices}
     state = _lr_test(vertices, adjacency)

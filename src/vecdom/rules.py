@@ -37,9 +37,10 @@ from .instance import (
     apply,
     force_into_solution,
     neighborhood,
+    require_valid,
     vertex_removal,
 )
-from .planarity import embed
+from .planarity import RotationSystem, embed
 from .regions import RegionIndex, rule6, rule7, rule8
 
 KERNEL_FACTOR = 101
@@ -434,29 +435,46 @@ def potential(instance: AnnotatedInstance) -> int:
     return 2 * instance.n + instance.m + instance.total_demand() + free
 
 
-def run_fixpoint(instance: AnnotatedInstance, options: FixpointOptions | None = None) -> FixpointReport:
+def run_fixpoint(
+    instance: AnnotatedInstance,
+    options: FixpointOptions | None = None,
+    embedding: RotationSystem | None = None,
+) -> FixpointReport:
     """Reduce the instance until no rule fires, then apply the terminal checks.
 
-    Mutates the instance in place.  A round runs the cheap local rules to
-    exhaustion, then one region phase on a new index, which reuses the
-    embedding while that still describes the graph.  The run stops
-    when the phase colors nothing, or when the last phase's index still
-    describes the instance, because then a new phase could color nothing
-    either: rules 6-8 read only the graph, the demands and the index's
-    regions, the phase skips a pair or region only for forbidden
-    vertices, the rules skip only vertices already blue, and the
-    forbidden set only grows.  At quiescence: demand-free instances with
-    budget left are YES; and with the certificate enabled, a reduced
-    instance bigger than 101 times its remaining budget is NO.
+    Mutates the instance in place.  Planarity is a precondition.  The run
+    starts from ``embedding`` when that describes the instance, and
+    otherwise embeds the instance itself, which raises ``NonPlanarError``
+    on a non-planar graph; an invalid instance raises
+    ``InvalidInstanceError`` either way.  ``embed`` is deterministic, so
+    an embedding it returned for an instance with the same graph gives
+    the same run: a caller that reduces several copies of one instance
+    tests planarity once.
+
+    A round runs the cheap local rules to exhaustion, then one region
+    phase on a new index, which reuses the embedding while that still
+    describes the graph.  The run stops when the phase colors nothing,
+    or when the last phase's index still describes the instance, because
+    then a new phase could color nothing either: rules 6-8 read only the
+    graph, the demands and the index's regions, the phase skips a pair
+    or region only for forbidden vertices, the rules skip only vertices
+    already blue, and the forbidden set only grows.  At quiescence:
+    demand-free instances with budget left are YES; and with the
+    certificate enabled, a reduced instance bigger than 101 times its
+    remaining budget is NO.
 
     Every change goes through ``apply`` and is logged, the certificate's
     NO included, except the terminal YES: that is a plain status write
     without an event, so a YES run's log holds only its reductions.
     """
     options = options or FixpointOptions()
-    # Planarity is a precondition: embed validates the instance and raises
-    # NonPlanarError, with a witness, on a graph with too many edges too.
-    rs = embed(instance)
+    if embedding is not None and embedding.describes(instance):
+        require_valid(instance)
+        rs = embedding
+    else:
+        # embed validates the instance too, and raises NonPlanarError, with
+        # a witness, on a graph with too many edges as well.
+        rs = embed(instance)
 
     events: list[ReductionEvent] = []
     rounds = 0

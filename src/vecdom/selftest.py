@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .instance import AnnotatedInstance, ReductionEvent, Status, replay
+from .planarity import embed
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
 from .solver import ORACLE_LIMIT, solve_bb, solve_brute, verify_solution
 from .toolkit import generate_planar, kernel_of, make_special_case
@@ -85,10 +86,15 @@ def check_instance(
     YES witnesses verified; the event count is held to the potential; the
     replay must reproduce the kernel; and ``solve_bb`` must agree with the
     oracle on ``instance`` itself.  ``seed`` only labels the record.
+
+    Planarity is tested once: both fixpoints start from the one embedding
+    of ``instance``, and only the region-rules-on run embeds again, when
+    its graph has changed before a region phase.
     """
     brute = solve_brute(instance, oracle_limit).answer
-    report_on = run_fixpoint(instance.copy(), FixpointOptions())
-    report_off = run_fixpoint(instance.copy(), FixpointOptions(enable_region_rules=False))
+    rs = embed(instance)
+    report_on = run_fixpoint(instance.copy(), FixpointOptions(), rs)
+    report_off = run_fixpoint(instance.copy(), FixpointOptions(enable_region_rules=False), rs)
     event_failures, replayed = _check_event_chain(instance, report_on.events, brute, oracle_limit)
     record = InstanceRecord(seed, instance, brute, report_on, report_off, event_failures)
 

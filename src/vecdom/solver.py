@@ -50,18 +50,40 @@ def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -
 
     Deterministic: vertices are scanned in id order, so the witness for a
     YES instance is the lexicographically first one of minimum size.
+
+    Each vertex has one bit, and each candidate set is the sum of its
+    vertices' bits.  A set is a solution when every vertex with demand is
+    in it or has at least its demand of neighbor bits set in it, which is
+    ``dominates`` on bitmasks.  A YES witness is confirmed with
+    ``dominates`` itself before it is returned; the two disagreeing
+    raises ``AssertionError``.
     """
     if instance.n > oracle_limit:
         raise OracleLimitError(f"n={instance.n} exceeds the oracle limit {oracle_limit}")
-    eligible = sorted(set(instance.vertex_set()) - instance.forbidden)
+    adj, demand = instance._adj, instance.demand
+    ids = sorted(adj)
+    bit = {v: 1 << i for i, v in enumerate(ids)}
+    # (its bit, its neighbors' bits, its demand) per vertex with demand.
+    needs = [(bit[v], sum(bit[u] for u in adj[v]), demand[v]) for v in ids if demand[v]]
+    eligible = [v for v in ids if v not in instance.forbidden]
+    eligible_bits = [bit[v] for v in eligible]
     nodes = 0
     if instance.budget >= 0:
         top = min(instance.budget, len(eligible))
         for size in range(top + 1):
-            for combo in itertools.combinations(eligible, size):
+            for combo in itertools.combinations(eligible_bits, size):
                 nodes += 1
-                if dominates(instance, combo, instance.vertex_set()):
-                    return SolveResult(True, frozenset(combo), nodes)
+                chosen = sum(combo)
+                for own, around, need in needs:
+                    if not chosen & own and (around & chosen).bit_count() < need:
+                        break
+                else:
+                    witness = frozenset(v for v in eligible if chosen & bit[v])
+                    if not dominates(instance, witness, instance.vertex_set()):
+                        raise AssertionError(
+                            f"bitmask check accepts {sorted(witness)}, dominates refuses it"
+                        )
+                    return SolveResult(True, witness, nodes)
     return SolveResult(False, None, nodes)
 
 

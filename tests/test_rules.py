@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from vecdom import (
     NonPlanarError,
     ReductionEvent,
     Status,
+    embed,
+    kernel_of,
     neighborhood,
     potential,
     replay,
@@ -28,13 +31,18 @@ from vecdom import (
     run_fixpoint,
     solve_brute,
     validate,
+    write,
 )
 from vecdom.instance import apply, force_into_solution
 from vecdom.rules import _LOCAL_RULES
 from vecdom.selftest import check_instance, corpus_instance, evaluate_instance, oracle_answer
 from vecdom.toolkit import generate_planar, make_special_case
 
-from conftest import build
+from conftest import build, load_by_path
+
+event_line = load_by_path(
+    "identity_digest", Path(__file__).resolve().parent.parent / "tools" / "identity_digest.py"
+).event_line
 
 
 def answers_match(instance, rule) -> bool:
@@ -572,6 +580,80 @@ class TestIndexReuseAcrossRounds:
         assert report.rounds == 1 and report.max_rounds_hit
         assert phases["embeds"] == 1 and len(phases["phases"]) == 1
         assert report.region_index is phases["phases"][0][1]
+
+
+class TestSharedEmbedding:
+    """``run_fixpoint`` starts from an embedding it is given while that
+    describes the instance, and ``check_instance`` embeds once for both of
+    its runs."""
+
+    @staticmethod
+    def outcome(report):
+        return [event_line(ev) for ev in report.events], write(kernel_of(report)), report.rounds
+
+    @pytest.fixture
+    def embeds(self, monkeypatch):
+        """Counts ``embed`` calls, whichever module makes them, by the one
+        planarity test each runs."""
+        import vecdom.planarity
+
+        count = [0]
+        lr_test = vecdom.planarity._lr_test
+
+        def counted(vertices, adjacency):
+            count[0] += 1
+            return lr_test(vertices, adjacency)
+
+        monkeypatch.setattr(vecdom.planarity, "_lr_test", counted)
+        return count
+
+    def test_the_battery_embeds_once_plus_the_reembeds_of_its_region_run(self, embeds):
+        reembedded = 0
+        for seed in range(200):
+            inst = corpus_instance(seed)
+            embeds[0] = 0
+            run_fixpoint(inst.copy())
+            # The first call is the precondition, the rest re-embed.
+            alone = embeds[0]
+            reembedded += alone > 1
+            embeds[0] = 0
+            check_instance(inst, seed)
+            assert embeds[0] == alone, seed
+        assert reembedded > 0
+
+    def test_a_given_embedding_gives_the_same_run(self):
+        for seed in range(200):
+            inst = corpus_instance(seed)
+            given = run_fixpoint(inst.copy(), embedding=embed(inst))
+            assert self.outcome(given) == self.outcome(run_fixpoint(inst.copy())), seed
+
+    def test_a_stale_embedding_is_not_used(self, embeds):
+        inst = TestIndexReuseAcrossRounds.triangulation(12, 2, 5)
+        stale = embed(inst)
+        apply(inst, ReductionEvent(rule_id=1, removed_edges=frozenset({inst.edges()[0]})))
+        assert not stale.describes(inst)
+        embeds[0] = 0
+        given = run_fixpoint(inst.copy(), embedding=stale)
+        given_embeds, embeds[0] = embeds[0], 0
+        alone = run_fixpoint(inst.copy())
+        assert given_embeds == embeds[0] >= 1
+        assert self.outcome(given) == self.outcome(alone)
+
+    def test_an_embedding_of_another_graph_certifies_nothing(self):
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        planar = embed(build(5, k5[1:]))
+        with pytest.raises(NonPlanarError):
+            run_fixpoint(build(5, k5, {0: 1}, k=1), embedding=planar)
+
+    @pytest.mark.parametrize("region_rules", [True, False])
+    def test_an_invalid_instance_is_refused_with_an_embedding(self, region_rules):
+        # Without region rules no later phase embeds, and so validates, again.
+        inst = build(3, [(0, 1), (1, 2)], {0: 1}, k=1)
+        rs = embed(inst)
+        inst.demand[2] = -1
+        assert rs.describes(inst)
+        with pytest.raises(InvalidInstanceError, match="negative demand at 2"):
+            run_fixpoint(inst, FixpointOptions(enable_region_rules=region_rules), rs)
 
 
 class TestStopRule:

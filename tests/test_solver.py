@@ -1,6 +1,7 @@
 """Exact solvers: brute-force oracle, branch and bound, witness checking."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from vecdom import (
     InvalidInstanceError,
     NodeBudgetError,
     OracleLimitError,
+    SolveResult,
+    dominates,
     solve_bb,
     solve_brute,
     verify_solution,
@@ -66,6 +69,48 @@ class TestSolveBrute:
         first, second = solve_brute(inst), solve_brute(inst)
         assert (first.answer, first.witness, first.nodes_explored) == (
             second.answer, second.witness, second.nodes_explored)
+
+
+# The oracle before bitmasks, which checked each candidate set with
+# ``dominates``, kept as the reference the bitmask oracle must match
+# answer, witness and node count for.
+
+def reference_brute(instance):
+    eligible = sorted(set(instance.vertex_set()) - instance.forbidden)
+    nodes = 0
+    if instance.budget >= 0:
+        for size in range(min(instance.budget, len(eligible)) + 1):
+            for combo in itertools.combinations(eligible, size):
+                nodes += 1
+                if dominates(instance, combo, instance.vertex_set()):
+                    return SolveResult(True, frozenset(combo), nodes)
+    return SolveResult(False, None, nodes)
+
+
+class TestBruteAgainstReference:
+    @pytest.mark.parametrize("with_forbidden", [False, True])
+    def test_matches_the_reference_on_the_corpus(self, with_forbidden):
+        answers = set()
+        for seed in range(2000):
+            inst = corpus_instance(seed)
+            if with_forbidden:
+                rng = random.Random(seed)
+                inst.forbidden = {v for v in inst.vertices if rng.random() < 0.25}
+            for k in range(5):
+                inst.budget = k
+                outcome = _outcome(solve_brute(inst))
+                assert outcome == _outcome(reference_brute(inst)), (seed, k)
+                answers.add(outcome[0])
+        assert answers == {True, False}
+
+    def test_a_disagreeing_bitmask_raises(self, monkeypatch):
+        import vecdom.solver
+
+        inst = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)],
+                     {v: 1 for v in range(4)}, k=1)
+        monkeypatch.setattr(vecdom.solver, "dominates", lambda *args: False)
+        with pytest.raises(AssertionError):
+            solve_brute(inst)
 
 
 class TestSolveBB:
