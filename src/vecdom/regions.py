@@ -112,7 +112,8 @@ class RegionIndex:
     phase built and count the maximal sides of every other pair without
     building their regions.  Regions do not depend on the forbidden set.
     Each pair keeps at most ``MAX_PATHS_PER_PAIR`` typed paths, the value
-    the module holds when the index is built.
+    the module holds when :meth:`typed_paths` searches from the pair's
+    ``a1``.
 
     The searches walk the embedding's sorted adjacency lists
     (``rs.adjacency``), which equal the instance's because the
@@ -124,7 +125,6 @@ class RegionIndex:
             raise StaleEmbeddingError("embedding no longer matches the instance")
         self.instance = instance
         self.rs = rs
-        self.max_paths = MAX_PATHS_PER_PAIR
         self._demand = dict(instance.demand)
         self._found: dict[int, dict] = {}
         self._regions: dict[tuple[int, int], list[CandidateRegion]] = {}
@@ -194,7 +194,7 @@ class RegionIndex:
                     for w in nbrs[z]:
                         if w > a1 and w != x and w not in around_x:
                             paths.setdefault(w, []).append((x, y, z))
-        cap = self.max_paths
+        cap = MAX_PATHS_PER_PAIR
         found = self._found[a1] = {}
         for a2 in sorted(paths):
             ordered = sorted(paths[a2], key=len)

@@ -27,7 +27,7 @@ for vertices the engine itself colored.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .instance import (
     AnnotatedInstance,
@@ -50,25 +50,23 @@ KERNEL_FACTOR = 101
 class FixpointOptions:
     """How ``run_fixpoint`` runs.
 
-    ``kernel_certificate`` defaults to ``enable_region_rules``, which it needs.
-    ``vecdom.cli`` always takes that default; library callers such as the
-    acceptance suite may set it, e.g. off to keep the reduced instance of a
-    run the certificate would decide.
+    The kernel-size certificate runs exactly when the region rules do: an
+    instance is fully reduced only under them.  ``kernel_certificate`` is
+    not stored; when given, it must equal ``enable_region_rules``, or the
+    constructor raises ``ValueError``.
     """
 
-    kernel_certificate: bool | None = None
+    kernel_certificate: InitVar[bool | None] = None
     enable_region_rules: bool = True
     max_rounds: int | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, kernel_certificate):
         if self.max_rounds is not None and self.max_rounds < 0:
             raise ValueError("max_rounds must be non-negative")
-        if self.kernel_certificate is None:
-            self.kernel_certificate = self.enable_region_rules
-        elif self.kernel_certificate and not self.enable_region_rules:
+        if kernel_certificate is not None and kernel_certificate != self.enable_region_rules:
             raise ValueError(
-                "the kernel-size certificate requires the region rules; "
-                "disable both or neither"
+                "the kernel-size certificate runs exactly when the region rules do; "
+                "enable both or neither"
             )
 
 
@@ -460,8 +458,8 @@ def run_fixpoint(
     or region only for forbidden vertices, the rules skip only vertices
     already blue, and the forbidden set only grows.  At quiescence:
     demand-free instances with budget left are YES; and with the
-    certificate enabled, a reduced instance bigger than 101 times its
-    remaining budget is NO.
+    region rules on, the certificate decides a reduced instance bigger
+    than 101 times its remaining budget NO.
 
     Every change goes through ``apply`` and is logged, the certificate's
     NO included, except the terminal YES: that is a plain status write
@@ -514,7 +512,7 @@ def run_fixpoint(
         if not any(instance.demand.values()) and instance.budget >= 0:
             instance.status = Status.DECIDED_YES
         elif (
-            options.kernel_certificate
+            options.enable_region_rules
             and not caps_hit
             and instance.n > KERNEL_FACTOR * instance.budget
         ):

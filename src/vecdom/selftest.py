@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .instance import AnnotatedInstance, ReductionEvent, Status, replay
 from .planarity import embed
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
-from .solver import ORACLE_LIMIT, solve_bb, solve_brute, verify_solution
+from .solver import ORACLE_LIMIT, OracleLimitError, solve_bb, solve_brute, verify_solution
 from .toolkit import generate_planar, kernel_of, make_special_case
 
 # Profile mix used for generated corpora; covers the uniform, ceiling,
@@ -37,13 +37,17 @@ def corpus_instance(seed: int, max_n: int = 14) -> AnnotatedInstance:
     return inst
 
 
-def oracle_answer(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -> bool:
-    """Status-aware exhaustive answer; decided instances keep their decision."""
+def oracle_answer(instance: AnnotatedInstance) -> bool:
+    """Status-aware exhaustive answer; decided instances keep their decision.
+
+    The battery's one call to its oracle, ``solve_brute``, which refuses an
+    open instance above ``vecdom.solver.ORACLE_LIMIT`` vertices.
+    """
     if instance.status is Status.DECIDED_YES:
         return True
     if instance.status is Status.DECIDED_NO:
         return False
-    return solve_brute(instance, oracle_limit).answer
+    return solve_brute(instance).answer
 
 
 @dataclass
@@ -60,7 +64,7 @@ class InstanceRecord:
 
 
 def _check_event_chain(
-    instance: AnnotatedInstance, events: list[ReductionEvent], expected: bool, oracle_limit: int
+    instance: AnnotatedInstance, events: list[ReductionEvent], expected: bool
 ) -> tuple[list[str], AnnotatedInstance]:
     """Replay the event log step by step, asking the oracle until an event
     flips the answer; return the flip, if any, and the replayed instance."""
@@ -68,7 +72,7 @@ def _check_event_chain(
     failures: list[str] = []
     for idx, event in enumerate(events):
         replay(working, [event])
-        if not failures and oracle_answer(working, oracle_limit) != expected:
+        if not failures and oracle_answer(working) != expected:
             failures.append(
                 f"event {idx} (rule {event.rule_id}) flipped the answer "
                 f"from {expected} to {not expected}"
@@ -76,9 +80,7 @@ def _check_event_chain(
     return failures, working
 
 
-def check_instance(
-    instance: AnnotatedInstance, seed: int, oracle_limit: int = ORACLE_LIMIT
-) -> InstanceRecord:
+def check_instance(instance: AnnotatedInstance, seed: int) -> InstanceRecord:
     """Run the full battery of checks on ``instance``, which is left as it is.
 
     Every event of the region-rules-on fixpoint is replayed against the
@@ -87,15 +89,19 @@ def check_instance(
     replay must reproduce the kernel; and ``solve_bb`` must agree with the
     oracle on ``instance`` itself.  ``seed`` only labels the record.
 
+    Every answer the checks compare with comes from ``oracle_answer``, so
+    an instance above ``vecdom.solver.ORACLE_LIMIT`` vertices raises
+    ``OracleLimitError`` before any check runs.
+
     Planarity is tested once: both fixpoints start from the one embedding
     of ``instance``, and only the region-rules-on run embeds again, when
     its graph has changed before a region phase.
     """
-    brute = solve_brute(instance, oracle_limit).answer
+    brute = oracle_answer(instance)
     rs = embed(instance)
     report_on = run_fixpoint(instance.copy(), FixpointOptions(), rs)
     report_off = run_fixpoint(instance.copy(), FixpointOptions(enable_region_rules=False), rs)
-    event_failures, replayed = _check_event_chain(instance, report_on.events, brute, oracle_limit)
+    event_failures, replayed = _check_event_chain(instance, report_on.events, brute)
     record = InstanceRecord(seed, instance, brute, report_on, report_off, event_failures)
 
     for label, report in (("on", report_on), ("off", report_off)):
@@ -131,15 +137,24 @@ def check_instance(
 def evaluate_instance(
     seed: int, oracle_limit: int = ORACLE_LIMIT, max_n: int = 14
 ) -> InstanceRecord:
-    """Run the full battery of checks on the corpus instance of ``seed``."""
-    return check_instance(corpus_instance(seed, max_n), seed, oracle_limit)
+    """Run the full battery of checks on the corpus instance of ``seed``.
+
+    A corpus instance with more than ``oracle_limit`` vertices raises
+    ``OracleLimitError`` before the battery runs.  The keyword can only
+    lower the oracle's own limit, ``vecdom.solver.ORACLE_LIMIT``, at which
+    the battery refuses a larger instance just the same.
+    """
+    instance = corpus_instance(seed, max_n)
+    if instance.n > oracle_limit:
+        raise OracleLimitError(f"n={instance.n} exceeds the oracle limit {oracle_limit}")
+    return check_instance(instance, seed)
 
 
 def run_selftest(count: int = 200, seed0: int = 0, progress=None) -> tuple[int, list[str]]:
     """Check ``count`` seeded instances, one after another.
 
-    The corpus has n <= 14, inside the oracle's default limit, so every
-    instance is checked against brute force.  Returns the number of
+    The corpus has n <= 14, inside the oracle's limit, so every instance
+    is checked against brute force.  Returns the number of
     instances checked and a list of failure descriptions (empty on
     success).  ``progress``, when given, is called with the number of
     instances checked after every 50th instance and after the last one.

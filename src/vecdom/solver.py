@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .instance import AnnotatedInstance, UnknownVertexError, VecdomError, dominates
 
 
-# The largest n that ``solve_brute`` enumerates by default.
+# The largest n that ``solve_brute`` enumerates.
 ORACLE_LIMIT = 18
 
 
@@ -45,8 +45,11 @@ class SolveResult:
         return f"SolveResult({tag}, witness={self.witness}, nodes={self.nodes_explored})"
 
 
-def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -> SolveResult:
+def solve_brute(instance: AnnotatedInstance) -> SolveResult:
     """Decide by exhaustive enumeration of selectable subsets, smallest first.
+
+    An instance with more than ``ORACLE_LIMIT`` vertices raises
+    ``OracleLimitError``; the limit is read from the module on each call.
 
     Deterministic: vertices are scanned in id order, so the witness for a
     YES instance is the lexicographically first one of minimum size.
@@ -58,8 +61,8 @@ def solve_brute(instance: AnnotatedInstance, oracle_limit: int = ORACLE_LIMIT) -
     ``dominates`` itself before it is returned; the two disagreeing
     raises ``AssertionError``.
     """
-    if instance.n > oracle_limit:
-        raise OracleLimitError(f"n={instance.n} exceeds the oracle limit {oracle_limit}")
+    if instance.n > ORACLE_LIMIT:
+        raise OracleLimitError(f"n={instance.n} exceeds the oracle limit {ORACLE_LIMIT}")
     adj, demand = instance._adj, instance.demand
     ids = sorted(adj)
     bit = {v: 1 << i for i, v in enumerate(ids)}

@@ -7,6 +7,7 @@ import importlib.util
 import pytest
 
 import vecdom.regions
+import vecdom.solver
 from vecdom import AnnotatedInstance
 
 
@@ -25,6 +26,34 @@ def path_cap(monkeypatch):
     rest of the test: every ``RegionIndex`` built afterwards, by a fixpoint
     run or a stats report too, keeps at most that many typed paths per pair."""
     return lambda cap: monkeypatch.setattr(vecdom.regions, "MAX_PATHS_PER_PAIR", cap)
+
+
+@pytest.fixture
+def oracle_limit(monkeypatch):
+    """A setter for ``vecdom.solver.ORACLE_LIMIT`` that holds for the rest
+    of the test: ``solve_brute``, and with it the battery and ``vecdom solve
+    --method brute``, refuses any instance with more vertices."""
+    return lambda limit: monkeypatch.setattr(vecdom.solver, "ORACLE_LIMIT", limit)
+
+
+@pytest.fixture
+def region_calls(monkeypatch):
+    """A counter of calls to named ``vecdom.regions`` functions:
+    ``region_calls("_regions", "cycle_sides")`` wraps each for the rest of
+    the test and returns a dict from each name to its calls so far, which
+    the caller may reset."""
+
+    def count(*names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, name=name, real=getattr(vecdom.regions, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(vecdom.regions, name, counted)
+        return calls
+
+    return count
 
 
 def build(n, edges=(), demand=None, k=0, forbidden=()):

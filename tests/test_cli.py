@@ -14,6 +14,7 @@ import vecdom
 from vecdom import (
     AnnotatedInstance,
     NonPlanarError,
+    OracleLimitError,
     ParseError,
     SolveResult,
     cli_main,
@@ -79,6 +80,16 @@ class TestSolve:
         assert (captured.out, captured.err) == ("", "error: n=19 exceeds the oracle limit 18\n")
         assert cli_main(["solve", "--input", above_oracle_file]) == 0
         assert capsys.readouterr().out.startswith("YES")
+
+    def test_brute_refuses_above_a_lowered_oracle_limit(self, tmp_path, oracle_limit, capsys):
+        path = str(tmp_path / "n13.pvds")
+        argv = ["generate", "--n", "13", "--profile", "r:1", "--k", "6", "--output", path]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        oracle_limit(12)
+        assert cli_main(["solve", "--input", path, "--method", "brute"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: n=13 exceeds the oracle limit 12\n")
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli_main(["solve", "--input", str(tmp_path / "absent.pvds")]) == 2
@@ -231,6 +242,22 @@ class TestSelftest:
     def test_library_refuses_a_negative_count(self):
         with pytest.raises(ValueError):
             run_selftest(count=-3)
+
+    # Seed 9's corpus instance has 13 vertices, seed 8's 12.
+    def test_evaluate_refuses_an_instance_above_its_limit_before_the_battery(self, monkeypatch):
+        assert corpus_instance(9).n == 13
+        with monkeypatch.context() as patch:
+            patch.setattr(vecdom.selftest, "solve_brute", lambda instance: pytest.fail("oracle ran"))
+            with pytest.raises(OracleLimitError, match="^n=13 exceeds the oracle limit 12$"):
+                evaluate_instance(9, oracle_limit=12)
+        assert evaluate_instance(9, oracle_limit=13).failures == []
+
+    def test_the_battery_refuses_above_the_oracle_limit(self, oracle_limit):
+        oracle_limit(12)
+        with pytest.raises(OracleLimitError, match="^n=13 exceeds the oracle limit 12$"):
+            evaluate_instance(9)
+        record = evaluate_instance(8)
+        assert record.instance.n == 12 and record.event_failures + record.failures == []
 
     def test_a_witness_that_does_not_verify_is_a_failure(self, monkeypatch):
         # Every YES keeps its answer but loses its witness.  Seed 23's

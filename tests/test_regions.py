@@ -354,14 +354,8 @@ def stats_reader_graphs():
 
 class TestRegionSizes:
     @pytest.mark.parametrize("after_phase", [False, True], ids=["fresh", "after-phase"])
-    def test_sizes_equal_the_all_pairs_regions(self, after_phase, monkeypatch):
-        calls = {"_regions": 0, "_maximal_sides": 0}
-        for name, real in [(name, getattr(vecdom.regions, name)) for name in calls]:
-            def counted(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(vecdom.regions, name, counted)
+    def test_sizes_equal_the_all_pairs_regions(self, after_phase, region_calls):
+        calls = region_calls("_regions", "_maximal_sides")
         sizes_seen = kept_seen = 0
         for name, inst in stats_reader_graphs():
             rs = embed(inst)

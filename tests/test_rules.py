@@ -374,13 +374,6 @@ class TestRunFixpoint:
 
         assert not solve_bb(cycle()).answer
 
-    def test_certificate_off_leaves_open(self):
-        n = 203
-        inst = build(n, [(i, (i + 1) % n) for i in range(n)], {v: 2 for v in range(n)}, k=2)
-        report = run_fixpoint(inst, FixpointOptions(kernel_certificate=False))
-        assert report.final_status is Status.OPEN
-        assert report.final_instance.n == n
-
     def test_k5_refused_as_non_planar_with_witness(self):
         inst = build(5, [(u, v) for u in range(5) for v in range(u + 1, 5)], {0: 1}, k=1)
         with pytest.raises(NonPlanarError) as err:
@@ -395,9 +388,25 @@ class TestRunFixpoint:
         with pytest.raises(ValueError):
             FixpointOptions(kernel_certificate=True, enable_region_rules=False)
 
+    def test_region_rules_require_the_certificate(self):
+        with pytest.raises(ValueError):
+            FixpointOptions(kernel_certificate=False)
+
     def test_certificate_follows_region_rules_by_default(self):
-        assert FixpointOptions().kernel_certificate is True
-        assert FixpointOptions(enable_region_rules=False).kernel_certificate is False
+        # Naming the certificate only checks it against the region rules:
+        # the options are those without it, and on the rigid 203-cycle the
+        # certificate decides exactly when the region rules are on.
+        n = 203
+        agreeing = {
+            True: FixpointOptions(kernel_certificate=True),
+            False: FixpointOptions(kernel_certificate=False, enable_region_rules=False),
+        }
+        for region_rules, options in agreeing.items():
+            assert options == FixpointOptions(enable_region_rules=region_rules)
+            inst = build(n, [(i, (i + 1) % n) for i in range(n)], {v: 2 for v in range(n)}, k=2)
+            report = run_fixpoint(inst, options)
+            assert report.final_status is (Status.DECIDED_NO if region_rules else Status.OPEN)
+            assert report.final_instance.n == n
 
     def test_negative_round_cap_refused(self):
         with pytest.raises(ValueError):

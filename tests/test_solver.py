@@ -61,7 +61,13 @@ class TestSolveBrute:
 
     def test_oracle_limit(self):
         with pytest.raises(OracleLimitError):
-            solve_brute(build(19), oracle_limit=18)
+            solve_brute(build(19))
+
+    def test_a_lowered_oracle_limit_is_read_when_called(self, oracle_limit):
+        oracle_limit(12)
+        assert solve_brute(build(12)).answer
+        with pytest.raises(OracleLimitError, match="^n=13 exceeds the oracle limit 12$"):
+            solve_brute(build(13))
 
     def test_deterministic_witness(self):
         inst = make_special_case(generate_planar(10, 0.8, 5), "random:2", seed=5)

@@ -322,39 +322,25 @@ class TestKernelReport:
         assert stats.n_after == reduced.n
         assert stats.blue_count == len(reduced.forbidden)
 
-    def test_early_no_enumerates_no_regions(self, monkeypatch):
-        import vecdom.regions
-
+    def test_early_no_enumerates_no_regions(self, region_calls):
         # Rule 3 overspends the budget with 18 of the 20 vertices left.
         inst = make_special_case(generate_planar(20, 0.8, 2), "r:1")
         inst.budget = 1
         report = run_fixpoint(inst.copy())
         assert report.final_status is Status.DECIDED_NO and report.final_instance.n == 18
-        calls = []
-        real_cycle_sides = vecdom.regions.cycle_sides
-        monkeypatch.setattr(
-            vecdom.regions, "cycle_sides", lambda *a: calls.append(1) or real_cycle_sides(*a)
-        )
+        calls = region_calls("cycle_sides")
         stats = kernel_report(inst, report)
-        assert calls == []
+        assert calls == {"cycle_sides": 0}
         assert (stats.n_after, stats.m_after, stats.k_after, stats.blue_count) == (2, 1, 0, 0)
         assert (stats.region_count_examined, stats.max_region_interior) == (0, 0)
 
-    def test_report_on_a_reused_index_builds_no_region(self, monkeypatch):
-        import vecdom.regions
-
+    def test_report_on_a_reused_index_builds_no_region(self, region_calls):
         inst = make_special_case(generate_planar(20, 1.0, 3), "pids")
         inst.budget = max(5, max(inst.demand.values()))
         report = run_fixpoint(inst.copy())
         assert report.region_index is not None
         assert report.region_index.describes(kernel_of(report))
-        calls = {"_regions": 0, "cycle_sides": 0}
-        for name, real in [(name, getattr(vecdom.regions, name)) for name in calls]:
-            def counted(*args, name=name, real=real):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(vecdom.regions, name, counted)
+        calls = region_calls("_regions", "cycle_sides")
         stats = kernel_report(inst, report)
         # The pairs the last phase skipped are counted from their sides: the
         # same cycle_sides walks as when their regions were built (180), and
