@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import solver
 from .instance import AnnotatedInstance, ReductionEvent, Status, replay
 from .planarity import embed
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
-from .solver import ORACLE_LIMIT, OracleLimitError, solve_bb, solve_brute, verify_solution
+from .solver import solve_bb, solve_brute, verify_solution
 from .toolkit import generate_planar, kernel_of, make_special_case
 
 # Profile mix used for generated corpora; covers the uniform, ceiling,
@@ -89,14 +90,17 @@ def check_instance(instance: AnnotatedInstance, seed: int) -> InstanceRecord:
     replay must reproduce the kernel; and ``solve_bb`` must agree with the
     oracle on ``instance`` itself.  ``seed`` only labels the record.
 
-    Every answer the checks compare with comes from ``oracle_answer``, so
-    an instance above ``vecdom.solver.ORACLE_LIMIT`` vertices raises
+    ``instance`` must be open, or ``ValueError``: the checks compare with
+    its exhaustive answer, which ``oracle_answer`` gives first, so an
+    instance above ``vecdom.solver.ORACLE_LIMIT`` vertices raises
     ``OracleLimitError`` before any check runs.
 
     Planarity is tested once: both fixpoints start from the one embedding
     of ``instance``, and only the region-rules-on run embeds again, when
     its graph has changed before a region phase.
     """
+    if instance.status is not Status.OPEN:
+        raise ValueError("the battery checks an open instance against the oracle")
     brute = oracle_answer(instance)
     rs = embed(instance)
     report_on = run_fixpoint(instance.copy(), FixpointOptions(), rs)
@@ -135,19 +139,20 @@ def check_instance(instance: AnnotatedInstance, seed: int) -> InstanceRecord:
 
 
 def evaluate_instance(
-    seed: int, oracle_limit: int = ORACLE_LIMIT, max_n: int = 14
+    seed: int, oracle_limit: int | None = None, max_n: int = 14
 ) -> InstanceRecord:
     """Run the full battery of checks on the corpus instance of ``seed``.
 
-    A corpus instance with more than ``oracle_limit`` vertices raises
-    ``OracleLimitError`` before the battery runs.  The keyword can only
-    lower the oracle's own limit, ``vecdom.solver.ORACLE_LIMIT``, at which
-    the battery refuses a larger instance just the same.
+    The battery refuses a corpus instance above the oracle's limit,
+    ``vecdom.solver.ORACLE_LIMIT``, with ``OracleLimitError``.
+    ``oracle_limit`` only checks: when given, it must equal that limit as
+    the module holds it when called, or ``ValueError``.
     """
-    instance = corpus_instance(seed, max_n)
-    if instance.n > oracle_limit:
-        raise OracleLimitError(f"n={instance.n} exceeds the oracle limit {oracle_limit}")
-    return check_instance(instance, seed)
+    if oracle_limit is not None and oracle_limit != solver.ORACLE_LIMIT:
+        raise ValueError(
+            f"oracle_limit={oracle_limit} is not the oracle's limit, {solver.ORACLE_LIMIT}"
+        )
+    return check_instance(corpus_instance(seed, max_n), seed)
 
 
 def run_selftest(count: int = 200, seed0: int = 0, progress=None) -> tuple[int, list[str]]:

@@ -17,6 +17,7 @@ from vecdom import (
     OracleLimitError,
     ParseError,
     SolveResult,
+    Status,
     cli_main,
     embed,
     parse,
@@ -24,7 +25,13 @@ from vecdom import (
     write,
 )
 from vecdom.instance import ReductionEvent, apply
-from vecdom.selftest import InstanceRecord, corpus_instance, evaluate_instance, run_selftest
+from vecdom.selftest import (
+    InstanceRecord,
+    check_instance,
+    corpus_instance,
+    evaluate_instance,
+    run_selftest,
+)
 
 YES_INSTANCE = "p pvds 3 3 1\nd 1 1\nd 2 1\nd 3 1\ne 1 2\ne 1 3\ne 2 3\n"
 NO_INSTANCE = "p pvds 2 1 0\nd 1 1\ne 1 2\n"
@@ -244,20 +251,31 @@ class TestSelftest:
             run_selftest(count=-3)
 
     # Seed 9's corpus instance has 13 vertices, seed 8's 12.
-    def test_evaluate_refuses_an_instance_above_its_limit_before_the_battery(self, monkeypatch):
-        assert corpus_instance(9).n == 13
-        with monkeypatch.context() as patch:
-            patch.setattr(vecdom.selftest, "solve_brute", lambda instance: pytest.fail("oracle ran"))
-            with pytest.raises(OracleLimitError, match="^n=13 exceeds the oracle limit 12$"):
-                evaluate_instance(9, oracle_limit=12)
-        assert evaluate_instance(9, oracle_limit=13).failures == []
-
     def test_the_battery_refuses_above_the_oracle_limit(self, oracle_limit):
+        assert corpus_instance(9).n == 13
         oracle_limit(12)
+        with pytest.raises(OracleLimitError, match="^n=13 exceeds the oracle limit 12$"):
+            evaluate_instance(9, oracle_limit=12)
         with pytest.raises(OracleLimitError, match="^n=13 exceeds the oracle limit 12$"):
             evaluate_instance(9)
         record = evaluate_instance(8)
         assert record.instance.n == 12 and record.event_failures + record.failures == []
+
+    def test_evaluate_refuses_a_limit_other_than_the_oracles(self, oracle_limit, monkeypatch):
+        monkeypatch.setattr(vecdom.selftest, "solve_brute", lambda instance: pytest.fail("oracle ran"))
+        with pytest.raises(ValueError, match="^oracle_limit=12 is not the oracle's limit, 18$"):
+            evaluate_instance(9, oracle_limit=12)
+        oracle_limit(12)
+        with pytest.raises(ValueError, match="^oracle_limit=18 is not the oracle's limit, 12$"):
+            evaluate_instance(9, oracle_limit=18)
+
+    def test_the_battery_refuses_a_decided_instance(self, monkeypatch):
+        monkeypatch.setattr(vecdom.selftest, "solve_brute", lambda instance: pytest.fail("oracle ran"))
+        for status in (Status.DECIDED_YES, Status.DECIDED_NO):
+            inst = corpus_instance(8)
+            inst.status = status
+            with pytest.raises(ValueError, match="^the battery checks an open instance"):
+                check_instance(inst, 8)
 
     def test_a_witness_that_does_not_verify_is_a_failure(self, monkeypatch):
         # Every YES keeps its answer but loses its witness.  Seed 23's
