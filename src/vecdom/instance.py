@@ -38,8 +38,7 @@ class Status(enum.Enum):
     DECIDED_NO = "no"
 
 
-# rule_id values for events that do not come from a numbered rule
-FORCE = "force"
+# the rule_id of the kernel-size certificate, the one event not from a numbered rule
 KERNEL_BOUND = "kernel_bound"
 
 
@@ -49,11 +48,10 @@ class ReductionEvent:
 
     Every rule describes its change as an event built from the instance's
     current state, and :func:`apply` makes it; the run's log is the list
-    of events applied.  ``rule_id`` is 1..13 for the numbered rules, or
-    ``FORCE`` / ``KERNEL_BOUND`` for the shared forcing primitive and the
-    kernel-size certificate.  A removed vertex's incident edges are listed
-    in ``removed_edges``.  ``demand_deltas`` holds the deltas as they
-    apply, already clamped at zero.
+    of events applied.  ``rule_id`` is 1..13 or ``KERNEL_BOUND``: a
+    numbered rule, or the kernel-size certificate.  A removed vertex's
+    incident edges are listed in ``removed_edges``.  ``demand_deltas``
+    holds the deltas as they apply, already clamped at zero.
     """
 
     rule_id: int | str
@@ -76,7 +74,8 @@ class AnnotatedInstance:
     self-loop, which never counts toward a demand, and an edge whose
     endpoints do not exist; repeated edges collapse into one.  It is
     deliberately permissive about demands so that :func:`validate` can
-    report problems.
+    report problems.  The adjacency is keyed in increasing id order,
+    which copies and deletions keep, so :attr:`vertices` reads it unsorted.
     """
 
     __slots__ = ("_adj", "demand", "budget", "forbidden", "status")
@@ -90,7 +89,7 @@ class AnnotatedInstance:
         forbidden: Iterable[int] = (),
         status: Status = Status.OPEN,
     ):
-        self._adj: dict[int, set[int]] = {int(v): set() for v in vertices}
+        self._adj: dict[int, set[int]] = {v: set() for v in sorted(map(int, vertices))}
         for u, v in edges:
             if u not in self._adj or v not in self._adj:
                 raise UnknownVertexError(f"edge ({u}, {v}) references a missing vertex")
@@ -118,7 +117,8 @@ class AnnotatedInstance:
 
     @property
     def vertices(self) -> list[int]:
-        return sorted(self._adj)
+        """The vertex ids in increasing order, as a new list."""
+        return list(self._adj)
 
     def vertex_set(self):
         return self._adj.keys()
@@ -287,7 +287,7 @@ def vertex_removal(
     )
 
 
-def force_into_solution(instance: AnnotatedInstance, v: int, rule_id: int | str = FORCE) -> ReductionEvent:
+def force_into_solution(instance: AnnotatedInstance, v: int, rule_id: int) -> ReductionEvent:
     """Commit ``v`` to the solution: delete it, relax its neighbors, spend budget.
 
     Builds the event from the current state and returns it applied.

@@ -106,11 +106,12 @@ class RegionIndex:
     :meth:`regions`, every pair's interior sizes through :meth:`region_sizes`.
     Pairs are ``(a1, a2)`` with ``a1 < a2``.  The typed paths from each
     ``a1`` come from one search, run when the first of its pairs is asked
-    for; a pair's regions are built when first asked for.  Both are kept,
-    so a fixpoint run's last region phase and the kernel statistics that
-    follow it share one enumeration: the statistics read the regions that
-    phase built and count the maximal sides of every other pair without
-    building their regions.  Regions do not depend on the forbidden set.
+    for, and a pair's maximal sides from one walk, run when its regions
+    are first asked for.  Both are kept, and regions are built from the
+    kept sides, so a fixpoint run's last region phase and the kernel
+    statistics that follow it share one enumeration: the statistics read
+    the sides that phase walked and walk every other pair without keeping
+    it.  Sides and regions do not depend on the forbidden set.
     Each pair keeps at most ``MAX_PATHS_PER_PAIR`` typed paths, the value
     the module holds when :meth:`typed_paths` searches from the pair's
     ``a1``.
@@ -127,7 +128,7 @@ class RegionIndex:
         self.rs = rs
         self._demand = dict(instance.demand)
         self._found: dict[int, dict] = {}
-        self._regions: dict[tuple[int, int], list[CandidateRegion]] = {}
+        self._sides: dict[tuple[int, int], list[tuple[frozenset, ...]]] = {}
         self._by_demand = None
 
     def describes(self, instance: AnnotatedInstance) -> bool:
@@ -202,49 +203,62 @@ class RegionIndex:
         return found
 
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
-        """The pair's inclusion-maximal candidate regions.
+        """The pair's inclusion-maximal candidate regions, in order of sorted
+        closed vertex set, then sorted interior.
 
         Every internally disjoint pair of the pair's typed paths closes into
         a simple cycle; each side of that cycle qualifies when the anchors
         dominate all of its strictly interior vertices.  Among qualifying
         regions only those whose closed vertex set is not strictly
         contained in another's survive.  A pair with fewer than two typed
-        paths under the cap closes no cycle and has none.
+        paths under the cap closes no cycle, has none and is not walked.
+        Otherwise the pair's maximal sides are walked once and kept, and
+        each call builds its regions from them.
 
         An anchor that is not a vertex raises ``UnknownVertexError``, and
         then a pair without ``a1 < a2`` raises ``MalformedPathError``.
         """
-        key = (a1, a2)
-        regions = self._regions.get(key)
-        if regions is None:
-            for a in (a1, a2):
-                if not self.instance.has_vertex(a):
-                    raise UnknownVertexError(f"unknown vertex {a}")
-            if not a1 < a2:
-                raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
+        for a in (a1, a2):
+            if not self.instance.has_vertex(a):
+                raise UnknownVertexError(f"unknown vertex {a}")
+        if not a1 < a2:
+            raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
+        sides = self._sides.get((a1, a2))
+        if sides is None:
             interiors = self.typed_paths(a1).get(a2, ([], False))[0]
             if len(interiors) < 2:
                 return []
-            regions = self._regions[key] = _regions(self.instance, self.rs, a1, a2, interiors)
-        return regions
+            sides = self._sides[a1, a2] = _maximal_sides(self.instance, self.rs, a1, a2, interiors)
+        adj = self.instance._adj
+        out = []
+        for closed, inside, high_boundary in sorted(
+            sides, key=lambda side: (sorted(side[0]), sorted(side[1]))
+        ):
+            boundary = closed - inside
+            internal_boundary = boundary - {a1, a2}
+            fringe = frozenset(v for v in inside if adj[v] & internal_boundary)
+            crosslinks = frozenset(v for v in closed if len(adj[v] & high_boundary) >= 2)
+            out.append(CandidateRegion(
+                a1, a2, boundary, inside, high_boundary, fringe, inside - fringe, crosslinks,
+            ))
+        return out
 
     def region_sizes(self) -> list[int]:
         """The interior sizes of the regions of every pair that
-        :meth:`typed_paths` finds from any vertex, in no fixed order.
-
-        A pair whose regions are kept reads them; any other pair with at
-        least two typed paths under the cap walks its typed-path pairs for
-        the maximal sides alone.  Nothing is built or kept.
+        :meth:`typed_paths` finds from any vertex, in no fixed order: the
+        sizes of the maximal sides of each pair with at least two typed
+        paths under the cap.  A pair :meth:`regions` walked reads its kept
+        sides; any other is walked and not kept.  No region is built.
         """
         sizes = []
         for a1 in self.instance.vertices:
             for a2, (interiors, _) in self.typed_paths(a1).items():
-                regions = self._regions.get((a1, a2))
-                if regions is not None:
-                    sizes.extend(len(region.interior) for region in regions)
-                elif len(interiors) > 1:
+                if len(interiors) < 2:
+                    continue
+                sides = self._sides.get((a1, a2))
+                if sides is None:
                     sides = _maximal_sides(self.instance, self.rs, a1, a2, interiors)
-                    sizes.extend(len(inside) for _, inside, _ in sides)
+                sizes.extend(len(inside) for _, inside, _ in sides)
         return sizes
 
     def may_color(self, a1: int, a2: int) -> bool:
@@ -326,26 +340,6 @@ def _maximal_sides(instance, rs, a1, a2, interiors) -> list[tuple[frozenset, ...
         if len(high_boundary) > 2:
             raise AssertionError("typed boundary admits at most two high-demand vertices")
         out.append((closed, inside, high_boundary))
-    return out
-
-
-def _regions(instance, rs, a1, a2, interiors) -> list[CandidateRegion]:
-    """The pair's maximal sides with their vertex classes, in order of
-    sorted closed vertex set, then sorted interior."""
-    adj = instance._adj
-    maximal = sorted(
-        _maximal_sides(instance, rs, a1, a2, interiors),
-        key=lambda item: (sorted(item[0]), sorted(item[1])),
-    )
-    out = []
-    for closed, inside, high_boundary in maximal:
-        boundary = closed - inside
-        internal_boundary = boundary - {a1, a2}
-        fringe = frozenset(v for v in inside if adj[v] & internal_boundary)
-        crosslinks = frozenset(v for v in closed if len(adj[v] & high_boundary) >= 2)
-        out.append(CandidateRegion(
-            a1, a2, boundary, inside, high_boundary, fringe, inside - fringe, crosslinks,
-        ))
     return out
 
 

@@ -92,8 +92,8 @@ class FixpointReport:
     caps_hit: bool = False
     max_rounds_hit: bool = False
     # The last region phase's index; ``kernel_report`` reuses it while it
-    # still describes the kernel, and its ``region_sizes`` reads the regions
-    # that phase kept and the maximal sides of the pairs it skipped.
+    # still describes the kernel, and its ``region_sizes`` reads the sides
+    # that phase walked and kept and walks the pairs it skipped.
     region_index: RegionIndex | None = field(default=None, repr=False, compare=False)
 
 

@@ -64,7 +64,7 @@ def solve_brute(instance: AnnotatedInstance) -> SolveResult:
     if instance.n > ORACLE_LIMIT:
         raise OracleLimitError(f"n={instance.n} exceeds the oracle limit {ORACLE_LIMIT}")
     adj, demand = instance._adj, instance.demand
-    ids = sorted(adj)
+    ids = list(adj)
     bit = {v: 1 << i for i, v in enumerate(ids)}
     # (its bit, its neighbors' bits, its demand) per vertex with demand.
     needs = [(bit[v], sum(bit[u] for u in adj[v]), demand[v]) for v in ids if demand[v]]
@@ -120,7 +120,7 @@ class _Search:
     """
 
     def __init__(self, instance: AnnotatedInstance) -> None:
-        self.ids = ids = sorted(instance._adj)
+        self.ids = ids = list(instance._adj)
         self.n = n = len(ids)
         index = {v: i for i, v in enumerate(ids)}
         self.adj = adj = [sorted(map(index.__getitem__, instance._adj[v])) for v in ids]

@@ -270,11 +270,12 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
     forbidden anchors included, at the path cap the fixpoint ran at,
     ``vecdom.regions.MAX_PATHS_PER_PAIR``.  A run that stopped at
     quiescence hands over the index its last region phase built on that
-    graph.  That phase built only the pairs that could color, and
-    ``RegionIndex.region_sizes`` counts every other pair from its maximal
-    sides, with no region built.  A fresh index is built when there is none
-    or when it does not describe the kernel: the run was decided, or the
-    reduced graph or demands changed since the index was built.
+    graph.  That phase walked and kept the maximal sides of only the pairs
+    that could color; ``RegionIndex.region_sizes`` reads those, walks every
+    other pair without keeping it, and builds no region.  A fresh index is
+    built when there is none or when it does not describe the kernel: the
+    run was decided, or the reduced graph or demands changed since the
+    index was built.
     """
     kernel = kernel_of(report)
     index = report.region_index

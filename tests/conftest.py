@@ -38,19 +38,22 @@ def oracle_limit(monkeypatch):
 
 @pytest.fixture
 def region_calls(monkeypatch):
-    """A counter of calls to named ``vecdom.regions`` functions:
-    ``region_calls("_regions", "cycle_sides")`` wraps each for the rest of
-    the test and returns a dict from each name to its calls so far, which
-    the caller may reset."""
+    """A counter of calls to named ``vecdom.regions`` functions and methods:
+    ``region_calls("RegionIndex.regions", "cycle_sides")`` wraps each for
+    the rest of the test and returns a dict from each name to its calls so
+    far, which the caller may reset."""
 
     def count(*names):
         calls = dict.fromkeys(names, 0)
         for name in names:
-            def counted(*args, name=name, real=getattr(vecdom.regions, name)):
+            owner_name, _, attr = name.rpartition(".")
+            owner = getattr(vecdom.regions, owner_name) if owner_name else vecdom.regions
+
+            def counted(*args, name=name, real=getattr(owner, attr)):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(vecdom.regions, name, counted)
+            monkeypatch.setattr(owner, attr, counted)
         return calls
 
     return count

@@ -14,12 +14,15 @@ from vecdom import (
     neighborhood,
     parse,
     replay,
+    solve_bb,
+    solve_brute,
     validate,
     verify_solution,
+    write,
 )
 from vecdom.cli import cli_main
 from vecdom.instance import apply, force_into_solution
-from vecdom.toolkit import generate_planar
+from vecdom.toolkit import generate_planar, make_special_case
 
 from conftest import build
 
@@ -45,6 +48,26 @@ def test_self_loop_refused_at_every_entry(entry, tmp_path, capsys):
         path.write_text(LOOP_TEXT)
         assert cli_main([entry, "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestIdOrder:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_order_vertices_are_given_in_changes_nothing(self, seed):
+        base = make_special_case(generate_planar(12, 0.8, seed), "random:2", seed=seed)
+        forward, backward = (
+            AnnotatedInstance(
+                order, base.edges(), base.demand, budget=4, forbidden=range(seed, 12, 5)
+            )
+            for order in (range(12), reversed(range(12)))
+        )
+        assert backward.vertices == forward.vertices == list(range(12))
+        assert write(backward) == write(forward)
+        assert solve_brute(backward) == solve_brute(forward)
+        assert solve_bb(backward) == solve_bb(forward)
+        # Copies and deletions keep the order.
+        dup = backward.copy()
+        dup.delete_vertex(5)
+        assert dup.vertices == [v for v in range(12) if v != 5]
 
 
 class TestValidate:
@@ -128,7 +151,7 @@ class TestDominates:
         with pytest.raises(UnknownVertexError):
             neighborhood(inst, 7)
         with pytest.raises(UnknownVertexError):
-            force_into_solution(inst, 7)
+            force_into_solution(inst, 7, rule_id=3)
 
     @given(st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
@@ -166,7 +189,7 @@ class TestNeighborhood:
 class TestForceIntoSolution:
     def test_star_decrements_and_clamps(self):
         inst = build(4, [(0, 1), (0, 2), (0, 3)], {0: 4, 1: 1, 2: 0, 3: 2}, k=2)
-        event = force_into_solution(inst, 0)
+        event = force_into_solution(inst, 0, rule_id=3)
         assert not inst.has_vertex(0)
         assert inst.demand == {1: 0, 2: 0, 3: 1}
         assert inst.budget == 1
@@ -176,7 +199,7 @@ class TestForceIntoSolution:
 
     def test_budget_exhaustion_decides_no(self):
         inst = build(1, demand={0: 0}, k=0)
-        event = force_into_solution(inst, 0)
+        event = force_into_solution(inst, 0, rule_id=3)
         assert inst.budget == -1
         assert inst.status is Status.DECIDED_NO
         assert event.status_after is Status.DECIDED_NO
@@ -187,14 +210,14 @@ class TestForceIntoSolution:
         # a forbidden vertex with demand above its degree is unsatisfiable
         inst = build(3, [(0, 1), (1, 2)], {1: 3}, k=2, forbidden=[1])
         assert not solve_brute(inst).answer
-        force_into_solution(inst, 1)
+        force_into_solution(inst, 1, rule_id=3)
         assert inst.status is Status.DECIDED_NO
 
     def test_never_raises_demand_and_shrinks_weight(self):
         inst = build(5, [(0, 1), (0, 2), (2, 3), (3, 4)], {v: 1 for v in range(5)}, k=3)
         before_demand = dict(inst.demand)
         before_weight = inst.total_demand() + inst.n + inst.m
-        force_into_solution(inst, 2)
+        force_into_solution(inst, 2, rule_id=3)
         for v, d in inst.demand.items():
             assert d <= before_demand[v]
         assert inst.total_demand() + inst.n + inst.m < before_weight
@@ -204,8 +227,8 @@ class TestReplay:
     def test_replay_reproduces_force(self):
         inst = build(4, [(0, 1), (0, 2), (2, 3)], {1: 1, 2: 2, 3: 1}, k=2)
         mirror = inst.copy()
-        ev1 = force_into_solution(inst, 0)
-        ev2 = force_into_solution(inst, 2)
+        ev1 = force_into_solution(inst, 0, rule_id=3)
+        ev2 = force_into_solution(inst, 2, rule_id=3)
         replay(mirror, [ev1, ev2])
         assert mirror == inst
         assert inst.__eq__(3) is NotImplemented and inst != "x"

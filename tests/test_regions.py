@@ -201,21 +201,22 @@ class TestRegionIndex:
                 for inner in interiors_of(index, a1, a2):
                     assert path_types(inst, a1, a2, inner) == expected[len(inner)], (seed, inner)
 
-    def test_regions_match_the_single_pair_enumeration(self):
+    def test_regions_match_the_single_pair_enumeration(self, region_calls):
+        calls = region_calls("_maximal_sides")
         inst = seeded_instance_with_forbidden(4)
         rs = embed(inst)
         index = RegionIndex(inst, rs)
         for a1, a2 in itertools.combinations(inst.vertices, 2):
             # An index asked for this pair alone builds the same regions.
-            assert index.regions(a1, a2) == RegionIndex(inst, rs).regions(a1, a2)
-            assert index.regions(a1, a2) is index.regions(a1, a2)
+            regions = index.regions(a1, a2)
+            assert regions == RegionIndex(inst, rs).regions(a1, a2)
+            # A second call walks nothing and builds an equal list.
+            calls["_maximal_sides"] = 0
+            assert index.regions(a1, a2) == regions
+            assert calls["_maximal_sides"] == 0
 
-    def test_a_pair_with_fewer_than_two_typed_paths_builds_nothing(self, monkeypatch):
-        built = []
-        real = vecdom.regions._regions
-        monkeypatch.setattr(
-            vecdom.regions, "_regions", lambda *args: built.append(args[2:4]) or real(*args)
-        )
+    def test_a_pair_with_fewer_than_two_typed_paths_builds_nothing(self, region_calls):
+        calls = region_calls("_maximal_sides")
         inst = make_special_case(generate_planar(16, 0.7, 3), "random:2", seed=3)
         index = index_of(inst)
         sizes = set()
@@ -225,7 +226,7 @@ class TestRegionIndex:
                 sizes.add(count)
                 assert index.regions(a1, a2) == []
         assert sizes == {0, 1}
-        assert built == [] and index._regions == {}
+        assert calls == {"_maximal_sides": 0} and index._sides == {}
 
 
 def all_pairs_regions(instance, rs, a1, a2, interiors):
@@ -355,43 +356,49 @@ def stats_reader_graphs():
 class TestRegionSizes:
     @pytest.mark.parametrize("after_phase", [False, True], ids=["fresh", "after-phase"])
     def test_sizes_equal_the_all_pairs_regions(self, after_phase, region_calls):
-        calls = region_calls("_regions", "_maximal_sides")
+        calls = region_calls("RegionIndex.regions", "_maximal_sides")
         sizes_seen = kept_seen = 0
         for name, inst in stats_reader_graphs():
             rs = embed(inst)
             index = RegionIndex(inst, rs)
             if after_phase:
                 _region_phase(inst.copy(), index)
-            kept = dict(index._regions)
+            kept = dict(index._sides)
             expected = sorted(
                 len(region.interior)
                 for a1, a2 in itertools.combinations(inst.vertices, 2)
                 for region in all_pairs_regions(inst, rs, a1, a2, interiors_of(index, a1, a2))
             )
-            calls.update(_regions=0, _maximal_sides=0)
+            calls.update(dict.fromkeys(calls, 0))
             assert sorted(index.region_sizes()) == expected, name
-            # The kept pairs are read; only the others with at least two
-            # typed paths are walked, and no region is built or kept.
+            # The kept sides are read; only the other pairs with at least
+            # two typed paths are walked, none is kept, and no region is built.
             walked = sum(
                 len(interiors) > 1 and (a1, a2) not in kept
                 for a1 in inst.vertices
                 for a2, (interiors, _) in index.typed_paths(a1).items()
             )
-            assert calls == {"_regions": 0, "_maximal_sides": walked}, name
-            assert index._regions == kept
+            assert calls == {"RegionIndex.regions": 0, "_maximal_sides": walked}, name
+            assert index._sides == kept
             sizes_seen += len(expected)
             kept_seen += sum(map(len, kept.values()))
         assert sizes_seen > 10000
         assert (kept_seen > 1000) == after_phase
 
     def test_sides_with_three_high_demand_boundary_vertices_are_refused(self):
-        # A 5-cycle closed by two untyped paths: each side holds no vertex
-        # and has three demand-2 vertices on its internal boundary.  The
-        # side walk that the counts use refuses it, as the region builder does.
+        # A 5-cycle closed by a typed and an untyped path: each side holds
+        # no vertex and has three demand-2 vertices on its internal
+        # boundary.  The side walk refuses it, and so does ``regions`` when
+        # the index is handed the two paths.
         inst = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], {1: 2, 3: 2, 4: 2})
-        for walk in (vecdom.regions._maximal_sides, vecdom.regions._regions):
-            with pytest.raises(AssertionError, match="at most two high-demand vertices"):
-                walk(inst, embed(inst), 0, 2, [(1,), (4, 3)])
+        refused = "at most two high-demand vertices"
+        with pytest.raises(AssertionError, match=refused):
+            vecdom.regions._maximal_sides(inst, embed(inst), 0, 2, [(1,), (4, 3)])
+        index = index_of(inst)
+        index.typed_paths = lambda a1: {2: ([(1,), (4, 3)], False)}
+        with pytest.raises(AssertionError, match=refused):
+            index.regions(0, 2)
+        assert index._sides == {}
 
 
 def colorable(inst, region):

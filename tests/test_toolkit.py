@@ -340,12 +340,12 @@ class TestKernelReport:
         report = run_fixpoint(inst.copy())
         assert report.region_index is not None
         assert report.region_index.describes(kernel_of(report))
-        calls = region_calls("_regions", "cycle_sides")
+        calls = region_calls("RegionIndex.regions", "cycle_sides")
         stats = kernel_report(inst, report)
         # The pairs the last phase skipped are counted from their sides: the
         # same cycle_sides walks as when their regions were built (180), and
         # no CandidateRegion.
-        assert calls == {"_regions": 0, "cycle_sides": 180}
+        assert calls == {"RegionIndex.regions": 0, "cycle_sides": 180}
         assert (stats.region_count_examined, stats.max_region_interior) == (61, 6)
 
     def test_all_zero_demand_reduces_to_nothing(self):
@@ -388,11 +388,11 @@ class TestKernelReport:
         assert (reused.region_count_examined, reused.max_region_interior) == (48, 9)
 
         # A run cut after its one round: that round's region phase colored,
-        # and the stats read the regions it kept on the unreduced graph.
+        # and the stats read the sides it kept on the unreduced graph.
         cut_run = run_fixpoint(inst.copy(), FixpointOptions(max_rounds=1))
         assert cut_run.max_rounds_hit and cut_run.final_status is Status.OPEN
         assert (cut_run.rule_fire_counts[6], cut_run.rule_fire_counts[7]) == (8, 2)
-        assert cut_run.region_index._regions
+        assert cut_run.region_index._sides
         cut, cut_embeds = stats_and_embeds(cut_run)
         fresh, fresh_embeds = stats_and_embeds(dataclasses.replace(cut_run, region_index=None))
         assert (cut_embeds, fresh_embeds) == (0, 1)

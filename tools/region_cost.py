@@ -11,8 +11,8 @@ runs, followed by their min-max, e.g. ``1.10 (1.08-1.15)``; three counts,
 each summed over the fixpoint and the report: the pairs walked (calls of
 ``vecdom.regions._maximal_sides``, one per anchor pair whose typed-path
 pairs are walked for their sides), the region builds (calls of
-``vecdom.regions._regions``, one per anchor pair whose
-``CandidateRegion``s are built) and the ``cycle_sides`` calls; the widest
+``RegionIndex.regions``, each of which builds one anchor pair's
+``CandidateRegion``s) and the ``cycle_sides`` calls; the widest
 list, the most typed paths any index of the run keeps for one pair (read
 from ``RegionIndex.typed_paths``), which shows the headroom under the cap
 ``vecdom.regions.MAX_PATHS_PER_PAIR``; and the stats line.  The counts,
@@ -42,16 +42,17 @@ SEEDS = (0, 1)
 RUNS = 3
 
 
-def counting(module, name: str, counts: dict):
-    """Replace ``module.name`` by a wrapper that counts its calls in ``counts[name]``."""
-    real = getattr(module, name)
+def counting(owner, name: str, counts: dict):
+    """Replace ``owner.name``, a module's function or a class's method, by a
+    wrapper that counts its calls in ``counts[name]``."""
+    real = getattr(owner, name)
     counts[name] = 0
 
     def counted(*args, **kwargs):
         counts[name] += 1
         return real(*args, **kwargs)
 
-    setattr(module, name, counted)
+    setattr(owner, name, counted)
 
 
 def widest(index_class, counts: dict):
@@ -83,8 +84,9 @@ def main(argv: list[str]) -> int:
     import vecdom.regions
 
     counts: dict[str, int] = {}
-    for name in ("_maximal_sides", "_regions", "cycle_sides"):
-        counting(vecdom.regions, name, counts)
+    counting(vecdom.regions, "_maximal_sides", counts)
+    counting(vecdom.regions.RegionIndex, "regions", counts)
+    counting(vecdom.regions, "cycle_sides", counts)
     widest(vecdom.regions.RegionIndex, counts)
     print(f"run_fixpoint at k = opt, then kernel_report, on generate_planar({N}, 1.0, seed)")
     print(
