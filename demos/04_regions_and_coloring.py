@@ -43,9 +43,9 @@ print("path", top, "types read forward:", classify_path(inst, top, 0, 4),
 # One index per embedding serves every anchor pair, keeping at most
 # vecdom.regions.MAX_PATHS_PER_PAIR (512) typed paths per pair.
 index = RegionIndex(inst, embed(inst))
-# typed_paths(0) maps each far anchor to the interiors of its typed paths
-# and whether the cap cut them; an interior's length fixes the type.
-interiors = index.typed_paths(0)[4][0]
+# typed_paths(0) maps each far anchor to the interiors of its typed paths;
+# an interior's length fixes the type.
+interiors = index.typed_paths(0)[4]
 print(f"{len(interiors)} typed paths between 0 and 4; the two four-edge boundary arcs:")
 for inner in interiors:
     path = (0, *inner, 4)

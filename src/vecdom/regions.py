@@ -17,8 +17,7 @@ from .instance import (
 )
 from .planarity import RotationSystem, StaleEmbeddingError, cycle_sides
 
-# The most typed paths an index keeps per anchor pair.  A longer list is
-# cut and flagged, and a region phase that meets the flag sets ``caps_hit``.
+# The most typed paths an index keeps per anchor pair; a longer list is cut.
 MAX_PATHS_PER_PAIR = 512
 
 
@@ -114,7 +113,7 @@ class RegionIndex:
     it.  Sides and regions do not depend on the forbidden set.
     Each pair keeps at most ``MAX_PATHS_PER_PAIR`` typed paths, the value
     the module holds when :meth:`typed_paths` searches from the pair's
-    ``a1``.
+    ``a1``, and ``cut`` says whether a search so far has cut a list.
 
     The searches walk the embedding's sorted adjacency lists
     (``rs.adjacency``), which equal the instance's because the
@@ -130,6 +129,7 @@ class RegionIndex:
         self._found: dict[int, dict] = {}
         self._sides: dict[tuple[int, int], list[tuple[frozenset, ...]]] = {}
         self._by_demand = None
+        self.cut = False
 
     def describes(self, instance: AnnotatedInstance) -> bool:
         """Whether this index still holds for ``instance``: the same object,
@@ -140,18 +140,18 @@ class RegionIndex:
             and self.rs.describes(instance)
         )
 
-    def typed_paths(self, a1: int) -> dict[int, tuple[list[tuple[int, ...]], bool]]:
+    def typed_paths(self, a1: int) -> dict[int, list[tuple[int, ...]]]:
         """The typed paths of the pairs ``(a1, a2)``, in one read: a dict
         from each ``a2`` above ``a1`` that a typed path joins to it, in
-        increasing order, to the pair's interiors and whether the cap cut
-        them.  A pair that no typed path joins has no entry.  The dict and
-        its lists are the index's own; callers must not change them.
+        increasing order, to the pair's interiors.  A pair that no typed
+        path joins has no entry.  The dict and its lists are the index's
+        own; callers must not change them.
 
         An interior is the tuple of a path's vertices strictly between
         ``a1`` and ``a2``, read from ``a1``.  A pair's interiors come in
-        ``(len, path)`` order, cut to the cap.  An interior's length fixes
-        the path's type (see :func:`classify_path`): one vertex for type 1,
-        two for type 3, three for type 2.
+        ``(len, path)`` order, cut to the cap, which sets ``cut``.  An
+        interior's length fixes the path's type (see :func:`classify_path`):
+        one vertex for type 1, two for type 3, three for type 2.
 
         One depth-first search over the sorted neighbor lists, run on the
         first read from ``a1``, walks the simple paths of two to four edges
@@ -199,7 +199,8 @@ class RegionIndex:
         found = self._found[a1] = {}
         for a2 in sorted(paths):
             ordered = sorted(paths[a2], key=len)
-            found[a2] = (ordered[:cap], len(ordered) > cap)
+            found[a2] = ordered[:cap]
+            self.cut |= len(ordered) > cap
         return found
 
     def regions(self, a1: int, a2: int) -> list[CandidateRegion]:
@@ -225,7 +226,7 @@ class RegionIndex:
             raise MalformedPathError(f"anchor pair ({a1}, {a2}) is not ordered a1 < a2")
         sides = self._sides.get((a1, a2))
         if sides is None:
-            interiors = self.typed_paths(a1).get(a2, ([], False))[0]
+            interiors = self.typed_paths(a1).get(a2, [])
             if len(interiors) < 2:
                 return []
             sides = self._sides[a1, a2] = _maximal_sides(self.instance, self.rs, a1, a2, interiors)
@@ -252,7 +253,7 @@ class RegionIndex:
         """
         sizes = []
         for a1 in self.instance.vertices:
-            for a2, (interiors, _) in self.typed_paths(a1).items():
+            for a2, interiors in self.typed_paths(a1).items():
                 if len(interiors) < 2:
                     continue
                 sides = self._sides.get((a1, a2))

@@ -82,6 +82,15 @@ class FixpointReport:
     even when that round would have changed nothing.  A run that hits the
     cap skips the terminal YES/NO checks, so the flag can cost a decision
     but never an answer.
+
+    ``caps_hit`` means some phase's index cut a typed-path list
+    (``RegionIndex.cut``), so the certificate does not run: a cut list can
+    hide a region that colors.  A clear flag suffices: rules 6-8 color only
+    between selectable anchors, and the forbidden set only grows.  A run
+    whose last phase colored nothing searched, on the final graph and
+    demands, from every anchor still selectable; one whose last index
+    describes the instance would search, in a further phase, a subset of
+    those sources.
     """
 
     events: list[ReductionEvent]
@@ -368,19 +377,17 @@ _LOCAL_RULES = {
 }
 
 
-def _region_phase(
-    instance: AnnotatedInstance, index: RegionIndex
-) -> tuple[list[ReductionEvent], bool]:
+def _region_phase(instance: AnnotatedInstance, index: RegionIndex) -> list[ReductionEvent]:
     """Run rules 6-8 over all maximal candidate regions of ``index`` that
-    can color.
+    can color, and return their events.
 
     The index must describe the instance.  Coloring never touches the
     graph or demands, so the index serves the whole phase.  The phase is
-    one scan over the pairs in order.  It skips an anchor that was blue
-    when the phase started, and the cap flag covers every other pair.  The
-    rules color nothing in a region with a forbidden anchor, so the phase
-    builds no regions for a pair with an anchor blue now, colored earlier
-    in the same scan included.
+    one scan over the pairs in order.  The rules color nothing in a region
+    with a forbidden anchor, so the scan searches no typed paths from a
+    blue ``a1`` and builds no regions for a pair with a blue ``a2``, each
+    read when the scan gets there.  A region colors only its interior, so
+    ``a1`` stays selectable through its own pairs.
 
     A pair's regions are built only when the pair has two typed paths
     under the cap, since one path closes no cycle, and passes
@@ -399,32 +406,19 @@ def _region_phase(
       a cycle has its neighbors inside or on the cycle, so every neighbor
       off the anchors is interior and passes the test too.  A core vertex
       of positive demand is such a ``w``.
-
-    ``kernel_report`` later counts, on the last phase's index, the maximal
-    sides of the pairs that phase skipped, without building their regions.
     """
     forbidden = instance.forbidden
-    blue_at_start = set(forbidden)
     events: list[ReductionEvent] = []
-    caps_hit = False
     for a1 in instance.vertices:
-        if a1 in blue_at_start:
+        if a1 in forbidden:
             continue
-        for a2, (interiors, capped) in index.typed_paths(a1).items():
-            if a2 in blue_at_start:
-                continue
-            caps_hit |= capped
-            if (
-                len(interiors) > 1
-                and a1 not in forbidden
-                and a2 not in forbidden
-                and index.may_color(a1, a2)
-            ):
+        for a2, interiors in index.typed_paths(a1).items():
+            if len(interiors) > 1 and a2 not in forbidden and index.may_color(a1, a2):
                 for region in index.regions(a1, a2):
                     events.extend(rule6(instance, region))
                     events.extend(rule7(instance, region))
                     events.extend(rule8(instance, region))
-    return events, caps_hit
+    return events
 
 
 def potential(instance: AnnotatedInstance) -> int:
@@ -502,8 +496,8 @@ def run_fixpoint(
         if not rs.describes(instance):
             rs = embed(instance)
         region_index = RegionIndex(instance, rs)
-        region_events, truncated = _region_phase(instance, region_index)
-        caps_hit |= truncated
+        region_events = _region_phase(instance, region_index)
+        caps_hit |= region_index.cut
         events.extend(region_events)
         if not region_events:
             break

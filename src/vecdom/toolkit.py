@@ -260,6 +260,7 @@ class KernelStats:
     max_region_interior: int
     bound_ratio: float
     status: Status
+    caps_hit: bool
 
 
 def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> KernelStats:
@@ -268,7 +269,8 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
     ``instance`` is the original.  The region count and the largest
     candidate-region interior cover every anchor pair of the kernel,
     forbidden anchors included, at the path cap the fixpoint ran at,
-    ``vecdom.regions.MAX_PATHS_PER_PAIR``.  A run that stopped at
+    ``vecdom.regions.MAX_PATHS_PER_PAIR``; ``caps_hit`` says the cap cut a
+    list in the run or in these counts.  A run that stopped at
     quiescence hands over the index its last region phase built on that
     graph.  That phase walked and kept the maximal sides of only the pairs
     that could color; ``RegionIndex.region_sizes`` reads those, walks every
@@ -295,11 +297,13 @@ def kernel_report(instance: AnnotatedInstance, report: FixpointReport) -> Kernel
         max_region_interior=max(sizes, default=0),
         bound_ratio=kernel.n / max(kernel.budget, 1),
         status=report.final_status,
+        caps_hit=report.caps_hit or index.cut,
     )
 
 
 def format_stats(stats: KernelStats) -> str:
-    """One deterministic, machine-grepable line per kernelization run."""
+    """One deterministic, machine-grepable line per kernelization run,
+    ending in ``caps_hit=1`` only when the path cap cut a list."""
     fires = ",".join(
         f"{rid}:{count}"
         for rid, count in sorted(stats.rule_fire_counts.items(), key=lambda kv: str(kv[0]))
@@ -311,5 +315,5 @@ def format_stats(stats: KernelStats) -> str:
         f"blue={stats.blue_count} regions={stats.region_count_examined} "
         f"max_region_interior={stats.max_region_interior} "
         f"bound_ratio={stats.bound_ratio:.4f} status={stats.status.value} "
-        f"rules={fires or '-'}"
+        f"rules={fires or '-'}{' caps_hit=1' if stats.caps_hit else ''}"
     )

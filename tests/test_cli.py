@@ -215,6 +215,19 @@ class TestStats:
         line = capsys.readouterr().out
         assert "n_before=3" in line and "bound_ratio=" in line
 
+    def test_stats_line_says_when_the_cap_cut_a_list(self, path_cap, tmp_path, capsys):
+        inst = vecdom.make_special_case(vecdom.generate_planar(60, 1.0, 3), "pids")
+        inst.budget = 15
+        path = tmp_path / "pids.pvds"
+        path.write_text(write(inst))
+        stats = ["stats", "--input", str(path), "--no-region-rules"]
+        assert cli_main(stats) == 0
+        assert capsys.readouterr().out.split()[-1] == "rules=-"
+        path_cap(2)
+        assert cli_main(stats) == 0
+        fields = capsys.readouterr().out.split()
+        assert "regions=181" in fields and fields[-2:] == ["rules=-", "caps_hit=1"]
+
     # The certificate follows the region rules: on by default, off with
     # --no-region-rules.
     @pytest.mark.parametrize("command", ["kernelize", "stats"])

@@ -42,7 +42,7 @@ def index_of(inst):
 
 def interiors_of(index, a1, a2):
     """The pair's typed-path interiors, read through ``typed_paths``."""
-    return index.typed_paths(a1).get(a2, ([], False))[0]
+    return index.typed_paths(a1).get(a2, [])
 
 
 def path_types(inst, a1, a2, inner):
@@ -167,7 +167,8 @@ def seeded_instance_with_forbidden(seed):
 
 
 class TestRegionIndex:
-    # With cap 10, seed 0 has its only capped pairs at a forbidden anchor.
+    # With cap 10, seed 0's only capped pair, (1, 6), has a forbidden a2;
+    # the phase still searches from 1, so its index is cut.
     @pytest.mark.parametrize("cap", [2, 10, 512])
     def test_typed_paths_and_caps_match_brute_force(self, cap, path_cap):
         path_cap(cap)
@@ -178,17 +179,17 @@ class TestRegionIndex:
             phase_caps = False
             for a1, a2 in itertools.combinations(inst.vertices, 2):
                 expected = brute_typed_interiors(inst, a1, a2)
-                entry = index.typed_paths(a1).get(a2)
-                assert (entry is not None) == bool(expected)
-                interiors, capped = entry or ([], False)
-                assert interiors == expected[:cap], (seed, a1, a2)
-                assert capped == (len(expected) > cap)
-                if not {a1, a2} & inst.forbidden:
+                interiors = index.typed_paths(a1).get(a2)
+                assert (interiors is not None) == bool(expected)
+                assert (interiors or []) == expected[:cap], (seed, a1, a2)
+                if a1 not in inst.forbidden:
                     phase_caps |= len(expected) > cap
             any_capped |= phase_caps
             phase_inst = inst.copy()
-            _, caps_hit = _region_phase(phase_inst, index_of(phase_inst))
-            assert caps_hit == phase_caps, seed
+            phase_index = index_of(phase_inst)
+            _region_phase(phase_inst, phase_index)
+            assert phase_index.cut == phase_caps, seed
+            assert phase_index._found.keys().isdisjoint(inst.forbidden), seed
         assert any_capped == (cap < 512)
 
     def test_interior_length_fixes_the_type(self):
@@ -376,7 +377,7 @@ class TestRegionSizes:
             walked = sum(
                 len(interiors) > 1 and (a1, a2) not in kept
                 for a1 in inst.vertices
-                for a2, (interiors, _) in index.typed_paths(a1).items()
+                for a2, interiors in index.typed_paths(a1).items()
             )
             assert calls == {"RegionIndex.regions": 0, "_maximal_sides": walked}, name
             assert index._sides == kept
@@ -395,7 +396,7 @@ class TestRegionSizes:
         with pytest.raises(AssertionError, match=refused):
             vecdom.regions._maximal_sides(inst, embed(inst), 0, 2, [(1,), (4, 3)])
         index = index_of(inst)
-        index.typed_paths = lambda a1: {2: ([(1,), (4, 3)], False)}
+        index.typed_paths = lambda a1: {2: [(1,), (4, 3)]}
         with pytest.raises(AssertionError, match=refused):
             index.regions(0, 2)
         assert index._sides == {}
@@ -439,11 +440,12 @@ class TestPhaseSkipsOnlyPairsThatCannotColor:
             for test in (may_color, lambda self, a1, a2: True):
                 monkeypatch.setattr(RegionIndex, "may_color", test)
                 phase_inst = inst.copy()
-                events, caps_hit = _region_phase(phase_inst, index_of(phase_inst))
+                phase_index = index_of(phase_inst)
+                events = _region_phase(phase_inst, phase_index)
                 report = run_fixpoint(inst.copy())
                 outcomes.append((
-                    event_log(events), caps_hit, event_log(report.events), report.caps_hit,
-                    report.final_instance,
+                    event_log(events), phase_index.cut, event_log(report.events),
+                    report.caps_hit, report.final_instance,
                 ))
             assert outcomes[0] == outcomes[1], (name, cap)
             colored += len(outcomes[0][0])

@@ -36,7 +36,7 @@ from vecdom import (
 from vecdom.instance import apply, force_into_solution
 from vecdom.rules import _LOCAL_RULES
 from vecdom.selftest import check_instance, corpus_instance, evaluate_instance, oracle_answer
-from vecdom.toolkit import generate_planar, make_special_case
+from vecdom.toolkit import format_stats, generate_planar, kernel_report, make_special_case
 
 from conftest import build, load_by_path
 
@@ -499,26 +499,36 @@ class TestRunFixpoint:
         assert report.events == []
         assert inst.n == 2
 
-    def test_path_cap_suppresses_certificate(self, path_cap):
+    @staticmethod
+    def cycle_with_hangers():
         # rigid 203-cycle plus two demand-1 hangers creating three typed
-        # paths between vertices 0 and 2; with the cap the enumeration is
-        # incomplete, so the size certificate must stay quiet
-        def make():
-            n = 203
-            edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 203), (203, 2), (0, 204), (204, 2)]
-            demand = {v: 2 for v in range(n)} | {203: 1, 204: 1}
-            return build(205, edges, demand, k=2)
+        # paths between vertices 0 and 2
+        n = 203
+        edges = [(i, (i + 1) % n) for i in range(n)] + [(0, 203), (203, 2), (0, 204), (204, 2)]
+        demand = {v: 2 for v in range(n)} | {203: 1, 204: 1}
+        return build(205, edges, demand, k=2)
 
-        full = run_fixpoint(make(), FixpointOptions())
+    def test_path_cap_suppresses_certificate(self, path_cap):
+        # with the cap the enumeration is incomplete, so the size
+        # certificate must stay quiet
+        full = run_fixpoint(self.cycle_with_hangers(), FixpointOptions())
         assert not full.caps_hit
         assert full.final_status is Status.DECIDED_NO
         assert full.rule_fire_counts.get("kernel_bound") == 1
 
         path_cap(1)
-        capped = run_fixpoint(make(), FixpointOptions())
+        capped = run_fixpoint(self.cycle_with_hangers(), FixpointOptions())
         assert capped.caps_hit
         assert capped.final_status is Status.OPEN
         assert "kernel_bound" not in capped.rule_fire_counts
+
+    def test_the_stats_line_says_the_fixpoint_cut_a_list(self, path_cap):
+        inst = self.cycle_with_hangers()
+        assert "caps_hit=1" not in format_stats(kernel_report(inst, run_fixpoint(inst.copy())))
+        path_cap(1)
+        report = run_fixpoint(inst.copy())
+        assert report.caps_hit and report.final_status is Status.OPEN
+        assert format_stats(kernel_report(inst, report)).endswith(" caps_hit=1")
 
 
 class TestIndexReuseAcrossRounds:
@@ -688,36 +698,74 @@ class TestStopRule:
                 continue
             kernel = report.final_instance
             assert report.region_index.describes(kernel)
-            assert _region_phase(kernel, report.region_index)[0] == []
+            cut = report.region_index.cut
+            assert _region_phase(kernel, report.region_index) == []
+            assert report.region_index.cut == cut
             checked += 1
         assert checked > 100
 
 
 class TestRegionPhaseCapRule:
-    """The cap flag covers every pair whose anchors were selectable when the
-    phase started, also when the phase colors an anchor before it reaches
-    the pair."""
+    """The cap flag covers every pair whose ``a1`` is selectable when the
+    phase's scan reaches it, also when the phase has colored the pair's
+    ``a2`` before then."""
 
     def test_an_anchor_colored_during_the_phase_keeps_its_pair_cap(self, path_cap):
         from vecdom import embed
         from vecdom.regions import RegionIndex
         from vecdom.rules import _region_phase
 
-        path_cap(3)
         inst = corpus_instance(1756)
-        index = RegionIndex(inst, embed(inst))
+        uncut = RegionIndex(inst, embed(inst))
         capped = [
             (a1, a2)
             for a1 in inst.vertices
-            for a2, (_, cut) in index.typed_paths(a1).items()
-            if cut
+            for a2, interiors in uncut.typed_paths(a1).items()
+            if len(interiors) > 3
         ]
-        assert capped == [(4, 9)]
+        assert capped == [(4, 9)] and not uncut.cut
+        path_cap(3)
+        index = RegionIndex(inst, embed(inst))
         # A region of the pair (1, 4) colors all seven, 9 among them.
-        events, caps_hit = _region_phase(inst, index)
+        events = _region_phase(inst, index)
         assert [ev.rule_id for ev in events] == [6] * 7
         assert sorted(v for ev in events for v in ev.newly_blue) == [0, 2, 3, 6, 7, 8, 9]
-        assert caps_hit
+        assert index.cut
+        # The scan searched from no vertex it had colored before reaching it.
+        assert sorted(index._found) == [0, 1, 4, 5, 10]
+
+
+def test_a_kernel_with_a_selectable_pair_over_the_cap_reports_caps_hit(path_cap):
+    """The certificate's precondition: a run that ends open at quiescence
+    with some pair of selectable anchors in its kernel joined by more
+    typed paths than the cap reports ``caps_hit``.  The paths are counted
+    on one index of the kernel at the default cap."""
+    from vecdom.regions import MAX_PATHS_PER_PAIR, RegionIndex
+
+    open_runs = over_cap = 0
+    for cap in (1, 2, 3):
+        for seed in range(1000):
+            path_cap(cap)
+            report = run_fixpoint(corpus_instance(seed))
+            if report.final_status is not Status.OPEN or report.max_rounds_hit:
+                continue
+            open_runs += 1
+            kernel = report.final_instance
+            path_cap(MAX_PATHS_PER_PAIR)
+            index = RegionIndex(kernel, embed(kernel))
+            widest = max(
+                (
+                    len(interiors)
+                    for a1 in kernel.vertices if a1 not in kernel.forbidden
+                    for a2, interiors in index.typed_paths(a1).items()
+                    if a2 not in kernel.forbidden
+                ),
+                default=0,
+            )
+            if widest > cap:
+                over_cap += 1
+                assert report.caps_hit, (cap, seed)
+    assert (open_runs, over_cap) == (432, 330)
 
 
 class TestRuleSoundnessSweep:

@@ -1,9 +1,11 @@
 """The tools under ``tools/`` import only the standard library at load time.
 
-Their optimum needs scipy, which only the bench extra installs, so they
-import it when an optimum is computed.  A fresh interpreter imports both
-tools the way ``tools/region_cost.py`` imports its sibling, by name from
-``tools/`` on ``sys.path``; this test runs without scipy too.
+The optimum of ``solve_reach`` and ``region_cost`` needs scipy, which
+only the bench extra installs, so they import it when an optimum is
+computed; ``identity_digest`` imports ``vecdom`` from the source directory
+it is given when it runs.  A fresh interpreter imports every tool the way
+``tools/region_cost.py`` imports its sibling, by name from ``tools/`` on
+``sys.path``; this test runs without scipy too.
 """
 
 import subprocess
@@ -15,8 +17,8 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 IMPORT = """
 import sys
 sys.path.insert(0, sys.argv[1])
-import region_cost, solve_reach
-print(" ".join(sorted({"scipy", "numpy", "oracle", "instances"} & set(sys.modules))))
+import identity_digest, region_cost, solve_reach
+print(" ".join(sorted({"scipy", "numpy", "oracle", "instances", "vecdom"} & set(sys.modules))))
 """
 
 

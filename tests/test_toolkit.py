@@ -11,6 +11,7 @@ from vecdom import (
     ParseError,
     Status,
     embed,
+    format_stats,
     generate_planar,
     kernel_of,
     kernel_report,
@@ -424,6 +425,23 @@ class TestKernelReport:
             assert after_embeds == 1
             assert after == stats_and_embeds(dataclasses.replace(report, region_index=None))[0]
             assert after.region_count_examined != before.region_count_examined
+
+
+    def test_the_stats_line_says_when_the_cap_cut_a_list(self, path_cap):
+        # A local-only run searches no typed path; only the counts can cut.
+        inst = make_special_case(generate_planar(60, 1.0, 3), "pids")
+        inst.budget = 15
+        options = FixpointOptions(enable_region_rules=False)
+        full = kernel_report(inst, run_fixpoint(inst.copy(), options))
+        path_cap(2)
+        report = run_fixpoint(inst.copy(), options)
+        capped = kernel_report(inst, report)
+        assert not report.caps_hit
+        counts = [(s.region_count_examined, s.max_region_interior, s.caps_hit)
+                  for s in (full, capped)]
+        assert counts == [(255, 4, False), (181, 3, True)]
+        assert format_stats(full).endswith(" rules=-")
+        assert format_stats(capped).endswith(" rules=- caps_hit=1")
 
 
 class TestTrivialInstances:

@@ -63,7 +63,7 @@ def widest(index_class, counts: dict):
 
     def typed_paths(index, a1):
         found = real(index, a1)
-        longest = max((len(interiors) for interiors, _ in found.values()), default=0)
+        longest = max(map(len, found.values()), default=0)
         counts["widest"] = max(counts["widest"], longest)
         return found
 
