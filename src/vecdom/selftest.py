@@ -14,13 +14,17 @@ of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import solver
 from .instance import AnnotatedInstance, ReductionEvent, Status, replay
 from .planarity import embed
 from .rules import FixpointOptions, FixpointReport, potential, run_fixpoint
-from .solver import solve_bb, solve_brute, verify_solution
+from .solver import SolveResult, solve_bb, solve_brute, verify_solution
 from .toolkit import generate_planar, kernel_of, make_special_case
+
+# An exact decider, as ``solve_brute`` and ``solve_branching`` are.
+Oracle = Callable[[AnnotatedInstance], SolveResult]
 
 # Profile mix used for generated corpora; covers the uniform, ceiling,
 # degree-slack and random demand families.
@@ -38,17 +42,18 @@ def corpus_instance(seed: int, max_n: int = 14) -> AnnotatedInstance:
     return inst
 
 
-def oracle_answer(instance: AnnotatedInstance) -> bool:
-    """Status-aware exhaustive answer; decided instances keep their decision.
+def oracle_answer(instance: AnnotatedInstance, oracle: Oracle | None = None) -> bool:
+    """Status-aware exact answer; decided instances keep their decision.
 
-    The battery's one call to its oracle, ``solve_brute``, which refuses an
-    open instance above ``vecdom.solver.ORACLE_LIMIT`` vertices.
+    The battery's one call to its oracle: ``oracle``, or when None
+    ``solve_brute``, looked up by that name at each call, which refuses
+    an open instance above ``vecdom.solver.ORACLE_LIMIT`` vertices.
     """
     if instance.status is Status.DECIDED_YES:
         return True
     if instance.status is Status.DECIDED_NO:
         return False
-    return solve_brute(instance).answer
+    return (oracle or solve_brute)(instance).answer
 
 
 @dataclass
@@ -65,7 +70,10 @@ class InstanceRecord:
 
 
 def _check_event_chain(
-    instance: AnnotatedInstance, events: list[ReductionEvent], expected: bool
+    instance: AnnotatedInstance,
+    events: list[ReductionEvent],
+    expected: bool,
+    oracle: Oracle | None = None,
 ) -> tuple[list[str], AnnotatedInstance]:
     """Replay the event log step by step, asking the oracle until an event
     flips the answer; return the flip, if any, and the replayed instance."""
@@ -73,7 +81,7 @@ def _check_event_chain(
     failures: list[str] = []
     for idx, event in enumerate(events):
         replay(working, [event])
-        if not failures and oracle_answer(working) != expected:
+        if not failures and oracle_answer(working, oracle) != expected:
             failures.append(
                 f"event {idx} (rule {event.rule_id}) flipped the answer "
                 f"from {expected} to {not expected}"
@@ -81,7 +89,9 @@ def _check_event_chain(
     return failures, working
 
 
-def check_instance(instance: AnnotatedInstance, seed: int) -> InstanceRecord:
+def check_instance(
+    instance: AnnotatedInstance, seed: int, oracle: Oracle | None = None
+) -> InstanceRecord:
     """Run the full battery of checks on ``instance``, which is left as it is.
 
     Every event of the region-rules-on fixpoint is replayed against the
@@ -91,9 +101,11 @@ def check_instance(instance: AnnotatedInstance, seed: int) -> InstanceRecord:
     oracle on ``instance`` itself.  ``seed`` only labels the record.
 
     ``instance`` must be open, or ``ValueError``: the checks compare with
-    its exhaustive answer, which ``oracle_answer`` gives first, so an
-    instance above ``vecdom.solver.ORACLE_LIMIT`` vertices raises
-    ``OracleLimitError`` before any check runs.
+    its exact answer, which ``oracle_answer`` gives first with ``oracle``
+    (``solve_brute`` when None), so an instance beyond the oracle's reach
+    raises ``OracleLimitError`` before any check runs.  Pass
+    ``vecdom.solver.solve_branching`` to check instances above
+    ``vecdom.solver.ORACLE_LIMIT`` vertices.
 
     Planarity is tested once: both fixpoints start from the one embedding
     of ``instance``, and only the region-rules-on run embeds again, when
@@ -101,11 +113,11 @@ def check_instance(instance: AnnotatedInstance, seed: int) -> InstanceRecord:
     """
     if instance.status is not Status.OPEN:
         raise ValueError("the battery checks an open instance against the oracle")
-    brute = oracle_answer(instance)
+    brute = oracle_answer(instance, oracle)
     rs = embed(instance)
     report_on = run_fixpoint(instance.copy(), FixpointOptions(), rs)
     report_off = run_fixpoint(instance.copy(), FixpointOptions(enable_region_rules=False), rs)
-    event_failures, replayed = _check_event_chain(instance, report_on.events, brute)
+    event_failures, replayed = _check_event_chain(instance, report_on.events, brute, oracle)
     record = InstanceRecord(seed, instance, brute, report_on, report_off, event_failures)
 
     for label, report in (("on", report_on), ("off", report_off)):

@@ -1,6 +1,7 @@
 """Reduction rules 1-5 and 9-13, the fixpoint engine, and event replay."""
 
 import random
+from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
 
@@ -35,7 +36,14 @@ from vecdom import (
 )
 from vecdom.instance import apply, force_into_solution
 from vecdom.rules import _LOCAL_RULES
-from vecdom.selftest import check_instance, corpus_instance, evaluate_instance, oracle_answer
+from vecdom.selftest import (
+    CORPUS_PROFILES,
+    check_instance,
+    corpus_instance,
+    evaluate_instance,
+    oracle_answer,
+)
+from vecdom.solver import solve_branching
 from vecdom.toolkit import format_stats, generate_planar, kernel_report, make_special_case
 
 from conftest import build, load_by_path
@@ -798,6 +806,57 @@ class TestRuleSoundnessSweep:
             assert (record.event_failures, record.failures) == ([], []), seed
             capped += record.report_on.caps_hit
         assert capped > 100
+
+
+def midsize_instance(seed):
+    """A seeded planar instance at n = 19-30, beyond brute force's reach,
+    with budget 0."""
+    n = 19 + seed % 12
+    density = 0.8 + 0.1 * (seed // 12 % 3)
+    base = generate_planar(n, density, 30_000 + seed)
+    return make_special_case(base, CORPUS_PROFILES[seed % len(CORPUS_PROFILES)], seed=seed)
+
+
+def test_every_event_preserves_answer_at_mid_size():
+    """The battery with the include/exclude oracle on 60 mid-size
+    instances, each at k = opt - 1 and opt, with opt found by that oracle:
+    every event of every run keeps the answer."""
+    fired = Counter()
+    for seed in range(60):
+        inst = midsize_instance(seed)
+        while not solve_branching(inst).answer:
+            inst.budget += 1
+        for k in (inst.budget - 1, inst.budget):
+            if k < 0:
+                continue
+            probe = inst.copy()
+            probe.budget = k
+            record = check_instance(probe, seed, solve_branching)
+            assert (record.event_failures, record.failures) == ([], []), (seed, k)
+            fired.update(ev.rule_id for ev in record.report_on.events)
+    assert all(fired[rule] for rule in (3, 6, 7, 8)), fired
+
+
+def test_the_battery_asks_the_oracle_it_is_given(monkeypatch):
+    """``check_instance`` asks ``vecdom.selftest.solve_brute`` by name,
+    the name the benchmark's tracer wraps, unless given another oracle."""
+    import vecdom.selftest
+
+    asked = Counter()
+
+    def counting(name, real):
+        def oracle(instance):
+            asked[name] += 1
+            return real(instance)
+        return oracle
+
+    monkeypatch.setattr(vecdom.selftest, "solve_brute", counting("brute", solve_brute))
+    inst = corpus_instance(5)
+    check_instance(inst, 5)
+    assert set(asked) == {"brute"}
+    asked.clear()
+    check_instance(inst, 5, counting("branching", solve_branching))
+    assert set(asked) == {"branching"}
 
 
 # The pairwise scans rules 4, 5 and 12 made before they drew their

@@ -18,7 +18,7 @@ from vecdom import (
     verify_solution,
 )
 from vecdom.selftest import corpus_instance
-from vecdom.solver import _Search
+from vecdom.solver import _Search, solve_branching
 from vecdom.toolkit import generate_planar, make_special_case
 
 from conftest import build
@@ -117,6 +117,59 @@ class TestBruteAgainstReference:
         monkeypatch.setattr(vecdom.solver, "dominates", lambda *args: False)
         with pytest.raises(AssertionError):
             solve_brute(inst)
+
+
+class TestSolveBranching:
+    """The second oracle, the include/exclude search, against the first."""
+
+    @pytest.mark.parametrize("with_forbidden", [False, True])
+    def test_agrees_with_brute_force_on_the_corpus(self, with_forbidden):
+        answers = set()
+        for seed in range(2000):
+            inst = corpus_instance(seed)
+            if with_forbidden:
+                rng = random.Random(seed)
+                inst.forbidden = {v for v in inst.vertices if rng.random() < 0.2}
+            for k in range(5):
+                inst.budget = k
+                result = solve_branching(inst)
+                assert result.answer == solve_brute(inst).answer, (seed, k)
+                if result.answer:
+                    assert verify_solution(inst, result.witness), (seed, k)
+                answers.add(result.answer)
+        assert answers == {True, False}
+
+    def test_negative_budget_and_forbidden_neighbors_are_no(self):
+        assert not solve_branching(build(1, k=-1)).answer
+        assert not solve_branching(build(2, [(0, 1)], {1: 1}, k=2, forbidden=[0, 1])).answer
+        assert solve_branching(build(2, [(0, 1)], {1: 1}, k=1, forbidden=[1])).witness == {0}
+
+    def test_decides_beyond_brute_force(self):
+        inst = _maximal_planar(30, "pids", 0)
+        with pytest.raises(OracleLimitError):
+            solve_brute(inst)
+        while not solve_branching(inst).answer:
+            inst.budget += 1
+        assert solve_bb(inst).answer
+        inst.budget -= 1
+        assert not solve_bb(inst).answer
+
+    def test_node_limit(self):
+        inst = _maximal_planar(30, "pids", 0)
+        inst.budget = 6
+        nodes = solve_branching(inst).nodes_explored
+        assert nodes > 1
+        assert solve_branching(inst, node_limit=nodes).nodes_explored == nodes
+        with pytest.raises(OracleLimitError):
+            solve_branching(inst, node_limit=nodes - 1)
+
+    def test_a_disagreeing_bitmask_raises(self, monkeypatch):
+        import vecdom.solver
+
+        inst = build(3, [(0, 1), (1, 2)], {0: 1, 2: 1}, k=1)
+        monkeypatch.setattr(vecdom.solver, "dominates", lambda *args: False)
+        with pytest.raises(AssertionError):
+            solve_branching(inst)
 
 
 class TestSolveBB:
