@@ -26,6 +26,17 @@ for ev in events:
     print(f"  forced {set(ev.removed_vertices)}, budget {ev.budget_delta:+d}")
 print("after: ", inst)
 
+print("\n== ... and the neighbors of a blue vertex whose demand equals its degree ==")
+# 0 may not be chosen and needs both its neighbors; 3 needs one of 2's.
+inst = AnnotatedInstance(range(4), [(0, 1), (0, 2), (2, 3)], {0: 2, 3: 1}, budget=3, forbidden=[0])
+before = solve_brute(inst).answer
+print("before:", inst)
+events = rule3(inst)
+for ev in events:
+    print(f"  forced {set(ev.removed_vertices)}, budget {ev.budget_delta:+d}")
+print("after: ", inst, "demands", inst.demand)
+print("answer kept:", solve_brute(inst).answer == before)
+
 # -- witness-based forcing ---------------------------------------------------
 
 print("\n== rule 5 forces a witness that covers a demand-1 vertex's whole world ==")

@@ -4,9 +4,9 @@ vector domination.
 The library is organized around one mutable :class:`AnnotatedInstance`
 (graph, demands, budget, forbidden vertices), a combinatorial planar
 embedding layer, thirteen answer-preserving reduction rules driven to a
-fixpoint, candidate-region machinery for the planar coloring rules, and a
-pair of exact solvers whose agreement is the ground truth for everything
-else.
+fixpoint, candidate-region machinery for the planar coloring rules, and
+exact solvers, two exhaustive oracles and a branch-and-bound search,
+whose agreement is the ground truth for everything else.
 """
 
 from .instance import (

@@ -1,8 +1,9 @@
 """General reduction rules and the fixpoint engine.
 
 Rules 1-5 and 13 shrink the graph directly; rules 9-12 create and exploit
-forbidden ("blue") vertices; rules 6-8 live in :mod:`vecdom.regions` and
-need a planar embedding.  ``run_fixpoint`` drives everything to
+forbidden ("blue") vertices, and so does rule 3, which forces every
+neighbor of a blue vertex whose demand equals its degree; rules 6-8 live
+in :mod:`vecdom.regions` and need a planar embedding.  ``run_fixpoint`` drives everything to
 exhaustion, logging one replayable event per atomic change, and finally
 applies the kernel-size certificate: a fully reduced instance larger than
 101 times its budget cannot have a solution.
@@ -127,20 +128,38 @@ def rule2(instance: AnnotatedInstance) -> list[ReductionEvent]:
 
 
 def rule3(instance: AnnotatedInstance) -> list[ReductionEvent]:
-    """Force every vertex whose demand exceeds the budget or its degree.
+    """Force every vertex whose demand exceeds the budget or its degree, and
+    every neighbor of a blue vertex whose demand equals its degree.
+
+    A blue ``v`` with ``d(v) == deg(v) >= 1`` is in no solution, so every
+    solution holds ``d(v)`` of its ``deg(v)`` neighbors: all of them.  Each
+    is forced in id order.  Forcing one lowers ``v``'s demand and degree
+    by one each, so the equality holds for the rest, and forcing a blue
+    neighbor rightly decides NO: no selectable set can then serve ``v``.
+    When ``d(v) > deg(v)`` the first test forces ``v`` itself, which
+    decides NO too.
 
     Forcing lowers the budget and neighbor demands, which can create new
     violations: a later vertex is forced when the scan reaches it, an
-    earlier one in the fixpoint's next batch.  Forcing a forbidden vertex
-    or overspending decides the instance NO and ends the scan.
+    earlier one in the fixpoint's next batch.  A vertex an earlier forcing
+    removed is skipped.  Forcing a forbidden vertex or overspending
+    decides the instance NO and ends the scan.
     """
     events = []
+    demand, forbidden = instance.demand, instance.forbidden
     for v in instance.vertices:
         if instance.status is not Status.OPEN:
             break
-        d = instance.demand[v]
+        if not instance.has_vertex(v):
+            continue
+        d = demand[v]
         if d > instance.budget or d > instance.degree(v):
             events.append(force_into_solution(instance, v, rule_id=3))
+        elif d and v in forbidden and d == instance.degree(v):
+            for u in sorted(instance.neighbors(v)):
+                events.append(force_into_solution(instance, u, rule_id=3))
+                if instance.status is not Status.OPEN:
+                    break
     return events
 
 

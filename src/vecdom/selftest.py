@@ -1,7 +1,8 @@
 """Randomized soundness harness.
 
-``check_instance`` runs the reduction engine on any instance small enough
-for the exhaustive oracle and checks every single event against it:
+``check_instance`` runs the reduction engine on any instance its exact
+oracle reaches (``solve_brute`` by default, or ``solve_branching`` for
+mid-size instances) and checks every single event against it:
 replaying the event log one step at a time must never change the
 instance's answer.  It also cross-validates the branch-and-bound solver
 and the end-to-end kernel pipeline, and verifies each of the solver's YES

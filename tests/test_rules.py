@@ -152,6 +152,43 @@ class TestRule3:
         assert oracle_answer(inst) == oracle_answer(fresh())
 
 
+    def test_blue_vertex_with_demand_equal_to_degree_forces_its_neighbors(self):
+        def fresh():
+            return build(4, [(0, 1), (0, 2), (2, 3)], {0: 2, 3: 1}, k=3, forbidden=[0])
+
+        inst = fresh()
+        events = rule3(inst)
+        assert [(ev.rule_id, sorted(ev.removed_vertices)) for ev in events] == [(3, [1]), (3, [2])]
+        assert inst.budget == 1 and inst.vertices == [0, 3]
+        assert inst.demand == {0: 0, 3: 0}
+        assert oracle_answer(inst) == oracle_answer(fresh()) is True
+
+    def test_a_blue_neighbor_of_such_a_vertex_decides_no(self):
+        def fresh():
+            return build(3, [(0, 1), (0, 2)], {0: 2}, k=5, forbidden=[0, 1])
+
+        inst = fresh()
+        events = rule3(inst)
+        assert [sorted(ev.removed_vertices) for ev in events] == [[1]]
+        assert events[0].status_after is Status.DECIDED_NO
+        assert inst.status is Status.DECIDED_NO
+        assert oracle_answer(fresh()) is False
+
+    def test_the_scan_skips_a_vertex_the_forcing_removed(self):
+        # 4 would be forced for its own demand when the scan reaches it;
+        # forcing 0's neighbors has removed it by then
+        inst = build(5, [(0, 3), (0, 4), (1, 2)], {0: 2, 4: 3}, k=3, forbidden=[0])
+        events = rule3(inst)
+        assert [sorted(ev.removed_vertices) for ev in events] == [[3], [4]]
+        assert inst.vertices == [0, 1, 2] and inst.budget == 1
+
+    def test_a_selectable_vertex_with_demand_equal_to_degree_is_left_alone(self):
+        inst = build(5, [(0, 1), (0, 2), (3, 4)], {0: 2, 3: 1}, k=3, forbidden=[3])
+        events = rule3(inst)
+        assert [sorted(ev.removed_vertices) for ev in events] == [[4]]
+        assert inst.vertices == [0, 1, 2, 3] and inst.demand[0] == 2 and inst.budget == 2
+
+
 class TestRule4:
     def test_figure_instance_drops_edge_to_demand_one_neighbor(self):
         # x=0 y=1 a=2 v=3 z=4 t=5 b=6; witness 2 sees all of N(3)={1, 6}
@@ -773,7 +810,7 @@ def test_a_kernel_with_a_selectable_pair_over_the_cap_reports_caps_hit(path_cap)
             if widest > cap:
                 over_cap += 1
                 assert report.caps_hit, (cap, seed)
-    assert (open_runs, over_cap) == (432, 330)
+    assert (open_runs, over_cap) == (423, 321)
 
 
 class TestRuleSoundnessSweep:
@@ -818,11 +855,13 @@ def midsize_instance(seed):
 
 
 def test_every_event_preserves_answer_at_mid_size():
-    """The battery with the include/exclude oracle on 60 mid-size
+    """The battery with the include/exclude oracle on 61 mid-size
     instances, each at k = opt - 1 and opt, with opt found by that oracle:
-    every event of every run keeps the answer."""
+    every event of every run keeps the answer.  Seed 350 is the one of
+    seeds 0-599 where a rule 8 without its exemptions flips an answer
+    (YES to NO at k = 4), so the slice tells them apart."""
     fired = Counter()
-    for seed in range(60):
+    for seed in [*range(60), 350]:
         inst = midsize_instance(seed)
         while not solve_branching(inst).answer:
             inst.budget += 1

@@ -26,7 +26,7 @@ def load_reach():
     return load_by_path("solve_reach", REACH)
 
 
-@pytest.mark.parametrize("n, kernel", [(40, False), (60, False), (80, True)])
+@pytest.mark.parametrize("n, kernel", [(40, False), (60, False), (80, True), (120, True)])
 def test_solve_bb_agrees_with_highs_at_mid_size(n, kernel):
     reach = load_reach()
     instance = reach.reach_instance(vecdom, n)

@@ -344,10 +344,10 @@ class TestKernelReport:
         calls = region_calls("RegionIndex.regions", "cycle_sides")
         stats = kernel_report(inst, report)
         # The pairs the last phase skipped are counted from their sides: the
-        # same cycle_sides walks as when their regions were built (180), and
+        # same cycle_sides walks as when their regions were built (136), and
         # no CandidateRegion.
-        assert calls == {"RegionIndex.regions": 0, "cycle_sides": 180}
-        assert (stats.region_count_examined, stats.max_region_interior) == (61, 6)
+        assert calls == {"RegionIndex.regions": 0, "cycle_sides": 136}
+        assert (stats.region_count_examined, stats.max_region_interior) == (38, 3)
 
     def test_all_zero_demand_reduces_to_nothing(self):
         inst = generate_planar(9, 0.9, 2)
