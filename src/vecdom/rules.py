@@ -1,12 +1,12 @@
 """General reduction rules and the fixpoint engine.
 
 Rules 1-5 and 13 shrink the graph directly; rules 9-12 create and exploit
-forbidden ("blue") vertices, and so does rule 3, which forces every
-neighbor of a blue vertex whose demand equals its degree; rules 6-8 live
-in :mod:`vecdom.regions` and need a planar embedding.  ``run_fixpoint`` drives everything to
-exhaustion, logging one replayable event per atomic change, and finally
-applies the kernel-size certificate: a fully reduced instance larger than
-101 times its budget cannot have a solution.
+forbidden ("blue") vertices, and rule 3 also forces every neighbor of a
+blue vertex whose demand equals its degree; rules 6-8 live in
+:mod:`vecdom.regions` and need a planar embedding.  ``run_fixpoint``
+drives everything to exhaustion, logging one replayable event per atomic
+change, and finally applies the kernel-size certificate: a fully reduced
+instance larger than 101 times its budget cannot have a solution.
 
 Each rule describes every change it makes as a :class:`ReductionEvent`
 built from the instance's current state, makes the change with

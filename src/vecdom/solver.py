@@ -95,7 +95,7 @@ def solve_brute(instance: AnnotatedInstance) -> SolveResult:
     return SolveResult(False, None, nodes)
 
 
-def solve_branching(instance: AnnotatedInstance, node_limit: int | None = None) -> SolveResult:
+def solve_branching(instance: AnnotatedInstance) -> SolveResult:
     """Decide by including or excluding one vertex at a time, on bitmasks.
 
     A node holds the chosen and the excluded vertices; forbidden vertices
@@ -110,12 +110,12 @@ def solve_branching(instance: AnnotatedInstance, node_limit: int | None = None) 
     candidate: first chosen, then excluded.  The two children split the
     node's solutions by that candidate, so the search misses none.
 
-    Each node counts against ``node_limit``, ``BRANCHING_NODE_LIMIT`` when
-    None; one node more raises ``OracleLimitError``.  A YES witness is
-    confirmed with ``dominates`` before it is returned; the two
+    Each node counts against ``BRANCHING_NODE_LIMIT``, read from the
+    module on each call; one node more raises ``OracleLimitError``.  A YES
+    witness is confirmed with ``dominates`` before it is returned; the two
     disagreeing raises ``AssertionError``.
     """
-    limit = BRANCHING_NODE_LIMIT if node_limit is None else node_limit
+    limit = BRANCHING_NODE_LIMIT
     adj, demand = instance._adj, instance.demand
     ids = list(adj)
     bit = {v: 1 << i for i, v in enumerate(ids)}

@@ -139,7 +139,7 @@ class TestSolveBranching:
                 answers.add(result.answer)
         assert answers == {True, False}
 
-    def test_negative_budget_and_forbidden_neighbors_are_no(self):
+    def test_negative_budget_and_forbidden_vertices(self):
         assert not solve_branching(build(1, k=-1)).answer
         assert not solve_branching(build(2, [(0, 1)], {1: 1}, k=2, forbidden=[0, 1])).answer
         assert solve_branching(build(2, [(0, 1)], {1: 1}, k=1, forbidden=[1])).witness == {0}
@@ -154,14 +154,18 @@ class TestSolveBranching:
         inst.budget -= 1
         assert not solve_bb(inst).answer
 
-    def test_node_limit(self):
+    def test_a_lowered_node_limit_is_read_when_called(self, monkeypatch):
+        import vecdom.solver
+
         inst = _maximal_planar(30, "pids", 0)
         inst.budget = 6
         nodes = solve_branching(inst).nodes_explored
         assert nodes > 1
-        assert solve_branching(inst, node_limit=nodes).nodes_explored == nodes
-        with pytest.raises(OracleLimitError):
-            solve_branching(inst, node_limit=nodes - 1)
+        monkeypatch.setattr(vecdom.solver, "BRANCHING_NODE_LIMIT", nodes)
+        assert solve_branching(inst).nodes_explored == nodes
+        monkeypatch.setattr(vecdom.solver, "BRANCHING_NODE_LIMIT", nodes - 1)
+        with pytest.raises(OracleLimitError, match=f"node limit {nodes - 1}$"):
+            solve_branching(inst)
 
     def test_a_disagreeing_bitmask_raises(self, monkeypatch):
         import vecdom.solver
